@@ -126,8 +126,9 @@ void BM_MultiBlock_PerBlock(benchmark::State& state) {
   ProblemContext ctx(*problem.instance, *problem.priority);
   ctx.Prime();
   for (auto _ : state) {
-    CheckResult r = CheckGlobalOptimalByBlocks(ctx, problem.j,
-                                               PriorityMode::kConflictOnly);
+    CheckResult r =
+        CheckOptimalByBlocks(ctx, problem.j, RepairSemantics::kGlobal,
+                             PriorityMode::kConflictOnly);
     benchmark::DoNotOptimize(r.optimal);
   }
   state.counters["blocks"] =

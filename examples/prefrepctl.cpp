@@ -57,9 +57,9 @@
 #include "io/text_format.h"
 #include "persist/durable_session.h"
 #include "query/consistent_answers.h"
+#include "repair/block_solver.h"
 #include "repair/checker.h"
 #include "conflicts/stats.h"
-#include "repair/counting.h"
 #include "repair/explain.h"
 #include "serve/session.h"
 
@@ -229,7 +229,7 @@ int CmdEnumerate(const PreferredRepairProblem& p, SessionContext& session,
       }
       std::printf("  %s\n", p.instance->SubinstanceToString(r).c_str());
     }
-    if (auto unique = UniqueGloballyOptimalRepair(cg, session.priority())) {
+    if (optimal.size() == 1) {
       std::printf("the cleaning is unambiguous (unique optimal repair)\n");
     }
     PrintCacheStats(session.cache());

@@ -1,6 +1,7 @@
 #include "query/consistent_answers.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "repair/block_solver.h"
 
@@ -14,6 +15,19 @@ const char* CqaPathName(CqaPath value) {
       return "enumeration";
   }
   return "?";
+}
+
+RepairSemantics ToRepairSemantics(AnswerSemantics semantics) {
+  switch (semantics) {
+    case AnswerSemantics::kPareto:
+      return RepairSemantics::kPareto;
+    case AnswerSemantics::kCompletion:
+      return RepairSemantics::kCompletion;
+    case AnswerSemantics::kAllRepairs:
+    case AnswerSemantics::kGlobal:
+      break;
+  }
+  return RepairSemantics::kGlobal;
 }
 
 namespace {
@@ -45,6 +59,20 @@ std::optional<std::vector<DynamicBitset>> CategoricalRepairSet(
   return std::vector<DynamicBitset>{std::move(result.repair)};
 }
 
+// Streams the classical repairs — of `universe` when given, else of the
+// whole instance — to `fn` until it returns false or the budget fires.
+// Every streamed repair is complete, so answers found before the budget
+// fires stand.
+void StreamAllRepairs(const ProblemContext& ctx,
+                      const DynamicBitset* universe,
+                      const std::function<bool(const DynamicBitset&)>& fn) {
+  if (universe != nullptr) {
+    ForEachRepairWithin(ctx.conflict_graph(), *universe, ctx.governor(), fn);
+  } else {
+    ForEachRepair(ctx.conflict_graph(), ctx.governor(), fn);
+  }
+}
+
 // The σ-repair set to intersect over, or nullopt when the governed
 // enumeration was abandoned by the budget.  An abandoned optimal-repair
 // product contains no complete repairs, so there is no usable partial
@@ -60,35 +88,16 @@ std::optional<std::vector<DynamicBitset>> RepairsForBounded(
   ResourceGovernor& governor = ctx.governor();
   if (semantics == AnswerSemantics::kAllRepairs) {
     std::vector<DynamicBitset> out;
-    auto collect = [&](const DynamicBitset& r) {
+    StreamAllRepairs(ctx, all_repairs_universe, [&](const DynamicBitset& r) {
       out.push_back(r);
       return true;
-    };
-    if (all_repairs_universe != nullptr) {
-      ForEachRepairWithin(ctx.conflict_graph(), *all_repairs_universe,
-                          governor, collect);
-    } else {
-      ForEachRepair(ctx.conflict_graph(), governor, collect);
-    }
+    });
     if (governor.exhausted()) {
       return std::nullopt;
     }
     return out;
   }
-  RepairSemantics rs = RepairSemantics::kGlobal;
-  switch (semantics) {
-    case AnswerSemantics::kAllRepairs:
-      break;
-    case AnswerSemantics::kGlobal:
-      rs = RepairSemantics::kGlobal;
-      break;
-    case AnswerSemantics::kPareto:
-      rs = RepairSemantics::kPareto;
-      break;
-    case AnswerSemantics::kCompletion:
-      rs = RepairSemantics::kCompletion;
-      break;
-  }
+  const RepairSemantics rs = ToRepairSemantics(semantics);
   if (!options.force_enumeration) {
     if (std::optional<std::vector<DynamicBitset>> categorical =
             CategoricalRepairSet(ctx, rs, options)) {
@@ -107,20 +116,51 @@ std::optional<std::vector<DynamicBitset>> RepairsForBounded(
   return out;
 }
 
-std::vector<DynamicBitset> RepairsFor(const ProblemContext& ctx,
-                                      AnswerSemantics semantics) {
+// Whether some σ-repair answers the Boolean `query` with `target`:
+// kTrue when one does, kUnknown when the budget fired first, kFalse
+// otherwise.  Under kAllRepairs the repairs stream, so a hit found
+// before the budget fires is definite; an abandoned optimal-repair
+// product holds no complete repair to look at.
+Trilean SomeRepairAnswers(const ProblemContext& ctx,
+                          const ConjunctiveQuery& query,
+                          AnswerSemantics semantics,
+                          const DynamicBitset* all_repairs_universe,
+                          const CqaOptions& options, bool target) {
+  if (semantics == AnswerSemantics::kAllRepairs) {
+    if (options.path != nullptr) {
+      *options.path = CqaPath::kEnumeration;
+    }
+    bool found = false;
+    StreamAllRepairs(ctx, all_repairs_universe,
+                     [&](const DynamicBitset& repair) {
+                       found = query.EvaluateBoolean(ctx.instance(), repair) ==
+                               target;
+                       return !found;
+                     });
+    if (found) {
+      return Trilean::kTrue;
+    }
+    return ctx.governor().exhausted() ? Trilean::kUnknown : Trilean::kFalse;
+  }
   std::optional<std::vector<DynamicBitset>> repairs =
-      RepairsForBounded(ctx, semantics);
-  // Every preferred-repair semantics admits at least one optimal repair
-  // (completion-optimal repairs exist, and they are global- and
-  // Pareto-optimal); an empty instance has the empty repair.  So a
-  // missing repair set means the resource budget fired — a bool/vector
-  // API cannot degrade, so governed callers must use the Bounded
-  // variants.
-  PREFREP_CHECK_MSG(repairs.has_value(),
+      RepairsForBounded(ctx, semantics, nullptr, options);
+  if (!repairs.has_value()) {
+    return Trilean::kUnknown;
+  }
+  for (const DynamicBitset& repair : *repairs) {
+    if (query.EvaluateBoolean(ctx.instance(), repair) == target) {
+      return Trilean::kTrue;
+    }
+  }
+  return Trilean::kFalse;
+}
+
+// The plain entry points cannot say "unknown": a bool/vector API cannot
+// degrade, so governed callers must use the *Bounded variants.
+void CheckDecided(bool decided) {
+  PREFREP_CHECK_MSG(decided,
                     "repair enumeration abandoned by the resource budget — "
                     "use the *Bounded consistent-answer APIs");
-  return *std::move(repairs);
 }
 
 }  // namespace
@@ -128,19 +168,24 @@ std::vector<DynamicBitset> RepairsFor(const ProblemContext& ctx,
 std::vector<ConjunctiveQuery::AnswerTuple> ConsistentAnswers(
     const ProblemContext& ctx, const ConjunctiveQuery& query,
     AnswerSemantics semantics) {
-  std::vector<DynamicBitset> repairs = RepairsFor(ctx, semantics);
-  std::vector<ConjunctiveQuery::AnswerTuple> intersection =
-      query.Evaluate(ctx.instance(), repairs.front());
-  for (size_t i = 1; i < repairs.size() && !intersection.empty(); ++i) {
-    std::vector<ConjunctiveQuery::AnswerTuple> next =
-        query.Evaluate(ctx.instance(), repairs[i]);
-    std::vector<ConjunctiveQuery::AnswerTuple> merged;
-    std::set_intersection(intersection.begin(), intersection.end(),
-                          next.begin(), next.end(),
-                          std::back_inserter(merged));
-    intersection = std::move(merged);
-  }
-  return intersection;
+  Result<std::vector<ConjunctiveQuery::AnswerTuple>> answers =
+      ConsistentAnswersBounded(ctx, query, semantics);
+  CheckDecided(answers.ok());
+  return *std::move(answers);
+}
+
+bool CertainlyTrue(const ProblemContext& ctx, const ConjunctiveQuery& query,
+                   AnswerSemantics semantics) {
+  const Trilean certain = CertainlyTrueBounded(ctx, query, semantics);
+  CheckDecided(certain != Trilean::kUnknown);
+  return certain == Trilean::kTrue;
+}
+
+bool PossiblyTrue(const ProblemContext& ctx, const ConjunctiveQuery& query,
+                  AnswerSemantics semantics) {
+  const Trilean possible = PossiblyTrueBounded(ctx, query, semantics);
+  CheckDecided(possible != Trilean::kUnknown);
+  return possible == Trilean::kTrue;
 }
 
 Result<std::vector<ConjunctiveQuery::AnswerTuple>> ConsistentAnswersBounded(
@@ -169,68 +214,22 @@ Result<std::vector<ConjunctiveQuery::AnswerTuple>> ConsistentAnswersBounded(
   return intersection;
 }
 
-bool CertainlyTrue(const ProblemContext& ctx, const ConjunctiveQuery& query,
-                   AnswerSemantics semantics) {
-  for (const DynamicBitset& repair : RepairsFor(ctx, semantics)) {
-    if (!query.EvaluateBoolean(ctx.instance(), repair)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool PossiblyTrue(const ProblemContext& ctx, const ConjunctiveQuery& query,
-                  AnswerSemantics semantics) {
-  for (const DynamicBitset& repair : RepairsFor(ctx, semantics)) {
-    if (query.EvaluateBoolean(ctx.instance(), repair)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 Trilean CertainlyTrueBounded(const ProblemContext& ctx,
                              const ConjunctiveQuery& query,
                              AnswerSemantics semantics,
                              const DynamicBitset* all_repairs_universe,
                              const CqaOptions& options) {
-  if (semantics == AnswerSemantics::kAllRepairs) {
-    // Stream: each enumerated repair is complete, so one that falsifies
-    // Q is a definite refutation even if the budget fires later.
-    if (options.path != nullptr) {
-      *options.path = CqaPath::kEnumeration;
-    }
-    ResourceGovernor& governor = ctx.governor();
-    bool refuted = false;
-    auto probe = [&](const DynamicBitset& repair) {
-      if (!query.EvaluateBoolean(ctx.instance(), repair)) {
-        refuted = true;
-        return false;
-      }
-      return true;
-    };
-    if (all_repairs_universe != nullptr) {
-      ForEachRepairWithin(ctx.conflict_graph(), *all_repairs_universe,
-                          governor, probe);
-    } else {
-      ForEachRepair(ctx.conflict_graph(), governor, probe);
-    }
-    if (refuted) {
+  // Q is certain iff no repair falsifies it.
+  switch (SomeRepairAnswers(ctx, query, semantics, all_repairs_universe,
+                            options, /*target=*/false)) {
+    case Trilean::kTrue:
       return Trilean::kFalse;
-    }
-    return governor.exhausted() ? Trilean::kUnknown : Trilean::kTrue;
+    case Trilean::kFalse:
+      return Trilean::kTrue;
+    case Trilean::kUnknown:
+      break;
   }
-  std::optional<std::vector<DynamicBitset>> repairs =
-      RepairsForBounded(ctx, semantics, nullptr, options);
-  if (!repairs.has_value()) {
-    return Trilean::kUnknown;
-  }
-  for (const DynamicBitset& repair : *repairs) {
-    if (!query.EvaluateBoolean(ctx.instance(), repair)) {
-      return Trilean::kFalse;
-    }
-  }
-  return Trilean::kTrue;
+  return Trilean::kUnknown;
 }
 
 Trilean PossiblyTrueBounded(const ProblemContext& ctx,
@@ -238,41 +237,8 @@ Trilean PossiblyTrueBounded(const ProblemContext& ctx,
                             AnswerSemantics semantics,
                             const DynamicBitset* all_repairs_universe,
                             const CqaOptions& options) {
-  if (semantics == AnswerSemantics::kAllRepairs) {
-    if (options.path != nullptr) {
-      *options.path = CqaPath::kEnumeration;
-    }
-    ResourceGovernor& governor = ctx.governor();
-    bool confirmed = false;
-    auto probe = [&](const DynamicBitset& repair) {
-      if (query.EvaluateBoolean(ctx.instance(), repair)) {
-        confirmed = true;
-        return false;
-      }
-      return true;
-    };
-    if (all_repairs_universe != nullptr) {
-      ForEachRepairWithin(ctx.conflict_graph(), *all_repairs_universe,
-                          governor, probe);
-    } else {
-      ForEachRepair(ctx.conflict_graph(), governor, probe);
-    }
-    if (confirmed) {
-      return Trilean::kTrue;
-    }
-    return governor.exhausted() ? Trilean::kUnknown : Trilean::kFalse;
-  }
-  std::optional<std::vector<DynamicBitset>> repairs =
-      RepairsForBounded(ctx, semantics, nullptr, options);
-  if (!repairs.has_value()) {
-    return Trilean::kUnknown;
-  }
-  for (const DynamicBitset& repair : *repairs) {
-    if (query.EvaluateBoolean(ctx.instance(), repair)) {
-      return Trilean::kTrue;
-    }
-  }
-  return Trilean::kFalse;
+  return SomeRepairAnswers(ctx, query, semantics, all_repairs_universe,
+                           options, /*target=*/true);
 }
 
 std::vector<ConjunctiveQuery::AnswerTuple> ConsistentAnswers(

@@ -31,6 +31,10 @@ enum class AnswerSemantics {
   kCompletion,   ///< completion-optimal repairs only
 };
 
+/// The preferred-repair semantics an answer semantics ranges over
+/// (kGlobal for kAllRepairs, which has none).
+RepairSemantics ToRepairSemantics(AnswerSemantics semantics);
+
 /// Which route produced an answer (reported through CqaOptions::path).
 enum class CqaPath {
   /// The categoricity pre-pass (classify/categoricity.h) certified a
@@ -80,7 +84,9 @@ bool PossiblyTrue(const ConflictGraph& cg, const PriorityRelation& priority,
 /// ProblemContext overloads: share one context (conflict graph, block
 /// decomposition, classifications) across repeated queries on the same
 /// prioritizing instance; optimal-repair enumeration goes through the
-/// per-block product of repair/block_solver.h.
+/// per-block product of repair/block_solver.h.  Each is its *Bounded
+/// form below, CHECK-fatal when that form cannot decide (a bool cannot
+/// say "unknown").
 std::vector<ConjunctiveQuery::AnswerTuple> ConsistentAnswers(
     const ProblemContext& ctx, const ConjunctiveQuery& query,
     AnswerSemantics semantics);
@@ -90,8 +96,8 @@ bool PossiblyTrue(const ProblemContext& ctx, const ConjunctiveQuery& query,
                   AnswerSemantics semantics);
 
 /// Budget-aware variants for governed contexts (ctx.governor()).  The
-/// plain overloads above are CHECK-fatal if the budget fires mid-query —
-/// a bool cannot say "unknown" — so governed callers use these instead.
+/// plain overloads above are CHECK-fatal whenever these return unknown,
+/// so governed callers use these instead.
 ///
 /// Degradation contract: under the optimal-repair semantics an
 /// abandoned enumeration yields kUnknown / kResourceExhausted outright,

@@ -2,7 +2,6 @@
 
 #include "cache/block_cache.h"
 #include "repair/audit.h"
-#include "repair/parallel_solver.h"
 #include "repair/ccp_constant_attr.h"
 #include "repair/ccp_primary_key.h"
 #include "repair/completion.h"
@@ -211,16 +210,6 @@ class CompletionSolver final : public BlockSolver {
   }
 };
 
-// The identity order: every per-block dispatcher below walks
-// BlockDecomposition::blocks() front to back.
-std::vector<size_t> AllBlocksInOrder(const BlockDecomposition& blocks) {
-  std::vector<size_t> order(blocks.num_blocks());
-  for (size_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
-  }
-  return order;
-}
-
 }  // namespace
 
 std::vector<DynamicBitset> BlockSolver::OptimalBlockRepairs(
@@ -377,35 +366,11 @@ const BlockSolver& SolverForSemantics(const ProblemContext& ctx,
   return ExhaustiveBlockSolver();
 }
 
-namespace {
+namespace block_cache_internal {
 
-// ---- Block-solve cache plumbing (cache/block_cache.h) ----------------
-//
-// Every helper below upholds the two cache invariants spelled out in
-// docs/caching.md:
-//
-//  * Store only complete results.  Nothing produced by an exhausted
-//    governor, no kUnknown verdict, no abandoned (empty / zero)
-//    payload ever enters the table — which is why a stored entry is
-//    automatically "computed under a sufficient budget" for any caller
-//    whose own remaining headroom passes MayServe.
-//  * Serve only when a fresh solve would have completed too.  The
-//    caller's governor must still admit the block (WouldAdmitBlock, so
-//    refusal accounting is reproduced by an actual refused solve), and
-//    replaying the entry's node cost must not reach the node firing
-//    index — otherwise the fresh solve would have fired mid-block and
-//    the hit is refused so exactly that happens.
-
-uint64_t SolverSalt(const BlockSolver& solver) {
-  const std::string_view name = solver.Name();
-  return HashRange(name.begin(), name.end());
-}
-
-// In audit builds, re-solves a served hit from scratch (fresh unlimited
-// governor, no cache) and dies on any divergence — the safety net for
-// fingerprint collisions and canonicalization bugs.
-template <typename Fresh>
-void AuditCacheHit(const ProblemContext& ctx, Fresh&& fresh_matches) {
+void AuditServedHit(
+    const ProblemContext& ctx,
+    const std::function<bool(const ProblemContext& fresh)>& fresh_matches) {
   if (!audit::Enabled()) {
     return;
   }
@@ -416,172 +381,61 @@ void AuditCacheHit(const ProblemContext& ctx, Fresh&& fresh_matches) {
                     "(fingerprint collision or canonicalization bug)");
 }
 
-// CheckBlock through the cache.  Only the exhaustive solver is
-// memoized: it is the non-polynomial path, and its witnesses
-// ("an enumerated block-repair improves J on block #i") re-render
-// byte-identically from the canonical payload — the tractable solvers'
-// messages embed fact labels, which a fingerprint deliberately forgets.
-CheckResult CacheAwareCheckBlock(const BlockSolver& solver,
-                                 const ProblemContext& ctx, const Block& b,
-                                 const DynamicBitset& j) {
-  BlockSolveCache* cache = ctx.block_cache();
-  if (cache == nullptr || &solver != &ExhaustiveBlockSolver() ||
-      !ctx.priority_block_local()) {
-    return solver.CheckBlock(ctx, b, j);
-  }
-  ResourceGovernor& governor = ctx.governor();
-  if (!governor.WouldAdmitBlock(b.size())) {
-    return solver.CheckBlock(ctx, b, j);  // records the refusal
-  }
-  const BlockFingerprint base = ComputeBlockFingerprint(ctx, b);
-  const BlockFingerprint key =
-      DeriveOpKey(base, BlockCacheOp::kVerdict, SolverSalt(solver),
-                  CanonicalSubsetDigest(b, j));
-  if (std::optional<BlockSolveCache::Entry> entry = cache->Lookup(key);
-      entry.has_value() && MayServeCachedEntry(governor, *entry)) {
-    cache->NoteHit();
-    ReplayServedNodes(governor, *entry);
-    CheckResult served;
-    if (entry->optimal) {
-      served = CheckResult::Optimal();
-    } else {
-      // Rehydrate the witness in this block's coordinates: same
-      // enumeration index, same facts under the canonical isomorphism,
-      // same message — byte-identical to the fresh solve.
-      DynamicBitset candidate =
-          (j - b.facts) |
-          UncanonicalizeSubset(b, entry->witness_local, j.size());
-      served = CheckResult::NotOptimal(
-          std::move(candidate),
-          "an enumerated block-repair improves J on block " +
-              std::to_string(b.id));
-    }
-    AuditCacheHit(ctx, [&](const ProblemContext& fresh) {
-      CheckResult expect = solver.CheckBlock(fresh, b, j);
-      if (!expect.known() || expect.optimal != served.optimal) {
-        return false;
-      }
-      if (expect.optimal) {
+}  // namespace block_cache_internal
+
+namespace {
+
+uint64_t SolverSalt(const BlockSolver& solver) {
+  const std::string_view name = solver.Name();
+  return HashRange(name.begin(), name.end());
+}
+
+// Only the exhaustive solver's verdicts are memoized: it is the
+// non-polynomial path, and its witnesses ("an enumerated block-repair
+// improves J on block #i") re-render byte-identically from the
+// canonical payload — the tractable solvers' messages embed fact
+// labels, which a fingerprint deliberately forgets.
+CheckResult CachedCheckBlock(const BlockSolver& solver,
+                             const ProblemContext& ctx, const Block& b,
+                             const DynamicBitset& j) {
+  const bool eligible = &solver == &ExhaustiveBlockSolver();
+  return CachedBlockSolve(
+      ctx, b, eligible, /*admission=*/true,
+      BlockCacheKey{BlockCacheOp::kVerdict, SolverSalt(solver),
+                    eligible ? CanonicalSubsetDigest(b, j) : 0},
+      [&](const ProblemContext& cx) { return solver.CheckBlock(cx, b, j); },
+      [&](const CheckResult& result, BlockSolveCache::Entry* entry) {
+        if (!result.known() ||
+            (!result.optimal && !result.witness.has_value())) {
+          return false;  // unknown, or a witnessless refutation
+        }
+        entry->optimal = result.optimal;
+        if (!result.optimal) {
+          entry->witness_local =
+              CanonicalizeSubset(b, result.witness->improvement);
+        }
         return true;
-      }
-      return expect.witness.has_value() && served.witness.has_value() &&
-             expect.witness->improvement == served.witness->improvement &&
-             expect.witness->explanation == served.witness->explanation;
-    });
-    return served;
-  }
-  cache->NoteMiss();
-  const uint64_t nodes_before = governor.nodes_spent();
-  CheckResult result = solver.CheckBlock(ctx, b, j);
-  if (!result.known() || governor.exhausted()) {
-    return result;  // incomplete: never cached
-  }
-  BlockSolveCache::Entry entry;
-  entry.optimal = result.optimal;
-  if (!result.optimal) {
-    if (!result.witness.has_value()) {
-      return result;  // witnessless refutation: nothing replayable
-    }
-    entry.witness_local = CanonicalizeSubset(b, result.witness->improvement);
-  }
-  entry.nodes = governor.nodes_spent() - nodes_before;
-  entry.nodes_valid = !governor.unlimited();
-  cache->Store(base, key, std::move(entry));
-  return result;
+      },
+      [&](const BlockSolveCache::Entry& entry) {
+        if (entry.optimal) {
+          return CheckResult::Optimal();
+        }
+        // Same enumeration index, same facts under the canonical
+        // isomorphism, same message — byte-identical to the fresh solve.
+        return CheckResult::NotOptimal(
+            (j - b.facts) |
+                UncanonicalizeSubset(b, entry.witness_local, j.size()),
+            "an enumerated block-repair improves J on block " +
+                std::to_string(b.id));
+      });
 }
 
-}  // namespace
-
-std::vector<DynamicBitset> CachedOptimalBlockRepairs(const BlockSolver& solver,
-                                                     const ProblemContext& ctx,
-                                                     const Block& b) {
-  BlockSolveCache* cache = ctx.block_cache();
-  if (cache == nullptr || !solver.BlockDetermined() ||
-      !ctx.priority_block_local()) {
-    return solver.OptimalBlockRepairs(ctx, b);
-  }
-  ResourceGovernor& governor = ctx.governor();
-  if (!governor.WouldAdmitBlock(b.size())) {
-    return solver.OptimalBlockRepairs(ctx, b);  // records the refusal
-  }
-  const BlockFingerprint base = ComputeBlockFingerprint(ctx, b);
-  const BlockFingerprint key =
-      DeriveOpKey(base, BlockCacheOp::kOptimalSet, SolverSalt(solver));
-  if (std::optional<BlockSolveCache::Entry> entry = cache->Lookup(key);
-      entry.has_value() && MayServeCachedEntry(governor, *entry)) {
-    cache->NoteHit();
-    ReplayServedNodes(governor, *entry);
-    std::vector<DynamicBitset> out;
-    out.reserve(entry->repairs_local.size());
-    for (const DynamicBitset& local : entry->repairs_local) {
-      out.push_back(UncanonicalizeSubset(b, local, b.facts.size()));
-    }
-    AuditCacheHit(ctx, [&](const ProblemContext& fresh) {
-      return solver.OptimalBlockRepairs(fresh, b) == out;
-    });
-    return out;
-  }
-  cache->NoteMiss();
-  const uint64_t nodes_before = governor.nodes_spent();
-  std::vector<DynamicBitset> out = solver.OptimalBlockRepairs(ctx, b);
-  if (out.empty() || governor.exhausted()) {
-    return out;  // empty means abandoned (see header): never cached
-  }
-  BlockSolveCache::Entry entry;
-  entry.repairs_local.reserve(out.size());
-  for (const DynamicBitset& r : out) {
-    entry.repairs_local.push_back(CanonicalizeSubset(b, r));
-  }
-  entry.nodes = governor.nodes_spent() - nodes_before;
-  entry.nodes_valid = !governor.unlimited();
-  cache->Store(base, key, std::move(entry));
-  return out;
-}
-
-uint64_t CachedCountBlock(const BlockSolver& solver, const ProblemContext& ctx,
-                          const Block& b) {
-  BlockSolveCache* cache = ctx.block_cache();
-  if (cache == nullptr || !solver.BlockDetermined() ||
-      !ctx.priority_block_local()) {
-    return solver.CountBlock(ctx, b);
-  }
-  ResourceGovernor& governor = ctx.governor();
-  if (!governor.WouldAdmitBlock(b.size())) {
-    return solver.CountBlock(ctx, b);  // records the refusal
-  }
-  const BlockFingerprint base = ComputeBlockFingerprint(ctx, b);
-  const BlockFingerprint key =
-      DeriveOpKey(base, BlockCacheOp::kCount, SolverSalt(solver));
-  if (std::optional<BlockSolveCache::Entry> entry = cache->Lookup(key);
-      entry.has_value() && MayServeCachedEntry(governor, *entry)) {
-    cache->NoteHit();
-    ReplayServedNodes(governor, *entry);
-    const uint64_t count = entry->count;
-    AuditCacheHit(ctx, [&](const ProblemContext& fresh) {
-      return solver.CountBlock(fresh, b) == count;
-    });
-    return count;
-  }
-  cache->NoteMiss();
-  const uint64_t nodes_before = governor.nodes_spent();
-  const uint64_t count = solver.CountBlock(ctx, b);
-  if (count == 0 || governor.exhausted()) {
-    // 0 is the "abandoned" sentinel and an exhausted count is a lower
-    // bound; neither is a complete result.
-    return count;
-  }
-  BlockSolveCache::Entry entry;
-  entry.count = count;
-  entry.nodes = governor.nodes_spent() - nodes_before;
-  entry.nodes_valid = !governor.unlimited();
-  cache->Store(base, key, std::move(entry));
-  return count;
-}
-
+// CheckBlock through the cache and, in PREFREP_AUDIT builds,
+// cross-validated against its definitional baseline (repair/audit.h).
 CheckResult AuditedCheckBlock(const BlockSolver& solver,
                               const ProblemContext& ctx, const Block& b,
                               const DynamicBitset& j) {
-  CheckResult result = CacheAwareCheckBlock(solver, ctx, b, j);
+  CheckResult result = CachedCheckBlock(solver, ctx, b, j);
   if (audit::Enabled() && audit::internal::ForcingWrongVerdict() &&
       result.known()) {
     // Test-only fault injection: corrupt the verdict so the death test
@@ -594,32 +448,67 @@ CheckResult AuditedCheckBlock(const BlockSolver& solver,
   return result;
 }
 
-namespace {
+}  // namespace
 
-// The shared combine loop: consistency, conflict-free facts, then the
-// conjunction of per-block checks.  `give_free_witness` distinguishes
-// the witness-producing semantics from the completion check (which,
-// like its whole-instance counterpart, reports no witnesses).
-template <typename SolverFor>
-CheckResult CheckOptimalByBlocksImpl(const ProblemContext& ctx,
-                                     const DynamicBitset& j,
-                                     SolverFor&& solver_for,
-                                     size_t* failed_block,
-                                     bool give_free_witness,
-                                     DegradationReport* degradation = nullptr) {
+std::vector<DynamicBitset> CachedOptimalBlockRepairs(const BlockSolver& solver,
+                                                     const ProblemContext& ctx,
+                                                     const Block& b) {
+  return CachedBlockSolve(
+      ctx, b, solver.BlockDetermined(), /*admission=*/true,
+      BlockCacheKey{BlockCacheOp::kOptimalSet, SolverSalt(solver)},
+      [&](const ProblemContext& cx) {
+        return solver.OptimalBlockRepairs(cx, b);
+      },
+      [&](const std::vector<DynamicBitset>& repairs,
+          BlockSolveCache::Entry* entry) {
+        // Empty means abandoned (see header).
+        entry->repairs_local.reserve(repairs.size());
+        for (const DynamicBitset& r : repairs) {
+          entry->repairs_local.push_back(CanonicalizeSubset(b, r));
+        }
+        return !repairs.empty();
+      },
+      [&](const BlockSolveCache::Entry& entry) {
+        std::vector<DynamicBitset> out;
+        out.reserve(entry.repairs_local.size());
+        for (const DynamicBitset& local : entry.repairs_local) {
+          out.push_back(UncanonicalizeSubset(b, local, b.facts.size()));
+        }
+        return out;
+      });
+}
+
+uint64_t CachedCountBlock(const BlockSolver& solver, const ProblemContext& ctx,
+                          const Block& b) {
+  return CachedBlockSolve(
+      ctx, b, solver.BlockDetermined(), /*admission=*/true,
+      BlockCacheKey{BlockCacheOp::kCount, SolverSalt(solver)},
+      [&](const ProblemContext& cx) { return solver.CountBlock(cx, b); },
+      [](uint64_t count, BlockSolveCache::Entry* entry) {
+        // 0 is the "abandoned" sentinel.
+        entry->count = count;
+        return count != 0;
+      },
+      [](const BlockSolveCache::Entry& entry) { return entry.count; });
+}
+
+CheckResult CheckOptimalByBlocks(const ProblemContext& ctx,
+                                 const DynamicBitset& j,
+                                 RepairSemantics semantics, PriorityMode mode,
+                                 size_t* failed_block,
+                                 DegradationReport* degradation,
+                                 const std::vector<size_t>* order) {
   PREFREP_CHECK_MSG(ctx.priority_block_local(),
                     "per-block optimality checking requires a block-local "
                     "priority");
-  const ConflictGraph& cg = ctx.conflict_graph();
-  if (!IsConsistent(cg, j)) {
+  if (!IsConsistent(ctx.conflict_graph(), j)) {
     return CheckResult::NotOptimalNoWitness();
   }
-  const BlockDecomposition& blocks = ctx.blocks();
   // A conflict-free fact belongs to every repair; no block check would
   // notice its absence.
-  const DynamicBitset missing = blocks.free_facts() - j;
+  const DynamicBitset missing = ctx.blocks().free_facts() - j;
   if (missing.any()) {
-    if (!give_free_witness) {
+    if (semantics == RepairSemantics::kCompletion) {
       return CheckResult::NotOptimalNoWitness();
     }
     FactId f = static_cast<FactId>(missing.FindFirst());
@@ -635,103 +524,41 @@ CheckResult CheckOptimalByBlocksImpl(const ProblemContext& ctx,
   // was found before or by a polynomial solver); an unknown block is
   // recorded and skipped, so every tractable block is still answered
   // exactly; any surviving unknown makes the conjunction unknown.
-  ResourceGovernor& governor = ctx.governor();
-  size_t exact = 0;
-  std::string first_unknown_reason;
-  std::vector<BlockDegradation> abandoned;
-  BlockSolveCache* const cache = ctx.block_cache();
-  const BlockCacheStats cache_before =
-      cache != nullptr ? cache->stats() : BlockCacheStats{};
-  const auto fill_report = [&]() {
-    if (degradation == nullptr) {
-      return;
-    }
-    degradation->blocks_total = blocks.blocks().size();
-    degradation->blocks_exact = exact;
-    degradation->blocks_abandoned = abandoned.size();
-    degradation->nodes_spent = governor.nodes_spent();
-    degradation->cause =
-        governor.degraded() ? governor.CauseString() : std::string();
-    if (cache != nullptr) {
-      // Per-call delta of the shared counters; approximate when other
-      // sessions hit the same cache concurrently (and excluded from the
-      // byte-identical cache-on/off contract either way).
-      const BlockCacheStats now = cache->stats();
-      degradation->cache_hits = now.hits - cache_before.hits;
-      degradation->cache_misses = now.misses - cache_before.misses;
-    }
-    degradation->abandoned = std::move(abandoned);
-  };
-  // The session speculates every block on the worker pool (when the
-  // context allows parallelism) and hands back per-block results that
-  // are byte-identical to running AuditedCheckBlock serially right
-  // here, including the governor's accounting; see parallel_solver.h.
-  ParallelBlockSession<CheckResult> session(
-      ctx, AllBlocksInOrder(blocks),
-      [&](const ProblemContext& cx, const Block& bb) {
-        return AuditedCheckBlock(solver_for(bb), cx, bb, j);
+  CheckResult refutation;
+  FoldOutcome fold = FoldBlocks(
+      ctx, order,
+      [&](const ProblemContext& cx, const Block& b) {
+        const BlockSolver& solver =
+            semantics == RepairSemantics::kGlobal
+                ? DispatchBlockSolver(cx, b, mode)
+                : SolverForSemantics(cx, b, semantics);
+        return AuditedCheckBlock(solver, cx, b, j);
       },
       [](const CheckResult& r) { return r.known(); },
-      [](const CheckResult& r) { return r.known() && !r.optimal; });
-  for (const Block& b : blocks.blocks()) {
-    const uint64_t nodes_before = governor.nodes_spent();
-    CheckResult result = session.Next(b);
-    if (!result.known()) {
-      abandoned.push_back(BlockDegradation{
-          b.id, b.size(), governor.nodes_spent() - nodes_before,
-          result.unknown_reason});
-      if (first_unknown_reason.empty()) {
-        first_unknown_reason = result.unknown_reason;
-      }
-      continue;
-    }
-    if (!result.optimal) {
-      if (failed_block != nullptr) {
-        *failed_block = b.id;
-      }
-      fill_report();
-      return result;
-    }
-    ++exact;
+      [](const CheckResult& r) { return r.known() && !r.optimal; },
+      [&](const Block&, CheckResult& r, bool) {
+        if (!r.known()) {
+          return FoldStep::Abandoned(r.unknown_reason);
+        }
+        if (!r.optimal) {
+          refutation = std::move(r);
+          return FoldStep::Stop();
+        }
+        return FoldStep::Exact();
+      });
+  if (degradation != nullptr) {
+    *degradation = std::move(fold.report);
   }
-  fill_report();
-  if (!first_unknown_reason.empty()) {
-    return CheckResult::Unknown(std::move(first_unknown_reason));
+  if (fold.stopped()) {
+    if (failed_block != nullptr) {
+      *failed_block = fold.stopped_at;
+    }
+    return refutation;
+  }
+  if (!fold.first_unknown_reason.empty()) {
+    return CheckResult::Unknown(std::move(fold.first_unknown_reason));
   }
   return CheckResult::Optimal();
-}
-
-}  // namespace
-
-CheckResult CheckGlobalOptimalByBlocks(const ProblemContext& ctx,
-                                       const DynamicBitset& j,
-                                       PriorityMode mode,
-                                       size_t* failed_block,
-                                       DegradationReport* degradation) {
-  return CheckOptimalByBlocksImpl(
-      ctx, j,
-      [&](const Block& b) -> const BlockSolver& {
-        return DispatchBlockSolver(ctx, b, mode);
-      },
-      failed_block, /*give_free_witness=*/true, degradation);
-}
-
-CheckResult CheckParetoOptimalByBlocks(const ProblemContext& ctx,
-                                       const DynamicBitset& j) {
-  return CheckOptimalByBlocksImpl(
-      ctx, j,
-      [](const Block&) -> const BlockSolver& { return ParetoBlockSolver(); },
-      /*failed_block=*/nullptr, /*give_free_witness=*/true);
-}
-
-CheckResult CheckCompletionOptimalByBlocks(const ProblemContext& ctx,
-                                           const DynamicBitset& j) {
-  return CheckOptimalByBlocksImpl(
-      ctx, j,
-      [](const Block&) -> const BlockSolver& {
-        return CompletionBlockSolver();
-      },
-      /*failed_block=*/nullptr, /*give_free_witness=*/false);
 }
 
 std::vector<DynamicBitset> AllOptimalRepairs(const ProblemContext& ctx,
@@ -742,101 +569,51 @@ std::vector<DynamicBitset> AllOptimalRepairs(const ProblemContext& ctx,
   ResourceGovernor& governor = ctx.governor();
   std::vector<DynamicBitset> out{ctx.blocks().free_facts()};
   // Per-block repair sets are enumeration order within one block, so a
-  // worker's set is bitwise the serial one; the session only has to
-  // merge them in block order (parallel_solver.h).
-  ParallelBlockSession<std::vector<DynamicBitset>> session(
-      ctx, AllBlocksInOrder(ctx.blocks()),
-      [&](const ProblemContext& cx, const Block& bb) {
-        return CachedOptimalBlockRepairs(SolverForSemantics(ctx, bb, semantics),
-                                         cx, bb);
+  // worker's set is bitwise the serial one; the fold only has to merge
+  // them in block order.
+  const FoldOutcome fold = FoldBlocks(
+      ctx, nullptr,
+      [&](const ProblemContext& cx, const Block& b) {
+        return CachedOptimalBlockRepairs(SolverForSemantics(ctx, b, semantics),
+                                         cx, b);
       },
-      [](const std::vector<DynamicBitset>& v) { return !v.empty(); });
-  for (const Block& b : ctx.blocks().blocks()) {
-    const BlockSolver& solver = SolverForSemantics(ctx, b, semantics);
-    std::vector<DynamicBitset> optimal = session.Next(b);
-    if (optimal.empty()) {
-      // Abandoned (budget fired or block refused): a partial
-      // cross-product is not a set of repairs, so return nothing.  The
-      // CHECK keeps the ungoverned invariant honest — an empty set
-      // without degradation would be an algorithmic bug, not a budget.
-      PREFREP_CHECK_MSG(
-          governor.degraded() ||
-              b.size() > ResourceGovernor::kMaxExhaustiveBlockFacts,
-          "every block admits an optimal block-repair");
-      return {};
-    }
-    audit::CheckBlockRepairSet(ctx, solver, b, optimal);
-    // The cross-product is where enumeration really explodes — the
-    // per-block sets above are at most 2^|block| each, but their
-    // product multiplies across blocks.  Charge one checkpoint per
-    // materialized repair so a node budget bounds the product itself,
-    // not just the per-block solves feeding it.
-    std::vector<DynamicBitset> next;
-    next.reserve(out.size() * optimal.size());
-    for (const DynamicBitset& prefix : out) {
-      for (const DynamicBitset& choice : optimal) {
-        if (!governor.Checkpoint()) {
-          return {};
+      [](const std::vector<DynamicBitset>& v) { return !v.empty(); },
+      nullptr,
+      [&](const Block& b, std::vector<DynamicBitset>& optimal, bool) {
+        if (optimal.empty()) {
+          // Abandoned (budget fired or block refused): a partial
+          // cross-product is not a set of repairs, so return nothing.
+          // The CHECK keeps the ungoverned invariant honest — an empty
+          // set without degradation would be an algorithmic bug, not a
+          // budget.
+          PREFREP_CHECK_MSG(
+              governor.degraded() ||
+                  b.size() > ResourceGovernor::kMaxExhaustiveBlockFacts,
+              "every block admits an optimal block-repair");
+          return FoldStep::Stop();
         }
-        next.push_back(prefix | choice);
-      }
-    }
-    out = std::move(next);
-  }
-  return out;
-}
-
-uint64_t CountOptimalRepairsByBlocks(const ProblemContext& ctx,
-                                     RepairSemantics semantics) {
-  return CountOptimalRepairsByBlocksBounded(ctx, semantics).lower_bound;
-}
-
-BoundedCount CountOptimalRepairsByBlocksBounded(const ProblemContext& ctx,
-                                                RepairSemantics semantics) {
-  PREFREP_CHECK_MSG(ctx.priority_block_local(),
-                    "per-block counting requires a block-local priority");
-  ResourceGovernor& governor = ctx.governor();
-  BoundedCount out;
-  // A zero payload is never adopted (it means refused, cut short at
-  // zero, or — audited below — a genuine algorithmic zero), so the
-  // rerun leaves the authoritative record on the shared governor.
-  ParallelBlockSession<uint64_t> session(
-      ctx, AllBlocksInOrder(ctx.blocks()),
-      [&](const ProblemContext& cx, const Block& bb) {
-        return CachedCountBlock(SolverForSemantics(ctx, bb, semantics), cx, bb);
-      },
-      [](const uint64_t& count) { return count > 0; });
-  for (const Block& b : ctx.blocks().blocks()) {
-    const BlockSolver& solver = SolverForSemantics(ctx, b, semantics);
-    const bool was_exhausted = governor.exhausted();
-    uint64_t block_count = session.Next(b);
-    // A cut-short block keeps what it verified, floored at one (every
-    // block has ≥ 1 optimal block-repair); 0 from an uncut block would
-    // be an algorithmic bug and still goes through the audit below.
-    const bool block_unknown =
-        (!was_exhausted && governor.exhausted()) ||
-        (block_count == 0 &&
-         (governor.degraded() ||
-          b.size() > ResourceGovernor::kMaxExhaustiveBlockFacts));
-    if (block_unknown) {
-      out.exact = false;
-      ++out.unknown_blocks;
-      block_count = block_count == 0 ? 1 : block_count;
-    } else {
-      audit::CheckBlockCount(ctx, solver, b, block_count);
-      if (block_count == 0) {
-        // An uncut zero annihilates the product exactly.
-        out.lower_bound = 0;
-        return out;
-      }
-    }
-    bool saturated = false;
-    out.lower_bound = SaturatingMulU64(out.lower_bound, block_count,
-                                       &saturated);
-    if (saturated) {
-      out.saturated = true;
-      out.exact = false;
-    }
+        audit::CheckBlockRepairSet(ctx, SolverForSemantics(ctx, b, semantics),
+                                   b, optimal);
+        // The cross-product is where enumeration really explodes — the
+        // per-block sets are at most 2^|block| each, but their product
+        // multiplies across blocks.  Charge one checkpoint per
+        // materialized repair so a node budget bounds the product
+        // itself, not just the per-block solves feeding it.
+        std::vector<DynamicBitset> next;
+        next.reserve(out.size() * optimal.size());
+        for (const DynamicBitset& prefix : out) {
+          for (const DynamicBitset& choice : optimal) {
+            if (!governor.Checkpoint()) {
+              return FoldStep::Stop();
+            }
+            next.push_back(prefix | choice);
+          }
+        }
+        out = std::move(next);
+        return FoldStep::Exact();
+      });
+  if (fold.stopped()) {
+    return {};
   }
   return out;
 }

@@ -10,10 +10,21 @@
 // the Pareto and completion checks, the ccp primary-key and
 // constant-attribute algorithms, and the exhaustive baseline — is
 // therefore exposed here as a BlockSolver that answers questions about
-// one block, and free dispatcher functions classify once per
-// (relation, block) and combine the block answers: conjunction for
-// checking, saturating cross-product for counting, per-block union for
-// construction.
+// one block, and every question is a fold of block answers: conjunction
+// for checking, saturating product for counting, cross-product for
+// enumeration, per-block union for construction.
+//
+// Two pieces carry that algebra once for every question:
+//
+//   * FoldBlocks — the one per-block fold.  It owns the block order, the
+//     parallel session (repair/parallel_solver.h), per-block node costs,
+//     the abandoned-block list and the DegradationReport; each question
+//     supplies only a per-block solve and a combine step.
+//   * CachedBlockSolve — the one block-solve-cache round trip
+//     (cache/block_cache.h).  It owns admission mirroring, lookup, the
+//     governor-correct serve rule, node replay, the audit re-solve and
+//     the complete-only store; each cached operation supplies only its
+//     eligibility, key salt and payload codec.
 //
 // The payoff is on the exponential paths: the exhaustive fallback costs
 // Σ_b 2^{|b|} instead of 2^n, so k independent hard gadgets cost k·2^c
@@ -22,11 +33,19 @@
 #ifndef PREFREP_REPAIR_BLOCK_SOLVER_H_
 #define PREFREP_REPAIR_BLOCK_SOLVER_H_
 
+#include <functional>
+#include <numeric>
+#include <optional>
+#include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "cache/block_cache.h"
 #include "model/context.h"
 #include "repair/exhaustive.h"
+#include "repair/parallel_solver.h"
 
 namespace prefrep {
 
@@ -36,7 +55,7 @@ namespace prefrep {
 /// instance serves every block.
 ///
 /// All entry points require a block-local priority (the soundness
-/// precondition for per-block reasoning); the dispatchers below enforce
+/// precondition for per-block reasoning); the folds below enforce
 /// it before reaching a solver.
 class BlockSolver {
  public:
@@ -130,90 +149,242 @@ const BlockSolver& SolverForSemantics(const ProblemContext& ctx,
                                       const Block& b,
                                       RepairSemantics semantics);
 
-/// Runs solver.CheckBlock and, in PREFREP_AUDIT builds, cross-validates
-/// the verdict against its definitional baseline (repair/audit.h) — the
-/// route every dispatcher of this module and the unified checker take.
-/// In regular builds this is exactly solver.CheckBlock.
-CheckResult AuditedCheckBlock(const BlockSolver& solver,
-                              const ProblemContext& ctx, const Block& b,
-                              const DynamicBitset& j);
+/// Cache key of one per-block operation: its op tag and two op-specific
+/// salts (DeriveOpKey, cache/block_fingerprint.h).
+struct BlockCacheKey {
+  BlockCacheOp op;
+  uint64_t salt_a = 0;
+  uint64_t salt_b = 0;
+};
 
-/// solver.OptimalBlockRepairs through the block-solve cache: with a
-/// cache installed (ctx.block_cache()), a block whose fingerprint was
-/// solved before replays the stored set through the canonical
-/// relabeling instead of re-enumerating; the stored node cost is
-/// committed to ctx.governor() so the accounting matches a fresh solve.
-/// Behaves exactly like the plain call when no cache is installed, when
-/// the solver is not BlockDetermined(), or when serving would not be
-/// governor-correct (see docs/caching.md).  Abandoned (empty) results
-/// are never cached.
+namespace block_cache_internal {
+
+/// In audit builds, re-solves a served hit against a fresh context
+/// (unlimited governor, no cache) and dies unless `fresh_matches` accepts
+/// the fresh answer — the safety net for fingerprint collisions and
+/// canonicalization bugs.
+void AuditServedHit(
+    const ProblemContext& ctx,
+    const std::function<bool(const ProblemContext& fresh)>& fresh_matches);
+
+}  // namespace block_cache_internal
+
+/// The one block-solve-cache round trip, behind every cached per-block
+/// operation (verdict, optimal set, count, greedy construction).  Calls
+/// `solve(ctx)` directly unless a cache is installed, the priority is
+/// block-local and the op is `eligible`.  Otherwise it upholds the two
+/// cache invariants of docs/caching.md in one place:
+///
+///  * Serve only when a fresh solve would have completed too.  Ops whose
+///    fresh solve applies block admission (`admission`) rerun it when
+///    the governor would refuse the block, so the refusal is recorded
+///    exactly as cache-off; a hit is served only under
+///    MayServeCachedEntry, and its stored node cost is replayed onto
+///    the governor so nodes_spent() stays on the cache-off trajectory.
+///  * Store only complete results.  Nothing from an exhausted governor,
+///    and nothing `encode` rejects (abandoned, partial or unreplayable
+///    payloads), enters the table.
+///
+/// `encode(payload, &entry)` fills the op's payload fields and returns
+/// whether it may be stored; `decode(entry)` rehydrates a stored entry
+/// in this block's coordinates and must equal the fresh solve (audit
+/// builds re-solve every served hit and compare).
+template <typename Solve, typename Encode, typename Decode>
+auto CachedBlockSolve(const ProblemContext& ctx, const Block& b,
+                      bool eligible, bool admission, const BlockCacheKey& key,
+                      Solve&& solve, Encode&& encode, Decode&& decode)
+    -> decltype(solve(ctx)) {
+  using Payload = decltype(solve(ctx));
+  BlockSolveCache* const cache = ctx.block_cache();
+  if (cache == nullptr || !eligible || !ctx.priority_block_local()) {
+    return solve(ctx);
+  }
+  ResourceGovernor& governor = ctx.governor();
+  if (admission && !governor.WouldAdmitBlock(b.size())) {
+    return solve(ctx);  // records the refusal
+  }
+  const BlockFingerprint base = ComputeBlockFingerprint(ctx, b);
+  const BlockFingerprint op_key =
+      DeriveOpKey(base, key.op, key.salt_a, key.salt_b);
+  if (std::optional<BlockSolveCache::Entry> entry = cache->Lookup(op_key);
+      entry.has_value() && MayServeCachedEntry(governor, *entry)) {
+    cache->NoteHit();
+    ReplayServedNodes(governor, *entry);
+    Payload served = decode(*entry);
+    if (PREFREP_AUDIT_ENABLED) {
+      block_cache_internal::AuditServedHit(
+          ctx, [&](const ProblemContext& fresh) {
+            return solve(fresh) == served;
+          });
+    }
+    return served;
+  }
+  cache->NoteMiss();
+  const uint64_t nodes_before = governor.nodes_spent();
+  Payload result = solve(ctx);
+  BlockSolveCache::Entry stored;
+  if (governor.exhausted() || !encode(result, &stored)) {
+    return result;  // incomplete: never cached
+  }
+  stored.nodes = governor.nodes_spent() - nodes_before;
+  stored.nodes_valid = !governor.unlimited();
+  cache->Store(base, op_key, std::move(stored));
+  return result;
+}
+
+/// solver.OptimalBlockRepairs through the block-solve cache: a block
+/// whose fingerprint was solved before replays the stored set through
+/// the canonical relabeling instead of re-enumerating.  Only
+/// BlockDetermined() solvers are cached; abandoned (empty) results never
+/// are.
 std::vector<DynamicBitset> CachedOptimalBlockRepairs(const BlockSolver& solver,
                                                      const ProblemContext& ctx,
                                                      const Block& b);
 
 /// solver.CountBlock through the block-solve cache (same contract as
-/// CachedOptimalBlockRepairs; lower bounds from exhausted counts are
-/// never cached).
+/// CachedOptimalBlockRepairs; zero and cut-short counts are never
+/// cached).
 uint64_t CachedCountBlock(const BlockSolver& solver, const ProblemContext& ctx,
                           const Block& b);
 
-/// Whole-instance globally-optimal repair checking by per-block
-/// dispatch: consistency, then presence of every conflict-free fact
-/// (maximality no block check would see), then the conjunction of
-/// CheckBlock over all blocks.  Requires ctx.priority_block_local()
-/// (checked).  On failure inside a block, `*failed_block` (when
-/// non-null) receives its id; otherwise it is left untouched.
-///
-/// Under a governed context the conjunction degrades per block: a
-/// definite "not optimal" returns immediately (sound even after
-/// exhaustion), abandoned blocks are recorded in `*degradation` (when
-/// non-null) and skipped, and if any block stayed unknown while no block
-/// refuted J the overall verdict is kUnknown.  Tractable blocks are
-/// still answered exactly even after the budget fires — their solvers
-/// run in polynomial time and do not checkpoint.
-CheckResult CheckGlobalOptimalByBlocks(
-    const ProblemContext& ctx, const DynamicBitset& j, PriorityMode mode,
-    size_t* failed_block = nullptr, DegradationReport* degradation = nullptr);
+/// What a fold step made of one block (see FoldBlocks).
+struct FoldStep {
+  enum class Kind {
+    kExact,      ///< the block's answer is exact; fold on
+    kAbandoned,  ///< the budget cut the block short; record it, fold on
+    kStop,       ///< the answer is settled (or lost); stop folding
+  };
+  Kind kind = Kind::kExact;
+  /// Why an abandoned block was abandoned (may be empty).
+  std::string reason;
 
-/// Pareto analogue of CheckGlobalOptimalByBlocks (polynomial per block,
-/// so never degraded).
-CheckResult CheckParetoOptimalByBlocks(const ProblemContext& ctx,
-                                       const DynamicBitset& j);
-
-/// Completion analogue of CheckGlobalOptimalByBlocks (conflict-bounded
-/// priorities only, like completion semantics itself).
-CheckResult CheckCompletionOptimalByBlocks(const ProblemContext& ctx,
-                                           const DynamicBitset& j);
-
-/// A repair count that knows whether it is exact.  When a budget fires
-/// the per-block product keeps a *verified lower bound*: every block —
-/// counted or abandoned — has at least one optimal block-repair, so an
-/// abandoned block contributes the exact count it accumulated before
-/// abandonment, floored at one.
-struct BoundedCount {
-  uint64_t lower_bound = 1;
-  /// True iff `lower_bound` is the exact count.
-  bool exact = true;
-  /// Blocks whose count was cut short by the budget.
-  size_t unknown_blocks = 0;
-  /// True when the product overflowed uint64 (lower_bound is then
-  /// UINT64_MAX, still a valid lower bound).
-  bool saturated = false;
+  static FoldStep Exact() { return FoldStep{}; }
+  static FoldStep Abandoned(std::string why) {
+    return FoldStep{Kind::kAbandoned, std::move(why)};
+  }
+  static FoldStep Stop() { return FoldStep{Kind::kStop, std::string()}; }
 };
 
-/// Number of σ-optimal repairs as the product of per-block counts
-/// (conflict-free facts contribute a factor of one), saturating at
-/// UINT64_MAX.  Requires ctx.priority_block_local() (checked).
-/// Degrades to a lower bound under an exhausted governor — callers that
-/// need to distinguish should use CountOptimalRepairsBounded.
-uint64_t CountOptimalRepairsByBlocks(const ProblemContext& ctx,
-                                     RepairSemantics semantics);
+/// What a fold did.
+struct FoldOutcome {
+  /// The block whose step returned Stop(); kNoBlock when the fold ran
+  /// through every block of its order.
+  size_t stopped_at = BlockDecomposition::kNoBlock;
+  /// The first non-empty reason a step gave for an abandoned block.
+  std::string first_unknown_reason;
+  /// Blocks solved exactly vs abandoned (with each abandoned block's
+  /// node cost), nodes spent, the governor's cause and this call's
+  /// cache traffic — as of the stop, or of the end of the fold.
+  DegradationReport report;
 
-/// Bounded-effort variant: same product, but reports whether the count
-/// is exact, how many blocks were abandoned, and whether the product
-/// saturated.  Requires ctx.priority_block_local() (checked).
-BoundedCount CountOptimalRepairsByBlocksBounded(const ProblemContext& ctx,
-                                                RepairSemantics semantics);
+  bool stopped() const { return stopped_at != BlockDecomposition::kNoBlock; }
+};
+
+/// The one per-block fold behind checking, counting, enumeration,
+/// uniqueness and construction.  Walks the blocks of `order` (block ids;
+/// nullptr = every block in id order), solving each with
+/// `solve(ctx, block)` on the parallel session of
+/// repair/parallel_solver.h — byte-identical to a serial pass at any
+/// thread count — and hands each block's payload to `step` in order.
+/// `adoptable(payload)` says whether a worker's payload may be adopted (a
+/// known verdict, a non-empty set, …); `settles` (or nullptr) marks
+/// payloads after which the fold will stop, so later blocks can be
+/// cancelled.  `step(block, payload, budget_fired)` receives the block,
+/// its payload (to consume) and whether the budget fired while solving
+/// it, and returns what the block contributes.  The fold records
+/// abandoned blocks with their node costs and fills the outcome's
+/// DegradationReport, once for every question.
+template <typename Solve, typename Adoptable, typename Settles, typename Step>
+FoldOutcome FoldBlocks(const ProblemContext& ctx,
+                       const std::vector<size_t>* order, Solve&& solve,
+                       Adoptable&& adoptable, Settles&& settles, Step&& step) {
+  using Payload = std::invoke_result_t<Solve&, const ProblemContext&,
+                                       const Block&>;
+  const BlockDecomposition& blocks = ctx.blocks();
+  ResourceGovernor& governor = ctx.governor();
+  BlockSolveCache* const cache = ctx.block_cache();
+  const BlockCacheStats cache_before =
+      cache != nullptr ? cache->stats() : BlockCacheStats{};
+  std::vector<size_t> ids;
+  if (order != nullptr) {
+    ids = *order;
+  } else {
+    ids.resize(blocks.num_blocks());
+    std::iota(ids.begin(), ids.end(), size_t{0});
+  }
+  // The session speculates every block on the worker pool (when the
+  // context allows parallelism) and hands back per-block payloads that
+  // are byte-identical to running `solve` serially right here, including
+  // the governor's accounting.
+  ParallelBlockSession<Payload> session(ctx, ids, std::forward<Solve>(solve),
+                                        std::forward<Adoptable>(adoptable),
+                                        std::forward<Settles>(settles));
+  FoldOutcome out;
+  size_t exact = 0;
+  for (size_t id : ids) {
+    const Block& b = blocks.block(id);
+    const uint64_t nodes_before = governor.nodes_spent();
+    const bool exhausted_before = governor.exhausted();
+    Payload payload = session.Next(b);
+    const uint64_t block_nodes = governor.nodes_spent() - nodes_before;
+    FoldStep contribution =
+        step(b, payload, !exhausted_before && governor.exhausted());
+    if (contribution.kind == FoldStep::Kind::kStop) {
+      out.stopped_at = b.id;
+      break;
+    }
+    if (contribution.kind == FoldStep::Kind::kAbandoned) {
+      if (out.first_unknown_reason.empty()) {
+        out.first_unknown_reason = contribution.reason;
+      }
+      out.report.abandoned.push_back(BlockDegradation{
+          b.id, b.size(), block_nodes, std::move(contribution.reason)});
+      continue;
+    }
+    ++exact;
+  }
+  DegradationReport& report = out.report;
+  report.blocks_total = blocks.num_blocks();
+  report.blocks_exact = exact;
+  report.blocks_abandoned = report.abandoned.size();
+  report.nodes_spent = governor.nodes_spent();
+  report.cause = governor.degraded() ? governor.CauseString() : std::string();
+  if (cache != nullptr) {
+    // Per-call delta of the shared counters; approximate when other
+    // sessions hit the same cache concurrently (and excluded from the
+    // byte-identical cache-on/off contract either way).
+    const BlockCacheStats now = cache->stats();
+    report.cache_hits = now.hits - cache_before.hits;
+    report.cache_misses = now.misses - cache_before.misses;
+  }
+  return out;
+}
+
+/// Whole-instance σ-optimal repair checking by per-block dispatch:
+/// consistency, then presence of every conflict-free fact (maximality no
+/// block check would see), then the conjunction of per-block checks —
+/// the solver DispatchBlockSolver picks for `mode` under global
+/// semantics, the Pareto/completion solver otherwise (`mode` is then
+/// ignored).  Requires ctx.priority_block_local() (checked).  A missing
+/// conflict-free fact is witnessed except under completion semantics,
+/// whose checks report no witnesses.
+///
+/// Blocks are checked in `order` (nullptr = id order; the unified
+/// checker passes its relation-grouped order).  On failure inside a
+/// block, `*failed_block` (when non-null) receives its id; otherwise it
+/// is left untouched.  Under a governed context the conjunction degrades
+/// per block: a definite "not optimal" returns immediately (sound even
+/// after exhaustion), abandoned blocks are recorded in `*degradation`
+/// (when non-null) and skipped, and if any block stayed unknown while no
+/// block refuted J the overall verdict is kUnknown.  Tractable blocks
+/// are still answered exactly even after the budget fires — their
+/// solvers run in polynomial time and do not checkpoint.
+CheckResult CheckOptimalByBlocks(const ProblemContext& ctx,
+                                 const DynamicBitset& j,
+                                 RepairSemantics semantics, PriorityMode mode,
+                                 size_t* failed_block = nullptr,
+                                 DegradationReport* degradation = nullptr,
+                                 const std::vector<size_t>* order = nullptr);
 
 /// Materializes every σ-optimal repair as {conflict-free facts} × ∏
 /// per-block optimal block-repairs, filtering each block through the

@@ -1,9 +1,7 @@
 #include "repair/checker.h"
 
-#include "cache/block_cache.h"
 #include "repair/audit.h"
 #include "repair/block_solver.h"
-#include "repair/parallel_solver.h"
 #include "repair/ccp_constant_attr.h"
 #include "repair/ccp_primary_key.h"
 #include "repair/completion.h"
@@ -19,28 +17,6 @@ void ValidateForMode(const ProblemContext& ctx, const CheckerOptions& options) {
   Status valid = ctx.priority().Validate(options.mode);
   PREFREP_CHECK_MSG(valid.ok(),
                     "priority relation invalid for the checker's mode");
-}
-
-// Completes a degradation report whose `abandoned` list was filled
-// during the block loop.  `cache_before` is the caller's snapshot of
-// the block-solve cache counters at call start, so the report carries
-// this call's traffic (approximate under concurrent sessions, and
-// excluded from the byte-identical cache-on/off contract).
-void FillDegradation(const ProblemContext& ctx, size_t blocks_exact,
-                     const BlockCacheStats& cache_before,
-                     DegradationReport* report) {
-  ResourceGovernor& governor = ctx.governor();
-  report->blocks_total = ctx.blocks().num_blocks();
-  report->blocks_exact = blocks_exact;
-  report->blocks_abandoned = report->abandoned.size();
-  report->nodes_spent = governor.nodes_spent();
-  report->cause =
-      governor.degraded() ? governor.CauseString() : std::string();
-  if (const BlockSolveCache* cache = ctx.block_cache()) {
-    const BlockCacheStats now = cache->stats();
-    report->cache_hits = now.hits - cache_before.hits;
-    report->cache_misses = now.misses - cache_before.misses;
-  }
 }
 
 }  // namespace
@@ -89,71 +65,50 @@ Result<CheckOutcome> RepairChecker::CheckGloballyOptimal(
 
 Result<CheckOutcome> RepairChecker::CheckConflictOnly(
     const DynamicBitset& j) const {
-  const ConflictGraph& cg = ctx_->conflict_graph();
   const Instance& instance = ctx_->instance();
   const BlockDecomposition& blocks = ctx_->blocks();
-  CheckOutcome outcome;
-  outcome.result = CheckResult::Optimal();
-  // An inconsistent J is no repair at all; reject before dispatch.
-  if (!IsConsistent(cg, j)) {
-    outcome.result = CheckResult::NotOptimalNoWitness();
-    outcome.route.push_back("rejected: J is inconsistent (not a repair)");
-    return outcome;
-  }
-  // Conflict-free facts belong to every repair; no block-restricted
-  // check would notice their absence.
-  const DynamicBitset missing_free = blocks.free_facts() - j;
-  if (missing_free.any()) {
-    FactId f = static_cast<FactId>(missing_free.FindFirst());
-    DynamicBitset improvement = j;
-    improvement.set(f);
-    outcome.result = CheckResult::NotOptimal(
-        std::move(improvement),
-        "J is not maximal: " + instance.FactToString(f) +
-            " has no conflicts");
-    outcome.route.push_back(
-        "rejected: J misses a conflict-free fact (present in every repair)");
-    return outcome;
-  }
-  // Proposition 3.5 + block locality: route block by block, reported
-  // relation by relation.  Under a governed context the loop keeps
-  // going past abandoned blocks — a later (tractable or cheap) block
-  // may still refute J — and reports kUnknown only when no block did.
-  ResourceGovernor& governor = ctx_->governor();
-  size_t blocks_exact = 0;
-  std::string first_unknown_reason;
-  const BlockCacheStats cache_before = ctx_->block_cache() != nullptr
-                                           ? ctx_->block_cache()->stats()
-                                           : BlockCacheStats{};
-  // The serial iteration order is relation-grouped (it matches the
-  // route lines); the parallel session merges in exactly that order.
-  // Blocks of a relation the loop below will refuse (hard relation with
-  // the exponential fallback disabled) are never reached serially, so
-  // they are excluded from the session too.
-  std::vector<size_t> session_order;
-  for (RelId rel = 0; rel < instance.schema().num_relations(); ++rel) {
-    if (ctx_->classification().relations[rel].kind == TractableKind::kHard &&
-        !options_.allow_exponential) {
-      break;
-    }
+  const size_t num_relations = instance.schema().num_relations();
+  const auto refused = [&](RelId rel) {
+    return ctx_->classification().relations[rel].kind ==
+               TractableKind::kHard &&
+           !options_.allow_exponential;
+  };
+  // Proposition 3.5 + block locality: check block by block, in an order
+  // grouped by relation to match the route lines.  Blocks of a relation
+  // the exponential fallback switch refuses — and of every relation
+  // after it — are never reached, so they stay out of the fold.
+  std::vector<size_t> order;
+  for (RelId rel = 0; rel < num_relations && !refused(rel); ++rel) {
     const std::vector<size_t>& rel_blocks = blocks.blocks_of_relation(rel);
-    session_order.insert(session_order.end(), rel_blocks.begin(),
-                         rel_blocks.end());
+    order.insert(order.end(), rel_blocks.begin(), rel_blocks.end());
   }
-  ParallelBlockSession<CheckResult> session(
-      *ctx_, std::move(session_order),
-      [&](const ProblemContext& cx, const Block& b) {
-        return AuditedCheckBlock(
-            DispatchBlockSolver(cx, b, PriorityMode::kConflictOnly), cx, b, j);
-      },
-      [](const CheckResult& r) { return r.known(); },
-      [](const CheckResult& r) { return r.known() && !r.optimal; });
-  for (RelId rel = 0; rel < instance.schema().num_relations(); ++rel) {
+  CheckOutcome outcome;
+  size_t failed = BlockDecomposition::kNoBlock;
+  outcome.result =
+      CheckOptimalByBlocks(*ctx_, j, RepairSemantics::kGlobal,
+                           PriorityMode::kConflictOnly, &failed,
+                           &outcome.degradation, &order);
+  if (outcome.result.known() && !outcome.result.optimal &&
+      failed == BlockDecomposition::kNoBlock) {
+    // Rejected before any block check: an inconsistent J is no repair
+    // at all, and a missing conflict-free fact (the witnessed case) is
+    // in every repair.
+    outcome.route.push_back(
+        outcome.result.witness.has_value()
+            ? "rejected: J misses a conflict-free fact (present in every "
+              "repair)"
+            : "rejected: J is inconsistent (not a repair)");
+    return outcome;
+  }
+  // One route line per relation the serial pass reached, naming the
+  // algorithm its classification dispatches, with the blocks the budget
+  // abandoned and the block that refuted J.
+  const std::vector<BlockDegradation>& abandoned =
+      outcome.degradation.abandoned;
+  size_t next_abandoned = 0;
+  for (RelId rel = 0; rel < num_relations; ++rel) {
     const RelationClassification& rc = ctx_->classification().relations[rel];
     const std::string& name = instance.schema().relation_name(rel);
-    const std::vector<size_t>& rel_blocks = blocks.blocks_of_relation(rel);
-    // The per-block solver itself is picked by the session's dispatch
-    // (identical to this classification); the switch builds the route.
     std::string route;
     switch (rc.kind) {
       case TractableKind::kSingleFd:
@@ -164,7 +119,7 @@ Result<CheckOutcome> RepairChecker::CheckConflictOnly(
                 rc.key2.ToString() + ")";
         break;
       case TractableKind::kHard:
-        if (!options_.allow_exponential) {
+        if (refused(rel)) {
           return Status::FailedPrecondition(
               "relation '" + name +
               "' is on the coNP-complete side of Theorem 3.1 and the "
@@ -173,35 +128,22 @@ Result<CheckOutcome> RepairChecker::CheckConflictOnly(
         route = name + ": exhaustive fallback";
         break;
     }
-    route += " over " + std::to_string(rel_blocks.size()) + " block(s)";
-    outcome.route.push_back(std::move(route));
-    for (size_t bid : rel_blocks) {
-      const Block& b = blocks.block(bid);
-      const uint64_t nodes_before = governor.nodes_spent();
-      CheckResult result = session.Next(b);
-      if (!result.known()) {
-        outcome.route.back() +=
-            "; abandoned block " + std::to_string(bid) + " (budget)";
-        outcome.degradation.abandoned.push_back(BlockDegradation{
-            bid, b.size(), governor.nodes_spent() - nodes_before,
-            result.unknown_reason});
-        if (first_unknown_reason.empty()) {
-          first_unknown_reason = std::move(result.unknown_reason);
-        }
-        continue;
-      }
-      if (!result.optimal) {
-        outcome.route.back() += "; failed at block " + std::to_string(bid);
-        outcome.result = std::move(result);
-        FillDegradation(*ctx_, blocks_exact, cache_before, &outcome.degradation);
-        return outcome;
-      }
-      ++blocks_exact;
+    route += " over " +
+             std::to_string(blocks.blocks_of_relation(rel).size()) +
+             " block(s)";
+    for (; next_abandoned < abandoned.size() &&
+           blocks.block(abandoned[next_abandoned].block_id).rel == rel;
+         ++next_abandoned) {
+      route += "; abandoned block " +
+               std::to_string(abandoned[next_abandoned].block_id) +
+               " (budget)";
     }
-  }
-  FillDegradation(*ctx_, blocks_exact, cache_before, &outcome.degradation);
-  if (!first_unknown_reason.empty()) {
-    outcome.result = CheckResult::Unknown(std::move(first_unknown_reason));
+    outcome.route.push_back(std::move(route));
+    if (failed != BlockDecomposition::kNoBlock &&
+        blocks.block(failed).rel == rel) {
+      outcome.route.back() += "; failed at block " + std::to_string(failed);
+      break;
+    }
   }
   return outcome;
 }
@@ -219,9 +161,9 @@ Result<CheckOutcome> RepairChecker::CheckCrossConflict(
         algorithm + " over " + std::to_string(ctx_->blocks().num_blocks()) +
         " block(s)");
     size_t failed = BlockDecomposition::kNoBlock;
-    outcome.result = CheckGlobalOptimalByBlocks(
-        *ctx_, j, PriorityMode::kCrossConflict, &failed,
-        &outcome.degradation);
+    outcome.result = CheckOptimalByBlocks(
+        *ctx_, j, RepairSemantics::kGlobal, PriorityMode::kCrossConflict,
+        &failed, &outcome.degradation);
     if (failed != BlockDecomposition::kNoBlock) {
       outcome.route.back() += "; failed at block " + std::to_string(failed);
     }
@@ -290,7 +232,8 @@ CheckResult RepairChecker::CheckParetoOptimal(const DynamicBitset& j) const {
     return prefrep::CheckParetoOptimal(ctx_->conflict_graph(),
                                        ctx_->priority(), j);
   }
-  return CheckParetoOptimalByBlocks(*ctx_, j);
+  return CheckOptimalByBlocks(*ctx_, j, RepairSemantics::kPareto,
+                              options_.mode);
 }
 
 CheckResult RepairChecker::CheckCompletionOptimal(
@@ -298,7 +241,8 @@ CheckResult RepairChecker::CheckCompletionOptimal(
   PREFREP_CHECK_MSG(options_.mode == PriorityMode::kConflictOnly,
                     "completion semantics are defined for conflict-bounded "
                     "priorities only");
-  return CheckCompletionOptimalByBlocks(*ctx_, j);
+  return CheckOptimalByBlocks(*ctx_, j, RepairSemantics::kCompletion,
+                              options_.mode);
 }
 
 }  // namespace prefrep

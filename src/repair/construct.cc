@@ -4,9 +4,8 @@
 #include <unordered_set>
 
 #include "base/random.h"
-#include "cache/block_cache.h"
 #include "repair/audit.h"
-#include "repair/parallel_solver.h"
+#include "repair/block_solver.h"
 
 namespace prefrep {
 
@@ -16,8 +15,8 @@ namespace {
 // many blocks ran before this one (or on which thread ran it), so each
 // block derives its own deterministic stream from (seed, block id).
 // Rng expands seeds through splitmix64, so the xor-mix is enough.
-Rng BlockRng(const ConstructOptions& options, size_t block_id) {
-  return Rng(options.seed ^ ((block_id + 1) * 0x9e3779b97f4a7c15ULL));
+uint64_t BlockStreamSeed(const ConstructOptions& options, size_t block_id) {
+  return options.seed ^ ((block_id + 1) * 0x9e3779b97f4a7c15ULL);
 }
 
 // One greedy pass over `universe` (the whole instance, or one block):
@@ -87,62 +86,37 @@ std::optional<DynamicBitset> GreedyWithin(const ConflictGraph& cg,
 // GreedyWithin on one block through the block-solve cache.  The greedy
 // output is a function of the block's canonical structure, the
 // tie-break rule, and — for kRandom — the block's derived tie-break
-// stream seed (BlockRng), so exactly those salt the key: two identical
-// blocks share a kFirstFact/kMostDominating entry but keep separate
-// kRandom entries, because their streams genuinely differ.  Partial
-// (budget-aborted) passes are never cached; the serve rule is the
-// shared MayServeCachedEntry (no admission step to mirror — the greedy
-// pass has no AdmitBlock).
-std::optional<DynamicBitset> CachedGreedyBlock(const ProblemContext& cx,
-                                               const Block& bb,
-                                               const ConstructOptions& options,
-                                               ResourceGovernor& governor) {
-  const ConflictGraph& cg = cx.conflict_graph();
-  const PriorityRelation& pr = cx.priority();
-  const auto fresh_greedy = [&](ResourceGovernor& gov) {
-    Rng rng = BlockRng(options, bb.id);
-    return GreedyWithin(cg, pr, bb.facts, options, rng, gov);
-  };
-  BlockSolveCache* cache = cx.block_cache();
-  if (cache == nullptr || !cx.priority_block_local()) {
-    return fresh_greedy(governor);
-  }
-  const uint64_t stream_salt =
-      options.tie_break == TieBreak::kRandom
-          ? options.seed ^ ((bb.id + 1) * 0x9e3779b97f4a7c15ULL)
-          : 0;
-  const BlockFingerprint base = ComputeBlockFingerprint(cx, bb);
-  const BlockFingerprint key =
-      DeriveOpKey(base, BlockCacheOp::kConstruct,
-                  static_cast<uint64_t>(options.tie_break), stream_salt);
-  if (std::optional<BlockSolveCache::Entry> entry = cache->Lookup(key);
-      entry.has_value() && MayServeCachedEntry(governor, *entry)) {
-    cache->NoteHit();
-    ReplayServedNodes(governor, *entry);
-    DynamicBitset out =
-        UncanonicalizeSubset(bb, entry->repair_local, cg.num_facts());
-    if (audit::Enabled()) {
-      std::optional<DynamicBitset> expect =
-          fresh_greedy(ResourceGovernor::Unlimited());
-      PREFREP_CHECK_MSG(expect.has_value() && *expect == out,
-                        "block-solve cache hit diverges from a fresh greedy "
-                        "pass (fingerprint collision or canonicalization "
-                        "bug)");
-    }
-    return out;
-  }
-  cache->NoteMiss();
-  const uint64_t nodes_before = governor.nodes_spent();
-  std::optional<DynamicBitset> out = fresh_greedy(governor);
-  if (!out.has_value() || governor.exhausted()) {
-    return out;  // aborted pass: never cached
-  }
-  BlockSolveCache::Entry entry;
-  entry.repair_local = CanonicalizeSubset(bb, *out);
-  entry.nodes = governor.nodes_spent() - nodes_before;
-  entry.nodes_valid = !governor.unlimited();
-  cache->Store(base, key, std::move(entry));
-  return out;
+// stream seed (BlockStreamSeed), so exactly those salt the key: two
+// identical blocks share a kFirstFact/kMostDominating entry but keep
+// separate kRandom entries, because their streams genuinely differ.
+// The greedy pass has no block admission to mirror.
+std::optional<DynamicBitset> CachedGreedyBlock(
+    const ProblemContext& ctx, const Block& b,
+    const ConstructOptions& options) {
+  const uint64_t stream_salt = options.tie_break == TieBreak::kRandom
+                                   ? BlockStreamSeed(options, b.id)
+                                   : 0;
+  return CachedBlockSolve(
+      ctx, b, /*eligible=*/true, /*admission=*/false,
+      BlockCacheKey{BlockCacheOp::kConstruct,
+                    static_cast<uint64_t>(options.tie_break), stream_salt},
+      [&](const ProblemContext& cx) {
+        Rng rng(BlockStreamSeed(options, b.id));
+        return GreedyWithin(cx.conflict_graph(), cx.priority(), b.facts,
+                            options, rng, cx.governor());
+      },
+      [&](const std::optional<DynamicBitset>& repair,
+          BlockSolveCache::Entry* entry) {
+        if (!repair.has_value()) {
+          return false;  // aborted pass
+        }
+        entry->repair_local = CanonicalizeSubset(b, *repair);
+        return true;
+      },
+      [&](const BlockSolveCache::Entry& entry) {
+        return std::optional<DynamicBitset>(UncanonicalizeSubset(
+            b, entry.repair_local, ctx.conflict_graph().num_facts()));
+      });
 }
 
 }  // namespace
@@ -163,46 +137,6 @@ DynamicBitset ConstructGloballyOptimalRepair(
   return out;
 }
 
-DynamicBitset ConstructGloballyOptimalRepair(const ProblemContext& ctx,
-                                             const ConstructOptions& options) {
-  const ConflictGraph& cg = ctx.conflict_graph();
-  const PriorityRelation& pr = ctx.priority();
-  PREFREP_CHECK_MSG(pr.IsConflictBounded(),
-                    "construction relies on completion semantics, which "
-                    "require conflict-bounded priorities (§2.3)");
-  DynamicBitset out = ctx.blocks().free_facts();
-  std::vector<size_t> order(ctx.blocks().num_blocks());
-  for (size_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
-  }
-  // Ungoverned by contract (like the (cg, pr) overload), so the greedy
-  // pass runs against the unlimited governor even inside workers; every
-  // block's pass is deterministic, so worker payloads are always
-  // adopted as-is.
-  ParallelBlockSession<DynamicBitset> session(
-      ctx, std::move(order),
-      [&](const ProblemContext& cx, const Block& bb) {
-        return *CachedGreedyBlock(cx, bb, options,
-                                  ResourceGovernor::Unlimited());
-      },
-      [](const DynamicBitset&) { return true; });
-  for (const Block& b : ctx.blocks().blocks()) {
-    out |= session.Next(b);
-  }
-  if (audit::Enabled()) {
-    // A resident context's instance may carry tombstoned facts outside
-    // the solving universe (free facts ∪ blocks); audit within it.
-    DynamicBitset universe = ctx.blocks().free_facts();
-    for (const Block& b : ctx.blocks().blocks()) {
-      universe |= b.facts;
-    }
-    audit::CheckConstructedRepair(
-        cg, pr, out, "ConstructGloballyOptimalRepair (per-block)",
-        &universe);
-  }
-  return out;
-}
-
 Result<DynamicBitset> TryConstructGloballyOptimalRepair(
     const ProblemContext& ctx, const ConstructOptions& options) {
   const ConflictGraph& cg = ctx.conflict_graph();
@@ -210,29 +144,30 @@ Result<DynamicBitset> TryConstructGloballyOptimalRepair(
   PREFREP_CHECK_MSG(pr.IsConflictBounded(),
                     "construction relies on completion semantics, which "
                     "require conflict-bounded priorities (§2.3)");
-  ResourceGovernor& governor = ctx.governor();
   DynamicBitset out = ctx.blocks().free_facts();
-  std::vector<size_t> order(ctx.blocks().num_blocks());
-  for (size_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
-  }
-  ParallelBlockSession<std::optional<DynamicBitset>> session(
-      ctx, std::move(order),
-      [&](const ProblemContext& cx, const Block& bb) {
-        return CachedGreedyBlock(cx, bb, options, cx.governor());
+  const FoldOutcome fold = FoldBlocks(
+      ctx, nullptr,
+      [&](const ProblemContext& cx, const Block& b) {
+        return CachedGreedyBlock(cx, b, options);
       },
-      [](const std::optional<DynamicBitset>& r) { return r.has_value(); });
-  for (const Block& b : ctx.blocks().blocks()) {
-    std::optional<DynamicBitset> block_repair = session.Next(b);
-    if (!block_repair.has_value()) {
-      Status status = governor.ToStatus();
-      PREFREP_CHECK_MSG(!status.ok(),
-                        "greedy pass aborted without an exhausted governor");
-      return status;
-    }
-    out |= *block_repair;
+      [](const std::optional<DynamicBitset>& r) { return r.has_value(); },
+      nullptr,
+      [&](const Block&, std::optional<DynamicBitset>& block_repair, bool) {
+        if (!block_repair.has_value()) {
+          return FoldStep::Stop();
+        }
+        out |= *block_repair;
+        return FoldStep::Exact();
+      });
+  if (fold.stopped()) {
+    Status status = ctx.governor().ToStatus();
+    PREFREP_CHECK_MSG(!status.ok(),
+                      "greedy pass aborted without an exhausted governor");
+    return status;
   }
   if (audit::Enabled()) {
+    // A resident context's instance may carry tombstoned facts outside
+    // the solving universe (free facts ∪ blocks); audit within it.
     DynamicBitset universe = ctx.blocks().free_facts();
     for (const Block& b : ctx.blocks().blocks()) {
       universe |= b.facts;

@@ -48,22 +48,19 @@ DynamicBitset ConstructGloballyOptimalRepair(
     const ConflictGraph& cg, const PriorityRelation& pr,
     const ConstructOptions& options = {});
 
-/// Same, sharing the cached artifacts of an existing ProblemContext:
-/// the conflict-free facts are kept outright and the greedy runs block
-/// by block — in parallel when ctx.parallelism() allows (greedy picks
-/// never cross a block, so for the deterministic tie-breaks the result
-/// coincides with the whole-instance greedy; kRandom derives each
-/// block's draw stream from (seed, block id), so it may sample a
-/// different — equally optimal — repair than the (cg, pr) overload for
-/// the same seed, but is itself deterministic at every thread count).
-DynamicBitset ConstructGloballyOptimalRepair(
-    const ProblemContext& ctx, const ConstructOptions& options = {});
-
-/// Budget-aware construction: like the ProblemContext overload, but
-/// checkpoints on ctx.governor() once per greedy pick and returns
-/// kDeadlineExceeded/kResourceExhausted instead of a repair when the
-/// budget fires mid-pass.  Construction is polynomial (O(n²)), so this
-/// only matters for huge instances or very tight budgets shared with
+/// Same, sharing the cached artifacts of an existing ProblemContext: the
+/// conflict-free facts are kept outright and the greedy runs block by
+/// block through FoldBlocks — in parallel when ctx.parallelism() allows
+/// (greedy picks never cross a block, so for the deterministic
+/// tie-breaks the result coincides with the whole-instance greedy;
+/// kRandom derives each block's draw stream from (seed, block id), so it
+/// may sample a different — equally optimal — repair than the (cg, pr)
+/// overload for the same seed, but is itself deterministic at every
+/// thread count).  Checkpoints on ctx.governor() once per greedy pick
+/// and returns kDeadlineExceeded/kResourceExhausted instead of a repair
+/// when the budget fires mid-pass; under an ungoverned context it always
+/// succeeds.  Construction is polynomial (O(n²)), so the budget only
+/// matters for huge instances or very tight budgets shared with
 /// preceding exponential work; a cancelled pass never returns a torn
 /// (partially built, non-maximal) bitset.
 Result<DynamicBitset> TryConstructGloballyOptimalRepair(

@@ -1,49 +1,72 @@
 #include "repair/counting.h"
 
+#include <algorithm>
+
+#include "repair/audit.h"
 #include "repair/block_solver.h"
 #include "repair/completion.h"
-#include "repair/parallel_solver.h"
 
 namespace prefrep {
 
-uint64_t CountOptimalRepairs(const ConflictGraph& cg,
-                             const PriorityRelation& pr,
-                             RepairSemantics semantics) {
-  ProblemContext ctx(cg, pr);
-  return CountOptimalRepairs(ctx, semantics);
-}
-
-uint64_t CountOptimalRepairs(const ProblemContext& ctx,
-                             RepairSemantics semantics) {
-  return CountOptimalRepairsBounded(ctx, semantics).lower_bound;
-}
-
 BoundedCount CountOptimalRepairsBounded(const ProblemContext& ctx,
                                         RepairSemantics semantics) {
-  if (ctx.priority_block_local()) {
-    return CountOptimalRepairsByBlocksBounded(ctx, semantics);
-  }
-  // Cross-block priority: the count does not factor, so the governed
-  // whole-instance enumeration is the only route.  When the budget
-  // fires the instance counts as one big unknown "block", and the
-  // lower bound falls back to the one optimal repair every instance has.
-  const ConflictGraph& cg = ctx.conflict_graph();
   ResourceGovernor& governor = ctx.governor();
-  DynamicBitset universe(cg.num_facts());
-  universe.set_all();
-  std::vector<DynamicBitset> optimal = OptimalRepairsWithin(
-      cg, ctx.priority(), universe, semantics, governor);
-  if (governor.exhausted()) {
-    return BoundedCount{1, /*exact=*/false, /*unknown_blocks=*/1,
-                        /*saturated=*/false};
+  if (!ctx.priority_block_local()) {
+    // Cross-block priority: the count does not factor, so the governed
+    // whole-instance enumeration is the only route.  When the budget
+    // fires the instance counts as one big unknown "block", and the
+    // lower bound falls back to the one optimal repair every instance
+    // has.
+    const ConflictGraph& cg = ctx.conflict_graph();
+    DynamicBitset universe(cg.num_facts());
+    universe.set_all();
+    std::vector<DynamicBitset> optimal = OptimalRepairsWithin(
+        cg, ctx.priority(), universe, semantics, governor);
+    if (governor.exhausted()) {
+      return BoundedCount{1, /*exact=*/false, /*unknown_blocks=*/1,
+                          /*saturated=*/false};
+    }
+    return BoundedCount{optimal.size(), true, 0, false};
   }
-  return BoundedCount{optimal.size(), true, 0, false};
-}
-
-std::optional<DynamicBitset> UniqueGloballyOptimalRepair(
-    const ConflictGraph& cg, const PriorityRelation& pr) {
-  ProblemContext ctx(cg, pr);
-  return UniqueGloballyOptimalRepair(ctx);
+  BoundedCount out;
+  // A zero payload is never adopted (it means refused, cut short at
+  // zero, or — audited below — a genuine algorithmic zero), so the
+  // rerun leaves the authoritative record on the shared governor.
+  const FoldOutcome fold = FoldBlocks(
+      ctx, nullptr,
+      [&](const ProblemContext& cx, const Block& b) {
+        return CachedCountBlock(SolverForSemantics(ctx, b, semantics), cx, b);
+      },
+      [](const uint64_t& count) { return count > 0; }, nullptr,
+      [&](const Block& b, uint64_t& block_count, bool budget_fired) {
+        // A cut-short block keeps what it verified, floored at one
+        // (every block has ≥ 1 optimal block-repair); 0 from an uncut
+        // block would be an algorithmic bug and still goes through the
+        // audit below.
+        const bool block_unknown =
+            budget_fired ||
+            (block_count == 0 &&
+             (governor.degraded() ||
+              b.size() > ResourceGovernor::kMaxExhaustiveBlockFacts));
+        if (!block_unknown) {
+          audit::CheckBlockCount(ctx, SolverForSemantics(ctx, b, semantics),
+                                 b, block_count);
+          if (block_count == 0) {
+            // An uncut zero annihilates the product exactly.
+            out.lower_bound = 0;
+            return FoldStep::Stop();
+          }
+        }
+        bool saturated = false;
+        out.lower_bound = SaturatingMulU64(
+            out.lower_bound, std::max<uint64_t>(block_count, 1), &saturated);
+        out.saturated = out.saturated || saturated;
+        return block_unknown ? FoldStep::Abandoned(std::string())
+                             : FoldStep::Exact();
+      });
+  out.unknown_blocks = fold.report.blocks_abandoned;
+  out.exact = out.unknown_blocks == 0 && !out.saturated;
+  return out;
 }
 
 std::optional<DynamicBitset> UniqueGloballyOptimalRepair(
@@ -57,23 +80,22 @@ std::optional<DynamicBitset> UniqueGloballyOptimalRepair(
     return std::nullopt;
   }
   DynamicBitset out = ctx.blocks().free_facts();
-  std::vector<size_t> order(ctx.blocks().num_blocks());
-  for (size_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
-  }
-  ParallelBlockSession<std::vector<DynamicBitset>> session(
-      ctx, std::move(order),
-      [&](const ProblemContext& cx, const Block& bb) {
+  const FoldOutcome fold = FoldBlocks(
+      ctx, nullptr,
+      [&](const ProblemContext& cx, const Block& b) {
         return CachedOptimalBlockRepairs(
-            SolverForSemantics(ctx, bb, RepairSemantics::kGlobal), cx, bb);
+            SolverForSemantics(ctx, b, RepairSemantics::kGlobal), cx, b);
       },
-      [](const std::vector<DynamicBitset>& v) { return !v.empty(); });
-  for (const Block& b : ctx.blocks().blocks()) {
-    std::vector<DynamicBitset> optimal = session.Next(b);
-    if (optimal.size() != 1) {
-      return std::nullopt;
-    }
-    out |= optimal.front();
+      [](const std::vector<DynamicBitset>& v) { return !v.empty(); }, nullptr,
+      [&](const Block&, std::vector<DynamicBitset>& optimal, bool) {
+        if (optimal.size() != 1) {
+          return FoldStep::Stop();
+        }
+        out |= optimal.front();
+        return FoldStep::Exact();
+      });
+  if (fold.stopped()) {
+    return std::nullopt;
   }
   return out;
 }

@@ -8,7 +8,7 @@
 //
 // Counting is by enumeration (exact, exponential in general); a
 // polynomial sufficient condition for uniqueness (total priority) is
-// also provided.
+// also provided.  Each question has one ProblemContext entry point.
 
 #ifndef PREFREP_REPAIR_COUNTING_H_
 #define PREFREP_REPAIR_COUNTING_H_
@@ -21,39 +21,40 @@
 
 namespace prefrep {
 
-/// Exact count of optimal repairs under the given semantics.  When the
-/// priority is block-local the count is the saturating product of
-/// per-block counts — enumeration never leaves a block, so k
-/// independent blocks cost Σ 2^{|block|} instead of ∏; otherwise it
-/// falls back to whole-instance enumeration.
-uint64_t CountOptimalRepairs(const ConflictGraph& cg,
-                             const PriorityRelation& pr,
-                             RepairSemantics semantics);
+/// A repair count that knows whether it is exact.  When a budget fires
+/// the per-block product keeps a *verified lower bound*: every block —
+/// counted or abandoned — has at least one optimal block-repair, so an
+/// abandoned block contributes the exact count it accumulated before
+/// abandonment, floored at one.
+struct BoundedCount {
+  uint64_t lower_bound = 1;
+  /// True iff `lower_bound` is the exact count.
+  bool exact = true;
+  /// Blocks whose count was cut short by the budget.
+  size_t unknown_blocks = 0;
+  /// True when the product overflowed uint64 (lower_bound is then
+  /// UINT64_MAX, still a valid lower bound).
+  bool saturated = false;
+};
 
-/// Same, sharing the cached artifacts of an existing context.  Under a
-/// governed context this degrades to a verified lower bound when the
-/// budget fires; use CountOptimalRepairsBounded to know whether it did.
-uint64_t CountOptimalRepairs(const ProblemContext& ctx,
-                             RepairSemantics semantics);
-
-/// Budget-aware counting: reports whether the count is exact, how many
-/// blocks the budget cut short (each still contributes its verified
+/// Number of σ-optimal repairs.  With a block-local priority it is the
+/// saturating product of per-block counts through FoldBlocks
+/// (conflict-free facts contribute a factor of one), so k independent
+/// blocks cost Σ 2^{|block|} instead of ∏; otherwise the governed
+/// whole-instance enumeration.  Reports whether the count is exact, how
+/// many blocks the budget cut short (each still contributes its verified
 /// partial count, floored at one — every block has an optimal
-/// block-repair), and whether the per-block product saturated uint64.
+/// block-repair), and whether the product saturated uint64.
 BoundedCount CountOptimalRepairsBounded(const ProblemContext& ctx,
                                         RepairSemantics semantics);
 
 /// If exactly one globally-optimal repair exists, returns it; nullopt
 /// when there are several.  With a block-local priority the repair is
 /// unique iff every block has exactly one optimal block-repair, so the
-/// scan bails out at the first block with two and never materializes
-/// the cross-product.
-std::optional<DynamicBitset> UniqueGloballyOptimalRepair(
-    const ConflictGraph& cg, const PriorityRelation& pr);
-
-/// Same, sharing the cached artifacts of an existing context.  Under a
-/// governed context a nullopt may also mean the budget fired before
-/// uniqueness was decided — check ctx.governor().degraded() afterwards.
+/// fold stops at the first block with two and never materializes the
+/// cross-product.  Under a governed context a nullopt may also mean the
+/// budget fired before uniqueness was decided — check
+/// ctx.governor().degraded() afterwards.
 std::optional<DynamicBitset> UniqueGloballyOptimalRepair(
     const ProblemContext& ctx);
 

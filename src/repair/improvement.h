@@ -39,6 +39,8 @@ bool IsParetoImprovement(const ConflictGraph& cg, const PriorityRelation& pr,
 struct ImprovementWitness {
   DynamicBitset improvement;
   std::string explanation;
+
+  bool operator==(const ImprovementWitness&) const = default;
 };
 
 /// Outcome of a preferred-repair check.  `verdict` answers the decision
@@ -59,6 +61,8 @@ struct [[nodiscard]] CheckResult {
   std::string unknown_reason;
 
   bool known() const { return verdict != Verdict::kUnknown; }
+
+  bool operator==(const CheckResult&) const = default;
 
   static CheckResult Optimal() {
     return CheckResult{true, std::nullopt, Verdict::kYes, {}};

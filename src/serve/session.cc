@@ -11,6 +11,7 @@
 #include "query/consistent_answers.h"
 #include "repair/block_solver.h"
 #include "repair/construct.h"
+#include "repair/counting.h"
 
 namespace prefrep {
 
@@ -28,40 +29,6 @@ const char* SemName(AnswerSemantics s) {
       return "completion";
   }
   return "global";
-}
-
-// DegradationReport::ToString minus the cache-traffic line: hit/miss
-// counts legitimately differ between a warm session and a cold rebuild
-// (and between cache on/off), so the session's reply surface — which
-// must be byte-identical across all of those — renders the report
-// without them.  Everything else (block tallies, node counts, causes)
-// is identical by the cache's node-replay contract.
-std::string RenderDegradation(const DegradationReport& r) {
-  std::string out = "blocks: " + std::to_string(r.blocks_exact) + "/" +
-                    std::to_string(r.blocks_total) + " solved exactly, " +
-                    std::to_string(r.blocks_abandoned) +
-                    " abandoned; nodes spent: " +
-                    std::to_string(r.nodes_spent);
-  if (!r.cause.empty()) {
-    out += "; cause: " + r.cause;
-  }
-  for (const BlockDegradation& b : r.abandoned) {
-    out += "\n  block #" + std::to_string(b.block_id) + " (" +
-           std::to_string(b.block_size) + " facts, " +
-           std::to_string(b.nodes) + " nodes): " + b.reason;
-  }
-  return out;
-}
-
-RepairSemantics ToRepairSemantics(AnswerSemantics s) {
-  switch (s) {
-    case AnswerSemantics::kPareto:
-      return RepairSemantics::kPareto;
-    case AnswerSemantics::kCompletion:
-      return RepairSemantics::kCompletion;
-    default:
-      return RepairSemantics::kGlobal;
-  }
 }
 
 }  // namespace
@@ -488,27 +455,17 @@ Result<std::string> SessionContext::RunCheck(AnswerSemantics semantics) {
     return Status::FailedPrecondition(
         "completion semantics requires a conflict-bounded priority");
   }
+  if (semantics == AnswerSemantics::kAllRepairs) {
+    return Status::InvalidArgument("check does not take 'repairs'");
+  }
   const DynamicBitset j = JSubinstance();
   ResourceGovernor governor(budget_);
   if (!budget_.Unlimited()) {
     ctx_->set_governor(&governor);
   }
-  CheckResult result;
   DegradationReport report;
-  switch (semantics) {
-    case AnswerSemantics::kGlobal:
-      result = CheckGlobalOptimalByBlocks(*ctx_, j, mode_, nullptr, &report);
-      break;
-    case AnswerSemantics::kPareto:
-      result = CheckParetoOptimalByBlocks(*ctx_, j);
-      break;
-    case AnswerSemantics::kCompletion:
-      result = CheckCompletionOptimalByBlocks(*ctx_, j);
-      break;
-    default:
-      ctx_->set_governor(nullptr);
-      return Status::InvalidArgument("check does not take 'repairs'");
-  }
+  const CheckResult result = CheckOptimalByBlocks(
+      *ctx_, j, ToRepairSemantics(semantics), mode_, nullptr, &report);
   ctx_->set_governor(nullptr);
   std::string out = std::string("check ") + SemName(semantics) + ": ";
   switch (result.verdict) {
@@ -533,7 +490,14 @@ Result<std::string> SessionContext::RunCheck(AnswerSemantics semantics) {
     out += "\nreason: " + result.unknown_reason;
   }
   if (report.Degraded()) {
-    out += "\n" + RenderDegradation(report);
+    // Without the cache-traffic counts: they legitimately differ
+    // between a warm session and a cold rebuild (and between cache
+    // on/off), and this reply must be byte-identical across all of
+    // those.  Everything else is identical by the cache's node-replay
+    // contract.
+    report.cache_hits = 0;
+    report.cache_misses = 0;
+    out += "\n" + report.ToString();
   }
   return out;
 }
@@ -554,7 +518,7 @@ Result<std::string> SessionContext::RunCount(AnswerSemantics semantics) {
     ctx_->set_governor(&governor);
   }
   const BoundedCount count =
-      CountOptimalRepairsByBlocksBounded(*ctx_, ToRepairSemantics(semantics));
+      CountOptimalRepairsBounded(*ctx_, ToRepairSemantics(semantics));
   ctx_->set_governor(nullptr);
   std::string out = std::string("count ") + SemName(semantics) + ": ";
   if (!count.exact) {

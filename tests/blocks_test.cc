@@ -16,6 +16,7 @@
 #include "gen/random_instance.h"
 #include "model/context.h"
 #include "repair/block_solver.h"
+#include "repair/counting.h"
 #include "repair/exhaustive.h"
 #include "test_util.h"
 
@@ -132,13 +133,16 @@ TEST_P(BlockProperty, PerBlockVerdictMatchesExhaustive) {
   ASSERT_TRUE(ctx.priority_block_local());  // conflict-bounded generator
 
   CheckResult by_blocks =
-      CheckGlobalOptimalByBlocks(ctx, problem.j, PriorityMode::kConflictOnly);
+      CheckOptimalByBlocks(ctx, problem.j, RepairSemantics::kGlobal,
+                           PriorityMode::kConflictOnly);
   CheckResult exact = ExhaustiveCheckGlobalOptimal(cg, pr, problem.j);
   EXPECT_EQ(by_blocks.optimal, exact.optimal)
       << "J = " << problem.instance->SubinstanceToString(problem.j);
   EXPECT_EQ(testing_util::VerifyWitness(cg, pr, problem.j, by_blocks), "");
 
-  CheckResult pareto_blocks = CheckParetoOptimalByBlocks(ctx, problem.j);
+  CheckResult pareto_blocks =
+      CheckOptimalByBlocks(ctx, problem.j, RepairSemantics::kPareto,
+                           PriorityMode::kConflictOnly);
   CheckResult pareto_exact = ExhaustiveCheckParetoOptimal(cg, pr, problem.j);
   EXPECT_EQ(pareto_blocks.optimal, pareto_exact.optimal);
 }
@@ -153,7 +157,8 @@ TEST_P(BlockProperty, CcpRoutingMatchesExhaustive) {
   ASSERT_TRUE(ctx.priority_block_local());
 
   CheckResult by_blocks =
-      CheckGlobalOptimalByBlocks(ctx, problem.j, PriorityMode::kCrossConflict);
+      CheckOptimalByBlocks(ctx, problem.j, RepairSemantics::kGlobal,
+                           PriorityMode::kCrossConflict);
   CheckResult exact = ExhaustiveCheckGlobalOptimal(ctx.conflict_graph(),
                                                    *problem.priority,
                                                    problem.j);
@@ -196,7 +201,10 @@ TEST_P(BlockProperty, OptimalCountsMultiplyToBruteForce) {
       ++brute;
     }
   }
-  EXPECT_EQ(CountOptimalRepairsByBlocks(ctx, RepairSemantics::kGlobal), brute);
+  const BoundedCount count =
+      CountOptimalRepairsBounded(ctx, RepairSemantics::kGlobal);
+  EXPECT_TRUE(count.exact);
+  EXPECT_EQ(count.lower_bound, brute);
   EXPECT_EQ(AllOptimalRepairs(ctx, RepairSemantics::kGlobal).size(), brute);
 }
 

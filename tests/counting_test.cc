@@ -49,9 +49,12 @@ TEST(HardWorkloadTest, PreferredJIsOptimalDispreferredIsNot) {
 TEST(CountingTest, GadgetWorkloadHasUniqueOptimal) {
   PreferredRepairProblem p = MakeHardChoiceWorkload(4, 4, HardJ::kAllPreferred);
   ConflictGraph cg(*p.instance);
-  EXPECT_EQ(CountOptimalRepairs(cg, *p.priority, RepairSemantics::kGlobal),
-            1u);
-  auto unique = UniqueGloballyOptimalRepair(cg, *p.priority);
+  ProblemContext ctx(cg, *p.priority);
+  const BoundedCount count =
+      CountOptimalRepairsBounded(ctx, RepairSemantics::kGlobal);
+  EXPECT_TRUE(count.exact);
+  EXPECT_EQ(count.lower_bound, 1u);
+  auto unique = UniqueGloballyOptimalRepair(ctx);
   ASSERT_TRUE(unique.has_value());
   EXPECT_EQ(*unique, p.j);
   // The priority orders every conflicting pair here, so the polynomial
@@ -70,9 +73,12 @@ TEST(CountingTest, IncomparableChoicesGiveMultipleOptima) {
   // No priority: both singleton repairs are optimal.
   PreferredRepairProblem p = testing_util::MakeProblem(spec);
   ConflictGraph cg(*p.instance);
-  EXPECT_EQ(CountOptimalRepairs(cg, *p.priority, RepairSemantics::kGlobal),
-            2u);
-  EXPECT_FALSE(UniqueGloballyOptimalRepair(cg, *p.priority).has_value());
+  ProblemContext ctx(cg, *p.priority);
+  const BoundedCount count =
+      CountOptimalRepairsBounded(ctx, RepairSemantics::kGlobal);
+  EXPECT_TRUE(count.exact);
+  EXPECT_EQ(count.lower_bound, 2u);
+  EXPECT_FALSE(UniqueGloballyOptimalRepair(ctx).has_value());
   EXPECT_FALSE(IsPriorityTotalOnConflicts(cg, *p.priority));
   EXPECT_FALSE(UniqueOptimalIfTotalPriority(cg, *p.priority).has_value());
 }
@@ -91,7 +97,8 @@ TEST(CountingTest, TotalityIsSufficientButNotNecessary) {
   ConflictGraph cg(*p.instance);
   EXPECT_FALSE(IsPriorityTotalOnConflicts(cg, *p.priority));  // l1 vs l2
   EXPECT_FALSE(UniqueOptimalIfTotalPriority(cg, *p.priority).has_value());
-  auto unique = UniqueGloballyOptimalRepair(cg, *p.priority);
+  ProblemContext ctx(cg, *p.priority);
+  auto unique = UniqueGloballyOptimalRepair(ctx);
   ASSERT_TRUE(unique.has_value());
   EXPECT_EQ(*unique, testing_util::Sub(*p.instance, {"top"}));
 }
@@ -105,16 +112,17 @@ TEST(CountingTest, CountsAgreeWithSemanticsInclusion) {
     opts.domain_size = 3;
     opts.seed = seed * 53;
     PreferredRepairProblem p = GenerateRandomProblem(schema, opts);
-    ConflictGraph cg(*p.instance);
-    uint64_t completion =
-        CountOptimalRepairs(cg, *p.priority, RepairSemantics::kCompletion);
-    uint64_t global =
-        CountOptimalRepairs(cg, *p.priority, RepairSemantics::kGlobal);
-    uint64_t pareto =
-        CountOptimalRepairs(cg, *p.priority, RepairSemantics::kPareto);
-    EXPECT_GE(global, uint64_t{1});
-    EXPECT_LE(completion, global);
-    EXPECT_LE(global, pareto);
+    ProblemContext ctx(*p.instance, *p.priority);
+    const BoundedCount completion =
+        CountOptimalRepairsBounded(ctx, RepairSemantics::kCompletion);
+    const BoundedCount global =
+        CountOptimalRepairsBounded(ctx, RepairSemantics::kGlobal);
+    const BoundedCount pareto =
+        CountOptimalRepairsBounded(ctx, RepairSemantics::kPareto);
+    EXPECT_TRUE(completion.exact && global.exact && pareto.exact);
+    EXPECT_GE(global.lower_bound, uint64_t{1});
+    EXPECT_LE(completion.lower_bound, global.lower_bound);
+    EXPECT_LE(global.lower_bound, pareto.lower_bound);
   }
 }
 

@@ -169,22 +169,28 @@ std::string RunBattery(const PreferredRepairProblem& problem, size_t threads,
     AppendGovernor(governor, &out);
   }
   {
-    // Construction is ungoverned by contract; the budget applies to the
-    // Try variant only.  kRandom exercises the per-block (seed, block
-    // id) draw streams.
+    // Every tie-break on an ungoverned context (where construction
+    // cannot fail), then the default one under the budget.  kRandom
+    // exercises the per-block (seed, block id) draw streams.
     out << "construct:\n";
-    ResourceGovernor governor(budget);
-    ProblemContext ctx(instance, *problem.priority);
-    prepare(&ctx, &governor);
+    ProblemContext ungoverned(instance, *problem.priority);
+    ungoverned.set_parallelism(threads);
     for (TieBreak tb :
          {TieBreak::kFirstFact, TieBreak::kMostDominating, TieBreak::kRandom}) {
       ConstructOptions options;
       options.tie_break = tb;
       options.seed = 7;
-      out << "  " << instance.SubinstanceToString(
-                         ConstructGloballyOptimalRepair(ctx, options))
+      Result<DynamicBitset> repair =
+          TryConstructGloballyOptimalRepair(ungoverned, options);
+      EXPECT_TRUE(repair.ok()) << repair.status().ToString();
+      out << "  "
+          << (repair.ok() ? instance.SubinstanceToString(*repair)
+                          : repair.status().ToString())
           << "\n";
     }
+    ResourceGovernor governor(budget);
+    ProblemContext ctx(instance, *problem.priority);
+    prepare(&ctx, &governor);
     Result<DynamicBitset> tried = TryConstructGloballyOptimalRepair(ctx);
     out << "  try="
         << (tried.ok() ? instance.SubinstanceToString(*tried)

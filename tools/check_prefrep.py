@@ -32,7 +32,10 @@ prefrep-checkpoint
     Repair-derived: the loop's range/condition mentions a value
     assigned (transitively) from AllOptimalRepairs /
     OptimalBlockRepairs / CachedOptimalBlockRepairs / RepairsFor* /
-    *.Next(...).  This is the AllOptimalRepairs cross-block-product
+    *.Next(...), or the payload parameter (the second) of the step —
+    the last lambda — passed to FoldBlocks(, which receives each
+    block's answer without any assignment.  This is the
+    AllOptimalRepairs cross-block-product
     bug class: per-block repair lists are governor-budgeted when they
     are *produced*, but the cross-block product that *combines* them
     multiplies sizes the governor never admitted — only a checkpoint
@@ -116,6 +119,11 @@ IMPROVEMENT_HEADER = Path("src/repair/improvement.h")
 SOURCE_CALL_RE = re.compile(
     r"\b(?:AllOptimalRepairs|OptimalBlockRepairs|CachedOptimalBlockRepairs|"
     r"RepairsFor\w*)\s*\(|\.\s*Next\s*\(")
+# The per-block fold hands each block's payload to its step lambda as a
+# parameter (src/repair/block_solver.h): a call, then lambda introducers.
+FOLD_CALL_RE = re.compile(r"\bFoldBlocks\s*\(")
+LAMBDA_RE = re.compile(r"\[[^\[\]]*\]\s*\(")
+PARAM_NAME_RE = re.compile(r"[\s&*>]([A-Za-z_]\w*)\s*$")
 VAR_SHIFT_RE = re.compile(
     r"\b1(?:[uU][lL]{0,2}|[lL]{1,2}[uU]?)?\s*<<\s*[A-Za-z_]")
 MATERIALIZE_RE = re.compile(r"\b(?:push_back|emplace_back|emplace|insert)\s*\(")
@@ -368,11 +376,41 @@ class Checker:
     # -- prefrep-checkpoint ------------------------------------------------
 
     @staticmethod
+    def fold_step_payloads(code: str) -> set[str]:
+        """Names of the payload parameter (the second) of the step — the
+        last lambda argument — of every FoldBlocks( call."""
+        names: set[str] = set()
+        for call in FOLD_CALL_RE.finditer(code):
+            args_end = _match_forward(code, call.end() - 1, "(", ")") - 1
+            lambdas = list(LAMBDA_RE.finditer(code, call.end(), args_end))
+            if not lambdas:
+                continue
+            params_open = lambdas[-1].end() - 1
+            params = code[params_open + 1:
+                          _match_forward(code, params_open, "(", ")") - 1]
+            depth, start, split = 0, 0, []
+            for i, c in enumerate(params):
+                if c in "(<[{":
+                    depth += 1
+                elif c in ")>]}":
+                    depth -= 1
+                elif c == "," and depth == 0:
+                    split.append(params[start:i])
+                    start = i + 1
+            split.append(params[start:])
+            if len(split) >= 2:
+                m = PARAM_NAME_RE.search(split[1])
+                if m:
+                    names.add(m.group(1))
+        return names
+
+    @staticmethod
     def tainted_names(code: str) -> set[str]:
-        """Identifiers (transitively) assigned from a repair-source call.
-        Statement-granular: split on ';', look for `lhs = ...source...`,
-        then run a var-to-var copy fixpoint (`a = b` / `a = move(b)`)."""
-        tainted: set[str] = set()
+        """Identifiers (transitively) assigned from a repair-source call,
+        plus FoldBlocks step payload parameters.  Statement-granular:
+        split on ';', look for `lhs = ...source...`, then run a
+        var-to-var copy fixpoint (`a = b` / `a = move(b)`)."""
+        tainted: set[str] = Checker.fold_step_payloads(code)
         statements = code.split(";")
         for stmt in statements:
             m = ASSIGN_RE.search(stmt)
