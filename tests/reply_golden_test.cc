@@ -8,8 +8,12 @@
 //
 // Inputs: examples/hard_s1_bounded.txt (one 39-fact block on hard
 // schema S1), a small hard-sharded S1 workload with one non-optimal
-// shard, and two seeded MakeEditScriptWorkload scripts replayed through
-// a resident session.  Node budgets are chosen so some blocks degrade.
+// shard, a 72-fact hard-sharded S1 workload whose one cross-shard
+// priority edge sends every question to the whole instance, and three
+// seeded MakeEditScriptWorkload scripts (one of twenty shards, so more
+// than 64 facts stay live) replayed through a resident session.  Node
+// budgets are chosen so some blocks degrade, and so the whole-instance
+// walks are cut short.
 // Every transcript must match its golden file under threads {1, 8} ×
 // block-solve cache {off, on}.  Cache traffic counters are left out of
 // degradation summaries: the cache-on/off contract exempts them.
@@ -25,7 +29,9 @@
 #include <string>
 #include <vector>
 
+#include "base/string_util.h"
 #include "cache/block_cache.h"
+#include "conflicts/blocks.h"
 #include "gen/edit_script.h"
 #include "gen/hard_workloads.h"
 #include "io/ops_format.h"
@@ -33,6 +39,7 @@
 #include "repair/checker.h"
 #include "repair/construct.h"
 #include "repair/counting.h"
+#include "repair/exhaustive.h"
 #include "serve/session.h"
 
 #ifndef PREFREP_SOURCE_DIR
@@ -141,6 +148,10 @@ void AppendLibraryTranscript(const PreferredRepairProblem& problem,
                              std::ostream* out) {
   const Instance& instance = *problem.instance;
   const bool conflict_bounded = problem.priority->IsConflictBounded();
+  // A cross-block priority sends every question to the whole instance;
+  // only its governed entry points are recorded.
+  const bool block_local = PriorityIsBlockLocal(
+      BlockDecomposition(ConflictGraph(instance)), *problem.priority);
   auto with_context = [&](const std::string& title, auto&& body) {
     *out << title << " [" << BudgetName(budget) << "]\n";
     ResourceGovernor governor(budget);
@@ -184,8 +195,12 @@ void AppendLibraryTranscript(const PreferredRepairProblem& problem,
                  });
   }
   with_context("check pareto", [&](const ProblemContext& ctx) {
-    AppendCheckResult(instance,
-                      RepairChecker(ctx).CheckParetoOptimal(problem.j), out);
+    CheckerOptions options;
+    options.mode = conflict_bounded ? PriorityMode::kConflictOnly
+                                    : PriorityMode::kCrossConflict;
+    AppendCheckResult(
+        instance, RepairChecker(ctx, options).CheckParetoOptimal(problem.j),
+        out);
   });
   if (conflict_bounded) {
     with_context("check completion", [&](const ProblemContext& ctx) {
@@ -209,6 +224,9 @@ void AppendLibraryTranscript(const PreferredRepairProblem& problem,
                         << " unknown_blocks=" << count.unknown_blocks
                         << " saturated=" << count.saturated << "\n";
                  });
+    if (!block_local) {
+      continue;  // the whole-instance enumeration is ungoverned
+    }
     with_context(std::string("enumerate ") + SemanticsName(semantics),
                  [&](const ProblemContext& ctx) {
                    const std::vector<DynamicBitset> all =
@@ -219,6 +237,29 @@ void AppendLibraryTranscript(const PreferredRepairProblem& problem,
                           << "\n";
                    }
                  });
+  }
+  if (!block_local) {
+    // The governed whole-instance repair walk (the one `cqa repairs`
+    // streams): how far the budget let it get, and where.
+    with_context("enumerate repairs", [&](const ProblemContext& ctx) {
+      size_t emitted = 0;
+      DynamicBitset last;
+      ForEachRepair(ctx.conflict_graph(), ctx.governor(),
+                    [&](const DynamicBitset& repair) {
+                      if (emitted < 4) {
+                        *out << "  " << instance.SubinstanceToString(repair)
+                             << "\n";
+                      }
+                      ++emitted;
+                      last = repair;
+                      return true;
+                    });
+      *out << "  emitted=" << emitted << "\n";
+      if (emitted > 0) {
+        *out << "  last: " << instance.SubinstanceToString(last) << "\n";
+      }
+    });
+    return;
   }
   with_context("unique global", [&](const ProblemContext& ctx) {
     const std::optional<DynamicBitset> unique =
@@ -380,9 +421,38 @@ TEST(ReplyGoldenTest, HardSharded) {
   }
 }
 
-EditScriptWorkload GoldenEditScript(uint64_t seed) {
+// Eight shards of nine facts (72 facts, so a repair walk over the whole
+// instance spans two words) and one priority edge between shards 0 and
+// 7, which makes the priority cross blocks: checking, counting and
+// repair enumeration all walk the whole instance until a node budget
+// cuts them short.  J takes the spine fact of clique 0 in place of its
+// member-1 fact in every shard but shard 6 — the walk's first choice
+// in each shard — so the first improving repair (shard 7 back to its
+// member-1 facts) turns up a few hundred nodes into the walk.  Library
+// only: a session with a block cache cannot hold a cross-block
+// priority.
+TEST(ReplyGoldenTest, CrossShardWholeInstance) {
+  PreferredRepairProblem problem = MakeHardShardedWorkload(8, 3, 3);
+  const Instance& instance = *problem.instance;
+  ASSERT_TRUE(problem.priority->AddByLabels("s0:q1:f1", "s7:q2:f2").ok());
+  for (size_t s = 0; s < 8; ++s) {
+    if (s == 6) {
+      continue;
+    }
+    problem.j.reset(instance.FindLabel(StrFormat("s%zu:q0:f1", s)));
+    problem.j.set(instance.FindLabel(StrFormat("s%zu:q0:f0", s)));
+  }
+  const std::vector<ResourceBudget> budgets = {
+      NodeBudget(150), NodeBudget(600), NodeBudget(20000)};
+  for (const Config& config : kConfigs) {
+    ExpectMatchesGolden("cross_shard_library",
+                        LibraryTranscript(problem, budgets, config), config);
+  }
+}
+
+EditScriptWorkload GoldenEditScript(uint64_t seed, size_t shards) {
   EditScriptOptions options;
-  options.shards = 6;
+  options.shards = shards;
   options.facts_per_shard = 4;
   options.num_ops = 160;
   options.query_fraction = 0.3;
@@ -391,11 +461,12 @@ EditScriptWorkload GoldenEditScript(uint64_t seed) {
 }
 
 // The live state a script leaves behind, as a parsed problem: edits do
-// not solve anything, so one ungoverned serial replay serves every
-// configuration.
+// not solve anything, so one serial replay serves every configuration.
+// The script's queries run under a small budget, which keeps the
+// repair walks of wide scripts finite and does not touch the edits.
 PreferredRepairProblem FinalState(const EditScriptWorkload& workload) {
-  Result<std::unique_ptr<SessionContext>> session =
-      SessionContext::Create(workload.problem, SessionOptions{1, 0, {}});
+  Result<std::unique_ptr<SessionContext>> session = SessionContext::Create(
+      workload.problem, SessionOptions{1, 0, NodeBudget(24)});
   EXPECT_TRUE(session.ok()) << session.status().ToString();
   for (const std::string& line : workload.ops) {
     RunSessionLine(**session, line);
@@ -405,8 +476,8 @@ PreferredRepairProblem FinalState(const EditScriptWorkload& workload) {
 
 // The script runs under a budget tight enough that counts degrade on
 // some blocks; the trailing query rounds add a generous one.
-void RunEditScript(uint64_t seed) {
-  const EditScriptWorkload workload = GoldenEditScript(seed);
+void RunEditScript(uint64_t seed, size_t shards, const std::string& name) {
+  const EditScriptWorkload workload = GoldenEditScript(seed, shards);
   const PreferredRepairProblem final_state = FinalState(workload);
   std::vector<std::string> ops = workload.ops;
   for (uint64_t max_nodes : {24, 5000}) {
@@ -416,7 +487,6 @@ void RunEditScript(uint64_t seed) {
       ops.push_back(query);
     }
   }
-  const std::string name = "edit_script_seed" + std::to_string(seed);
   for (const Config& config : kConfigs) {
     ExpectMatchesGolden(name + "_library",
                         LibraryTranscript(final_state,
@@ -430,9 +500,19 @@ void RunEditScript(uint64_t seed) {
   }
 }
 
-TEST(ReplyGoldenTest, EditScriptSeed3) { RunEditScript(3); }
+TEST(ReplyGoldenTest, EditScriptSeed3) {
+  RunEditScript(3, 6, "edit_script_seed3");
+}
 
-TEST(ReplyGoldenTest, EditScriptSeed11) { RunEditScript(11); }
+TEST(ReplyGoldenTest, EditScriptSeed11) {
+  RunEditScript(11, 6, "edit_script_seed11");
+}
+
+// Twenty shards keep more than 64 facts live, so `cqa repairs` walks a
+// universe wider than one word.
+TEST(ReplyGoldenTest, EditScriptSeed5TwentyShards) {
+  RunEditScript(5, 20, "edit_script_seed5_shards20");
+}
 
 }  // namespace
 }  // namespace prefrep
