@@ -170,4 +170,20 @@ bool PriorityIsBlockLocal(const BlockDecomposition& blocks,
   return true;
 }
 
+bool PriorityStaysInBlock(const Block& b, const PriorityRelation& priority) {
+  for (FactId f : b.fact_list) {
+    for (FactId g : priority.Dominates(f)) {
+      if (!b.facts.test(g)) {
+        return false;
+      }
+    }
+    for (FactId g : priority.DominatedBy(f)) {
+      if (!b.facts.test(g)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace prefrep

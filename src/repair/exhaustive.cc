@@ -5,169 +5,78 @@
 
 #include "conflicts/blocks.h"
 #include "repair/completion.h"
+#include "repair/repair_walk.h"
 #include "repair/subinstance_ops.h"
 
 namespace prefrep {
 
 namespace {
 
-// Bron–Kerbosch with pivoting over the *complement* of the conflict
-// graph: maximal cliques there are exactly the repairs.
-//
-// The search runs entirely in *universe-local* coordinates: Run()
-// relabels the universe's members to dense indices 0..c-1 (ascending
-// fact id) and builds c-bit complement-adjacency rows, so every inner
-// set operation — the P/X intersections, the pivot scores, the
-// candidate scans — is a word-wise AND over ⌈c/64⌉ words instead of
-// ⌈n/64⌉.  For per-block callers (c = block size ≪ n = instance size,
-// the dominant shape after the per-block decomposition) this cuts both
-// the O(n²) row construction per enumerator and the per-node memory
-// traffic; bench_enumeration/bench_parallel quantify it (EXPERIMENTS.md).
-//
-// The relabeling is order-preserving (ascending local == ascending
-// global), the pivot is chosen over universe-restricted sets the old
-// global rows restricted identically, and fn still receives the
-// full-universe bitset (maintained incrementally alongside the local
-// R), so the enumeration order, the per-node checkpoint count, and
-// every emitted repair are bit-for-bit what the global-coordinate
-// version produced — which is what keeps governed degradation and the
-// parallel replay byte-identical.
-class RepairEnumerator {
- public:
-  RepairEnumerator(const ConflictGraph& cg,
-                   const std::function<bool(const DynamicBitset&)>& fn,
-                   bool use_pivot = true,
-                   ResourceGovernor* governor = nullptr)
-      : cg_(cg),
-        fn_(fn),
-        n_(cg.num_facts()),
-        use_pivot_(use_pivot),
-        governor_(governor != nullptr ? governor
-                                      : &ResourceGovernor::Unlimited()) {}
-
-  bool Run(const DynamicBitset& universe) {
-    members_.clear();
-    members_.reserve(universe.count());
-    universe.ForEach(
-        [&](size_t v) { members_.push_back(static_cast<FactId>(v)); });
-    const size_t c = members_.size();
-    std::vector<size_t> local(n_, SIZE_MAX);
-    for (size_t i = 0; i < c; ++i) {
-      local[members_[i]] = i;
-    }
-    // Complement adjacency (minus self-loops), universe-restricted:
-    // compatible(i) = members that do not conflict with member i.
-    compatible_.clear();
-    compatible_.reserve(c);
-    for (size_t i = 0; i < c; ++i) {
-      DynamicBitset row(c);
-      row.set_all();
-      row.reset(i);
-      for (FactId u : cg_.neighbors(members_[i])) {
-        if (local[u] != SIZE_MAX) {
-          row.reset(local[u]);
-        }
+// Walks the repairs of `universe` (repair/repair_walk.h) and hands each
+// to `fn` as a full-universe bitset.  The bitset is synced from the
+// walk's local words at each leaf, flipping only the members that
+// changed since the previous leaf.
+void WalkUniverse(const ConflictGraph& cg, const DynamicBitset& universe,
+                  ResourceGovernor& governor, bool use_pivot,
+                  const std::function<bool(const DynamicBitset&)>& fn) {
+  std::vector<FactId> members;
+  members.reserve(universe.count());
+  universe.ForEach(
+      [&](size_t f) { members.push_back(static_cast<FactId>(f)); });
+  const RepairWalkTable table(cg, std::move(members));
+  RepairWalk walk(table);
+  DynamicBitset repair(cg.num_facts());
+  std::vector<uint64_t> shown(table.words(), 0);  // local words of `repair`
+  walk.Run(governor, use_pivot, [&](const uint64_t* r) {
+    for (size_t w = 0; w < shown.size(); ++w) {
+      for (uint64_t diff = shown[w] ^ r[w]; diff != 0; diff &= diff - 1) {
+        const size_t i = w * 64 + static_cast<size_t>(__builtin_ctzll(diff));
+        repair.set(table.members()[i], ((r[w] >> (i % 64)) & 1) != 0);
       }
-      compatible_.push_back(std::move(row));
+      shown[w] = r[w];
     }
-    r_global_ = DynamicBitset(n_);
-    DynamicBitset p(c), x(c);
-    p.set_all();
-    return Recurse(p, x);
-  }
+    return fn(repair);
+  });
+}
 
- private:
-  // Returns false to abort the whole enumeration.
-  bool Recurse(DynamicBitset p, DynamicBitset x) {
-    // Cooperative budget checkpoint, once per search-tree node.  The
-    // abort path is identical to an fn() abort: the in-place r_global_
-    // is unwound by the callers' reset, so no torn state survives.
-    if (!governor_->Checkpoint()) {
-      return false;
-    }
-    if (p.none() && x.none()) {
-      return fn_(r_global_);
-    }
-    // Pivot: the vertex of P ∪ X with the most compatible facts in P
-    // minimizes the branching P \ compatible(pivot).
-    size_t pivot = SIZE_MAX;
-    size_t best = 0;
-    bool have_pivot = false;
-    if (use_pivot_) {
-      (p | x).ForEach([&](size_t u) {
-        size_t score = (p & compatible_[u]).count();
-        if (!have_pivot || score > best) {
-          have_pivot = true;
-          best = score;
-          pivot = u;
-        }
-      });
-    }
-    DynamicBitset candidates = p;
-    if (have_pivot) {
-      candidates -= compatible_[pivot];
-    }
-    bool keep_going = true;
-    candidates.ForEach([&](size_t v) {
-      if (!keep_going) {
-        return;
-      }
-      r_global_.set(members_[v]);
-      if (!Recurse(p & compatible_[v], x & compatible_[v])) {
-        keep_going = false;
-      }
-      r_global_.reset(members_[v]);
-      p.reset(v);
-      x.set(v);
-    });
-    return keep_going;
-  }
-
-  const ConflictGraph& cg_;
-  const std::function<bool(const DynamicBitset&)>& fn_;
-  size_t n_;
-  bool use_pivot_;
-  ResourceGovernor* governor_;
-  std::vector<FactId> members_;
-  std::vector<DynamicBitset> compatible_;
-  DynamicBitset r_global_;
-};
+DynamicBitset AllFacts(const ConflictGraph& cg) {
+  DynamicBitset universe(cg.num_facts());
+  universe.set_all();
+  return universe;
+}
 
 }  // namespace
 
 void ForEachRepair(const ConflictGraph& cg,
                    const std::function<bool(const DynamicBitset&)>& fn) {
-  DynamicBitset universe(cg.num_facts());
-  universe.set_all();
-  RepairEnumerator(cg, fn).Run(universe);
+  WalkUniverse(cg, AllFacts(cg), ResourceGovernor::Unlimited(),
+               /*use_pivot=*/true, fn);
 }
 
 void ForEachRepairNoPivot(
     const ConflictGraph& cg,
     const std::function<bool(const DynamicBitset&)>& fn) {
-  DynamicBitset universe(cg.num_facts());
-  universe.set_all();
-  RepairEnumerator(cg, fn, /*use_pivot=*/false).Run(universe);
+  WalkUniverse(cg, AllFacts(cg), ResourceGovernor::Unlimited(),
+               /*use_pivot=*/false, fn);
 }
 
 void ForEachRepair(const ConflictGraph& cg, ResourceGovernor& governor,
                    const std::function<bool(const DynamicBitset&)>& fn) {
-  DynamicBitset universe(cg.num_facts());
-  universe.set_all();
-  RepairEnumerator(cg, fn, /*use_pivot=*/true, &governor).Run(universe);
+  WalkUniverse(cg, AllFacts(cg), governor, /*use_pivot=*/true, fn);
 }
 
 void ForEachRepairWithin(
     const ConflictGraph& cg, const DynamicBitset& universe,
     const std::function<bool(const DynamicBitset&)>& fn) {
-  RepairEnumerator(cg, fn).Run(universe);
+  WalkUniverse(cg, universe, ResourceGovernor::Unlimited(),
+               /*use_pivot=*/true, fn);
 }
 
 void ForEachRepairWithin(
     const ConflictGraph& cg, const DynamicBitset& universe,
     ResourceGovernor& governor,
     const std::function<bool(const DynamicBitset&)>& fn) {
-  RepairEnumerator(cg, fn, /*use_pivot=*/true, &governor).Run(universe);
+  WalkUniverse(cg, universe, governor, /*use_pivot=*/true, fn);
 }
 
 std::vector<DynamicBitset> AllRepairs(const ConflictGraph& cg) {

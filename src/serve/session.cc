@@ -376,16 +376,24 @@ void SessionContext::EnsureFresh() {
 #endif
   }
   if (cache_ != nullptr && !changed_keys_.empty()) {
-    for (FactId key : changed_keys_) {
-      auto it = block_members_.find(key);
-      if (it == block_members_.end()) {
+    // A fingerprint canonicalizes block-local priority edges only, so a
+    // block with an edge across its boundary gets none yet: its key
+    // stays pending until an edit makes its edges local again.  A
+    // missing registration only forgoes invalidation, an optimization.
+    for (auto it = changed_keys_.begin(); it != changed_keys_.end();) {
+      const FactId key = *it;
+      if (block_members_.count(key) == 0) {
+        it = changed_keys_.erase(it);
         continue;
       }
-      const size_t bid = blocks_view_->block_of(key);
-      invalidation_.Install(
-          key, ComputeBlockFingerprint(*ctx_, blocks_view_->block(bid)));
+      const Block& block = blocks_view_->block(blocks_view_->block_of(key));
+      if (!PriorityStaysInBlock(block, *priority_)) {
+        ++it;
+        continue;
+      }
+      invalidation_.Install(key, ComputeBlockFingerprint(*ctx_, block));
+      it = changed_keys_.erase(it);
     }
-    changed_keys_.clear();
   }
 }
 

@@ -228,7 +228,9 @@ class SessionContext {
   std::unique_ptr<BlockSolveCache> cache_;
   BlockInvalidationIndex invalidation_;
   CategoricityMemo categoricity_memo_;
-  std::set<FactId> changed_keys_;  // fingerprints to (re-)register
+  // Keys whose fingerprints are to be (re-)registered; a block with a
+  // priority edge across its boundary waits here until the edge goes.
+  std::set<FactId> changed_keys_;
 
   std::set<FactId> j_;  // ordered: renders deterministically
   SessionOptions options_;

@@ -1,0 +1,141 @@
+// Allocation guard for the exhaustive repair walk.  Timing noise hides
+// regressions of about 10%, but heap traffic is a count: this binary
+// replaces the global operator new, counts the calls made during one
+// governed ForEachRepairWithin and one ExhaustiveBlockSolver().CountBlock,
+// and requires the count to be the same small constant on two block
+// shapes whose search trees differ 8x (the walk) and 34x (the count).
+// A walk that allocated per search node or per leaf test would scale
+// with the tree.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <functional>
+#include <new>
+
+#include "gen/hard_workloads.h"
+#include "model/context.h"
+#include "repair/block_solver.h"
+#include "repair/exhaustive.h"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<uint64_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace prefrep {
+namespace {
+
+// An upper bound on the allocations one call may make, whatever its
+// search tree: the walk's table and arena, plus the caller's bitsets.
+constexpr uint64_t kMaxAllocationsPerCall = 8;
+
+template <typename Fn>
+uint64_t AllocationsDuring(Fn&& fn) {
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  fn();
+  g_counting.store(false, std::memory_order_relaxed);
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+// An armed budget that never fires, so the governor counts nodes.
+ResourceBudget CountingBudget() {
+  ResourceBudget budget;
+  budget.max_nodes = uint64_t{1} << 40;
+  return budget;
+}
+
+struct Measurement {
+  uint64_t allocations = 0;
+  uint64_t nodes = 0;
+  uint64_t result = 0;  // repairs walked, or optimal block-repairs counted
+};
+
+// One shard of MakeHardShardedWorkload(1, cliques, clique_size): a
+// single S1 block of cliques × clique_size facts.
+struct Shard {
+  explicit Shard(size_t cliques, size_t clique_size)
+      : problem(MakeHardShardedWorkload(1, cliques, clique_size)),
+        ctx(*problem.instance, *problem.priority) {
+    PREFREP_CHECK(ctx.blocks().num_blocks() == 1);
+  }
+  const Block& block() const { return ctx.blocks().block(0); }
+
+  PreferredRepairProblem problem;
+  ProblemContext ctx;
+};
+
+Measurement MeasureWalk(size_t cliques, size_t clique_size) {
+  Shard shard(cliques, clique_size);
+  ResourceGovernor governor(CountingBudget());
+  Measurement m;
+  const std::function<bool(const DynamicBitset&)> count_repair =
+      [&m](const DynamicBitset&) {
+        ++m.result;
+        return true;
+      };
+  m.allocations = AllocationsDuring([&] {
+    ForEachRepairWithin(shard.ctx.conflict_graph(), shard.block().facts,
+                        governor, count_repair);
+  });
+  m.nodes = governor.nodes_spent();
+  return m;
+}
+
+Measurement MeasureCount(size_t cliques, size_t clique_size) {
+  Shard shard(cliques, clique_size);
+  ResourceGovernor governor(CountingBudget());
+  shard.ctx.set_governor(&governor);
+  Measurement m;
+  m.allocations = AllocationsDuring([&] {
+    m.result = ExhaustiveBlockSolver().CountBlock(shard.ctx, shard.block());
+  });
+  m.nodes = governor.nodes_spent();
+  return m;
+}
+
+TEST(AllocationGuardTest, RepairWalkAllocatesPerCallNotPerNode) {
+  const Measurement small = MeasureWalk(3, 3);
+  const Measurement large = MeasureWalk(4, 4);
+  // (s-1)^(c-1) · (s-1+c) repairs (gen/hard_workloads.h).
+  EXPECT_EQ(small.result, 20u);
+  EXPECT_EQ(large.result, 189u);
+  EXPECT_GT(large.nodes, 5 * small.nodes);
+  EXPECT_EQ(small.allocations, large.allocations)
+      << "nodes " << small.nodes << " vs " << large.nodes;
+  EXPECT_LE(large.allocations, kMaxAllocationsPerCall);
+}
+
+TEST(AllocationGuardTest, ExhaustiveCountAllocatesPerCallNotPerNode) {
+  const Measurement small = MeasureCount(3, 3);
+  const Measurement large = MeasureCount(4, 4);
+  // Member 1 of each clique dominates the rest, so the all-member-1
+  // block-repair is the only optimal one.
+  EXPECT_EQ(small.result, 1u);
+  EXPECT_EQ(large.result, 1u);
+  EXPECT_GT(large.nodes, 10 * small.nodes);
+  EXPECT_EQ(small.allocations, large.allocations)
+      << "nodes " << small.nodes << " vs " << large.nodes;
+  EXPECT_LE(large.allocations, kMaxAllocationsPerCall);
+}
+
+}  // namespace
+}  // namespace prefrep

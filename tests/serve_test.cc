@@ -267,6 +267,53 @@ TEST(ServeSessionTest, CqaPopulatesAndEditsRetireCategoricityMemo) {
   }
 }
 
+// A session with a block cache and a priority edge between blocks: the
+// fingerprints of the edge's blocks stay unregistered while the edge
+// crosses (a fingerprint canonicalizes block-local edges only), and a
+// delete that makes the priority block-local again lets them register.
+// Every reply, refusals included, equals the cache-off session's.
+TEST(ServeSessionTest, CrossBlockPriorityWithCacheMatchesCacheOff) {
+  ProblemSpec spec;
+  spec.arity = 2;
+  spec.fds = {"1 -> 2"};
+  spec.facts = {"a1: a, 1", "a2: a, 2", "b1: b, 1", "b2: b, 2"};
+  spec.priorities = {"a1 > b2"};
+  PreferredRepairProblem p = testing_util::MakeProblem(spec);
+  p.j = testing_util::Sub(*p.instance, {"a1", "b1"});
+  SessionOptions cached;
+  cached.cache_capacity = 64;
+  std::unique_ptr<SessionContext> with_cache = MustCreate(p, cached);
+  std::unique_ptr<SessionContext> without_cache = MustCreate(p);
+  const auto reply = [](SessionContext& session, const std::string& line) {
+    Result<SessionOp> op = ParseSessionOp(line);
+    EXPECT_TRUE(op.ok()) << line;
+    Result<std::string> out = session.Execute(*op);
+    return out.ok() ? *out : "error: " + out.status().ToString();
+  };
+  const std::vector<std::string> script = {
+      "check global",
+      "cqa repairs Q(x, y) :- R(x, y)",
+      "insert a3 R(a, 3)",
+      "count global",
+      "delete b2",
+      "check global",
+      "count global",
+      "cqa global Q(x, y) :- R(x, y)",
+      "prefer a3 > a2",
+      "check global",
+      "count pareto",
+      "insert b2 R(b, 2)",
+      "check global",
+      "count global",
+      "cqa repairs Q(x, y) :- R(x, y)",
+  };
+  for (const std::string& line : script) {
+    EXPECT_EQ(reply(*with_cache, line), reply(*without_cache, line)) << line;
+  }
+  EXPECT_NE(reply(*with_cache, "check global").find("check global: "),
+            std::string::npos);
+}
+
 TEST(ServeSessionTest, PreferRejectsCycles) {
   PreferredRepairProblem p = FixtureProblem();
   std::unique_ptr<SessionContext> s = MustCreate(p);
