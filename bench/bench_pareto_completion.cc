@@ -7,6 +7,7 @@
 
 #include "bench_util.h"
 #include "repair/completion.h"
+#include "repair/construct.h"
 #include "repair/pareto.h"
 
 namespace prefrep {
@@ -61,8 +62,8 @@ void BM_Completion_GreedyRepair(benchmark::State& state) {
   ConflictGraph cg(*problem.instance);
   uint64_t seed = 1;
   for (auto _ : state) {
-    DynamicBitset repair =
-        GreedyCompletionRepair(cg, *problem.priority, seed++);
+    DynamicBitset repair = ConstructGloballyOptimalRepair(
+        cg, *problem.priority, {TieBreak::kRandom, seed++});
     benchmark::DoNotOptimize(repair.count());
   }
 }

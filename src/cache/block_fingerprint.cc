@@ -40,23 +40,19 @@ BlockFingerprint FingerprintAccumulator::Finish() const {
   return fp;
 }
 
-// fingerprint-field-guard: Block=4 PriorityRelation=5
-//
-// The lint check `fingerprint-guard` (tools/lint_prefrep.py) counts the
-// data members of struct Block (conflicts/blocks.h) and class
-// PriorityRelation (priority/priority.h) and fails when the counts
-// above go stale.  If it fired: decide whether the new field changes
-// block identity (absorb it below, or show it is derived — id and
-// fact_list are coordinates the canonical relabeling exists to erase,
-// facts is fact_list as a bitset, rel is covered by the classification
-// and value sections; instance_/edge_set_/dominates_/dominated_by_ are
-// derived views of edges_), then update the counts.
 BlockFingerprint ComputeBlockFingerprint(const ProblemContext& ctx,
                                          const Block& b) {
+  // Binding every Block field (conflicts/blocks.h) makes a new one a
+  // compile error here.  If it fires, decide whether the field changes
+  // block identity: absorb it below, or show it is derived (id and
+  // fact_list are coordinates the canonical relabeling exists to erase,
+  // facts is fact_list as a bitset, rel is covered by the
+  // classification and value sections).  Then extend the binding.
+  const auto& [id, rel, facts, fact_list] = b;
   const Instance& instance = ctx.instance();
   const ConflictGraph& cg = ctx.conflict_graph();
   const PriorityRelation& priority = ctx.priority();
-  const size_t n = b.fact_list.size();
+  const size_t n = fact_list.size();
   PREFREP_CHECK_MSG(n >= 2, "fingerprinting a non-block");
 
   FingerprintAccumulator acc(kDomainBlock);
@@ -65,9 +61,9 @@ BlockFingerprint ComputeBlockFingerprint(const ProblemContext& ctx,
   // masks pin down everything the tractable solvers read of the FD set;
   // the conflict-edge section pins down everything the exhaustive and
   // greedy paths read of it.
-  const RelationClassification& rc = ctx.classification().relations[b.rel];
+  const RelationClassification& rc = ctx.classification().relations[rel];
   acc.Absorb(kTagRelation);
-  acc.Absorb(instance.fact(b.fact_list.front()).values.size());
+  acc.Absorb(instance.fact(fact_list.front()).values.size());
   acc.Absorb(static_cast<uint64_t>(rc.kind));
   acc.Absorb(rc.single_fd.lhs.mask());
   acc.Absorb(rc.single_fd.rhs.mask());
@@ -85,7 +81,7 @@ BlockFingerprint ComputeBlockFingerprint(const ProblemContext& ctx,
   acc.Absorb(n);
   std::vector<ValueId> first_seen;
   first_seen.reserve(n * 4);
-  for (FactId f : b.fact_list) {
+  for (FactId f : fact_list) {
     const Fact& fact = instance.fact(f);
     for (ValueId v : fact.values) {
       size_t canonical = 0;
@@ -115,7 +111,7 @@ BlockFingerprint ComputeBlockFingerprint(const ProblemContext& ctx,
   // without sorting.
   acc.Absorb(kTagConflicts);
   for (size_t i = 0; i < n; ++i) {
-    for (FactId g : cg.neighbors(b.fact_list[i])) {
+    for (FactId g : cg.neighbors(fact_list[i])) {
       const size_t j = local(g);
       if (j == SIZE_MAX || j <= i) {
         continue;  // neighbor outside the block (impossible) or j <= i
@@ -131,7 +127,7 @@ BlockFingerprint ComputeBlockFingerprint(const ProblemContext& ctx,
   acc.Absorb(kTagPriority);
   std::vector<std::pair<uint64_t, uint64_t>> priority_edges;
   for (size_t i = 0; i < n; ++i) {
-    for (FactId g : priority.Dominates(b.fact_list[i])) {
+    for (FactId g : priority.Dominates(fact_list[i])) {
       const size_t j = local(g);
       PREFREP_CHECK_MSG(j != SIZE_MAX,
                         "block fingerprint requires a block-local priority "

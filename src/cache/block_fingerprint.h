@@ -19,10 +19,10 @@
 // arity and Theorem 3.1 classification (kind, single-FD attribute
 // masks, key masks), the block size, the canonical value tuple of every
 // fact, the conflict edges and the block-local priority edges as local
-// index pairs.  The satellite lint check in tools/lint_prefrep.py
-// enforces that this enumeration keeps up with the Block and
-// PriorityRelation structs (see the fingerprint-field-guard comment in
-// block_fingerprint.cc).
+// index pairs.  The compiler keeps this enumeration in step with the
+// Block and PriorityRelation structs: ComputeBlockFingerprint binds
+// every Block field by name, and a static_assert in priority/priority.h
+// pins PriorityRelation's data members.
 //
 // Soundness (equal fingerprint ⇒ interchangeable results) rests on the
 // metamorphic rename/reorder invariance of the solvers: equal

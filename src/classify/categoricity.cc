@@ -8,6 +8,7 @@
 #include "io/text_format.h"
 #include "repair/audit.h"
 #include "repair/block_solver.h"
+#include "repair/construct.h"
 #include "repair/parallel_solver.h"
 
 namespace prefrep {
@@ -111,8 +112,16 @@ BlockCategoricity DecideBlockImpl(const ProblemContext& ctx, const Block& b,
     // Fast tier: a total priority admits exactly one optimal
     // block-repair, identical under all three semantics ([SCM]), and
     // the greedy block construction produces it in polynomial time.
+    const ConflictGraph& cg = ctx.conflict_graph();
+    const PriorityRelation& pr = ctx.priority();
+    PREFREP_CHECK_MSG(pr.IsConflictBounded(),
+                      "greedy block construction relies on completion "
+                      "semantics, which require conflict-bounded priorities");
     out.unique = Trilean::kTrue;
-    out.repair = SolverForSemantics(ctx, b, semantics).ConstructBlock(ctx, b);
+    out.repair = *GreedyWithin(cg, pr, b.facts, ConstructOptions{},
+                               ResourceGovernor::Unlimited());
+    audit::CheckConstructedBlockRepair(cg, pr, b.facts, out.repair,
+                                       "categoricity fast tier");
     MaybeCorruptForTesting(&out);
     return out;
   }

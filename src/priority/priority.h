@@ -109,6 +109,22 @@ class PriorityRelation {
   std::vector<std::vector<FactId>> dominated_by_;
 };
 
+// Pins the data members above: every one is pointer-aligned, so no
+// padding can absorb a new member.  If this fires, decide whether
+// ComputeBlockFingerprint must absorb the member or show it is derived
+// (the fingerprint reads instance_ through the context; edge_set_,
+// dominates_ and dominated_by_ are views of edges_), then update the
+// sum.
+static_assert(
+    sizeof(PriorityRelation) ==
+        sizeof(const Instance*) +
+            sizeof(std::vector<std::pair<FactId, FactId>>) +
+            sizeof(std::unordered_set<std::pair<FactId, FactId>,
+                                      PairHash<FactId, FactId>>) +
+            2 * sizeof(std::vector<std::vector<FactId>>),
+    "PriorityRelation gained or lost a data member: decide whether "
+    "ComputeBlockFingerprint (cache/block_fingerprint.cc) must absorb it");
+
 }  // namespace prefrep
 
 #endif  // PREFREP_PRIORITY_PRIORITY_H_

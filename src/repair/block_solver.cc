@@ -399,45 +399,6 @@ uint64_t BlockSolver::CountBlock(const ProblemContext& ctx,
   return count;  // a lower bound when governor.exhausted()
 }
 
-DynamicBitset BlockSolver::ConstructBlock(const ProblemContext& ctx,
-                                          const Block& b) const {
-  // Block-restricted greedy completion (cf. GreedyCompletionRepair):
-  // repeatedly keep the lowest-id ≻-maximal remaining fact and drop its
-  // conflicts.  Deterministic; a completion-optimal block-repair is
-  // globally- and Pareto-optimal too.
-  const ConflictGraph& cg = ctx.conflict_graph();
-  const PriorityRelation& pr = ctx.priority();
-  PREFREP_CHECK_MSG(pr.IsConflictBounded(),
-                    "greedy block construction relies on completion "
-                    "semantics, which require conflict-bounded priorities");
-  DynamicBitset remaining = b.facts;
-  DynamicBitset out(cg.num_facts());
-  while (remaining.any()) {
-    FactId pick = kInvalidFactId;
-    remaining.ForEach([&](size_t f) {
-      if (pick != kInvalidFactId) {
-        return;
-      }
-      for (FactId g : pr.DominatedBy(static_cast<FactId>(f))) {
-        if (remaining.test(g)) {
-          return;
-        }
-      }
-      pick = static_cast<FactId>(f);
-    });
-    PREFREP_CHECK_MSG(pick != kInvalidFactId,
-                      "acyclic priority must leave a maximal fact");
-    out.set(pick);
-    remaining.reset(pick);
-    for (FactId u : cg.neighbors(pick)) {
-      remaining.reset(u);
-    }
-  }
-  audit::CheckConstructedBlockRepair(cg, pr, b.facts, out,
-                                     "BlockSolver::ConstructBlock");
-  return out;
-}
-
 const BlockSolver& OneFdBlockSolver() {
   static const OneFdSolver solver;
   return solver;
@@ -710,10 +671,18 @@ CheckResult CheckOptimalByBlocks(const ProblemContext& ctx,
 
 std::vector<DynamicBitset> AllOptimalRepairs(const ProblemContext& ctx,
                                              RepairSemantics semantics) {
-  if (!ctx.priority_block_local()) {
-    return AllOptimalRepairs(ctx.conflict_graph(), ctx.priority(), semantics);
-  }
   ResourceGovernor& governor = ctx.governor();
+  if (!ctx.priority_block_local()) {
+    const ConflictGraph& cg = ctx.conflict_graph();
+    DynamicBitset universe(cg.num_facts());
+    universe.set_all();
+    std::vector<DynamicBitset> optimal = OptimalRepairsWithin(
+        cg, ctx.priority(), universe, semantics, governor);
+    if (governor.exhausted()) {
+      return {};  // a partial filter pass is not the optimal set
+    }
+    return optimal;
+  }
   std::vector<DynamicBitset> out{ctx.blocks().free_facts()};
   // Per-block repair sets are enumeration order within one block, so a
   // worker's set is bitwise the serial one; the fold only has to merge

@@ -102,12 +102,6 @@ class BlockSolver {
   /// budget fires mid-count the returned value is a lower bound (check
   /// ctx.governor().exhausted(), or use CountOptimalRepairsBounded).
   virtual uint64_t CountBlock(const ProblemContext& ctx, const Block& b) const;
-
-  /// Constructs one optimal block-repair.  Default: block-restricted
-  /// greedy completion (a completion-optimal block-repair is globally-
-  /// and Pareto-optimal); requires a conflict-bounded priority.
-  virtual DynamicBitset ConstructBlock(const ProblemContext& ctx,
-                                       const Block& b) const;
 };
 
 /// GRepCheck1FD on one block of a kSingleFd relation (Theorem 3.1).
@@ -389,8 +383,9 @@ CheckResult CheckOptimalByBlocks(const ProblemContext& ctx,
 /// Materializes every σ-optimal repair as {conflict-free facts} × ∏
 /// per-block optimal block-repairs, filtering each block through the
 /// dispatched (polynomial where the dichotomy allows) solver.  Falls
-/// back to the whole-instance enumeration of exhaustive.h when the
-/// priority is not block-local.
+/// back to the governed whole-instance enumeration of exhaustive.h
+/// (OptimalRepairsWithin over all facts) when the priority is not
+/// block-local.
 ///
 /// Returns EMPTY iff the computation was abandoned: a block was refused
 /// (larger than the admissible cap) or the governor's budget fired.  A

@@ -1,6 +1,5 @@
 #include "repair/completion.h"
 
-#include "base/random.h"
 #include "repair/audit.h"
 #include "repair/subinstance_ops.h"
 
@@ -59,43 +58,6 @@ CheckResult CheckCompletionOptimal(const ConflictGraph& cg,
                            : CheckResult::NotOptimalNoWitness();
   audit::CheckCompletionVerdict(cg, pr, j, universe, result);
   return result;
-}
-
-DynamicBitset GreedyCompletionRepair(const ConflictGraph& cg,
-                                     const PriorityRelation& pr,
-                                     uint64_t seed) {
-  Rng rng(seed);
-  size_t n = cg.num_facts();
-  DynamicBitset remaining(n);
-  remaining.set_all();
-  DynamicBitset out(n);
-  size_t left = n;
-  while (left > 0) {
-    // Collect the ≻-maximal remaining facts.
-    std::vector<FactId> candidates;
-    remaining.ForEach([&](size_t f) {
-      for (FactId g : pr.DominatedBy(static_cast<FactId>(f))) {
-        if (remaining.test(g)) {
-          return;
-        }
-      }
-      candidates.push_back(static_cast<FactId>(f));
-    });
-    PREFREP_CHECK_MSG(!candidates.empty(),
-                      "acyclic priority must leave a maximal fact");
-    FactId f = candidates[rng.NextBounded(candidates.size())];
-    out.set(f);
-    remaining.reset(f);
-    --left;
-    for (FactId u : cg.neighbors(f)) {
-      if (remaining.test(u)) {
-        remaining.reset(u);
-        --left;
-      }
-    }
-  }
-  audit::CheckConstructedRepair(cg, pr, out, "GreedyCompletionRepair");
-  return out;
 }
 
 }  // namespace prefrep

@@ -46,13 +46,6 @@ CheckResult CheckCompletionOptimal(const ConflictGraph& cg,
                                    const DynamicBitset& j,
                                    const DynamicBitset* universe = nullptr);
 
-/// Runs one (deterministic, seeded) execution of the greedy procedure,
-/// producing a completion-optimal repair.  Different seeds explore
-/// different completions.
-DynamicBitset GreedyCompletionRepair(const ConflictGraph& cg,
-                                     const PriorityRelation& pr,
-                                     uint64_t seed);
-
 }  // namespace prefrep
 
 #endif  // PREFREP_REPAIR_COMPLETION_H_

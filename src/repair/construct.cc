@@ -9,38 +9,23 @@
 
 namespace prefrep {
 
-namespace {
-
-// Per-block tie-break stream: kRandom draws must not depend on how
-// many blocks ran before this one (or on which thread ran it), so each
-// block derives its own deterministic stream from (seed, block id).
-// Rng expands seeds through splitmix64, so the xor-mix is enough.
-uint64_t BlockStreamSeed(const ConstructOptions& options, size_t block_id) {
-  return options.seed ^ ((block_id + 1) * 0x9e3779b97f4a7c15ULL);
-}
-
-// One greedy pass over `universe` (the whole instance, or one block):
-// repeatedly keep a ≻-maximal remaining fact and drop its conflicts.
-// Conflict-bounded priorities keep both dominators and conflicts inside
-// the universe, so the pass never reads outside it.  Checkpoints on
-// `governor` once per pick; nullopt when the budget fires (the partial
-// bitset is discarded — it would not be a maximal repair).
 std::optional<DynamicBitset> GreedyWithin(const ConflictGraph& cg,
                                           const PriorityRelation& pr,
                                           const DynamicBitset& universe,
                                           const ConstructOptions& options,
-                                          Rng& rng,
                                           ResourceGovernor& governor) {
+  Rng rng(options.seed);
   size_t n = cg.num_facts();
   DynamicBitset remaining = universe;
   DynamicBitset out(n);
   size_t left = remaining.count();
+  std::vector<FactId> candidates;
   while (left > 0) {
     if (!governor.Checkpoint()) {
       return std::nullopt;
     }
     // The ≻-maximal remaining facts (acyclicity guarantees one exists).
-    std::vector<FactId> candidates;
+    candidates.clear();
     remaining.ForEach([&](size_t f) {
       for (FactId g : pr.DominatedBy(static_cast<FactId>(f))) {
         if (remaining.test(g)) {
@@ -83,6 +68,16 @@ std::optional<DynamicBitset> GreedyWithin(const ConflictGraph& cg,
   return out;
 }
 
+namespace {
+
+// Per-block tie-break stream: kRandom draws must not depend on how
+// many blocks ran before this one (or on which thread ran it), so each
+// block derives its own deterministic stream from (seed, block id).
+// Rng expands seeds through splitmix64, so the xor-mix is enough.
+uint64_t BlockStreamSeed(const ConstructOptions& options, size_t block_id) {
+  return options.seed ^ ((block_id + 1) * 0x9e3779b97f4a7c15ULL);
+}
+
 // GreedyWithin on one block through the block-solve cache.  The greedy
 // output is a function of the block's canonical structure, the
 // tie-break rule, and — for kRandom — the block's derived tie-break
@@ -101,9 +96,10 @@ std::optional<DynamicBitset> CachedGreedyBlock(
       BlockCacheKey{BlockCacheOp::kConstruct,
                     static_cast<uint64_t>(options.tie_break), stream_salt},
       [&](const ProblemContext& cx) {
-        Rng rng(BlockStreamSeed(options, b.id));
-        return GreedyWithin(cx.conflict_graph(), cx.priority(), b.facts,
-                            options, rng, cx.governor());
+        return GreedyWithin(
+            cx.conflict_graph(), cx.priority(), b.facts,
+            ConstructOptions{options.tie_break, BlockStreamSeed(options, b.id)},
+            cx.governor());
       },
       [&](const std::optional<DynamicBitset>& repair,
           BlockSolveCache::Entry* entry) {
@@ -127,11 +123,10 @@ DynamicBitset ConstructGloballyOptimalRepair(
   PREFREP_CHECK_MSG(pr.IsConflictBounded(),
                     "construction relies on completion semantics, which "
                     "require conflict-bounded priorities (§2.3)");
-  Rng rng(options.seed);
   DynamicBitset universe(cg.num_facts());
   universe.set_all();
-  DynamicBitset out = *GreedyWithin(cg, pr, universe, options, rng,
-                                    ResourceGovernor::Unlimited());
+  DynamicBitset out =
+      *GreedyWithin(cg, pr, universe, options, ResourceGovernor::Unlimited());
   audit::CheckConstructedRepair(cg, pr, out,
                                 "ConstructGloballyOptimalRepair");
   return out;

@@ -17,6 +17,7 @@
 #define PREFREP_REPAIR_CONSTRUCT_H_
 
 #include <functional>
+#include <optional>
 
 #include "model/context.h"
 #include "repair/improvement.h"
@@ -40,6 +41,19 @@ struct ConstructOptions {
   TieBreak tie_break = TieBreak::kFirstFact;
   uint64_t seed = 1;  ///< used by TieBreak::kRandom
 };
+
+/// One greedy pass over `universe` (all facts, or one conflict block):
+/// repeatedly keeps a ≻-maximal remaining fact, chosen by
+/// `options.tie_break` (kRandom draws from Rng(options.seed)), and drops
+/// its conflicts.  Conflict-bounded priorities keep both dominators and
+/// conflicts inside a block, so a pass over one block never reads
+/// outside it.  Checkpoints on `governor` once per pick; nullopt when
+/// the budget fires (the partial bitset would not be a maximal repair).
+std::optional<DynamicBitset> GreedyWithin(const ConflictGraph& cg,
+                                          const PriorityRelation& pr,
+                                          const DynamicBitset& universe,
+                                          const ConstructOptions& options,
+                                          ResourceGovernor& governor);
 
 /// Builds a repair of (I, ≻) that is completion-optimal — hence
 /// globally-optimal and Pareto-optimal — in O(n²) time, for any schema.

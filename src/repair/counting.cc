@@ -4,30 +4,27 @@
 
 #include "repair/audit.h"
 #include "repair/block_solver.h"
-#include "repair/completion.h"
+#include "repair/construct.h"
 
 namespace prefrep {
 
 BoundedCount CountOptimalRepairsBounded(const ProblemContext& ctx,
                                         RepairSemantics semantics) {
-  ResourceGovernor& governor = ctx.governor();
   if (!ctx.priority_block_local()) {
     // Cross-block priority: the count does not factor, so the governed
     // whole-instance enumeration is the only route.  When the budget
     // fires the instance counts as one big unknown "block", and the
     // lower bound falls back to the one optimal repair every instance
     // has.
-    const ConflictGraph& cg = ctx.conflict_graph();
-    DynamicBitset universe(cg.num_facts());
-    universe.set_all();
-    std::vector<DynamicBitset> optimal = OptimalRepairsWithin(
-        cg, ctx.priority(), universe, semantics, governor);
-    if (governor.exhausted()) {
+    const std::vector<DynamicBitset> optimal =
+        AllOptimalRepairs(ctx, semantics);
+    if (optimal.empty()) {
       return BoundedCount{1, /*exact=*/false, /*unknown_blocks=*/1,
                           /*saturated=*/false};
     }
     return BoundedCount{optimal.size(), true, 0, false};
   }
+  ResourceGovernor& governor = ctx.governor();
   BoundedCount out;
   // A zero payload is never adopted (it means refused, cut short at
   // zero, or — audited below — a genuine algorithmic zero), so the
@@ -72,8 +69,8 @@ BoundedCount CountOptimalRepairsBounded(const ProblemContext& ctx,
 std::optional<DynamicBitset> UniqueGloballyOptimalRepair(
     const ProblemContext& ctx) {
   if (!ctx.priority_block_local()) {
-    std::vector<DynamicBitset> optimal = AllOptimalRepairs(
-        ctx.conflict_graph(), ctx.priority(), RepairSemantics::kGlobal);
+    std::vector<DynamicBitset> optimal =
+        AllOptimalRepairs(ctx, RepairSemantics::kGlobal);
     if (optimal.size() == 1) {
       return optimal.front();
     }
@@ -118,7 +115,13 @@ std::optional<DynamicBitset> UniqueOptimalIfTotalPriority(
   // With a total priority the greedy output does not depend on the
   // tie-break seed, and it is the unique optimal repair under all three
   // semantics [SCM].
-  return GreedyCompletionRepair(cg, pr, /*seed=*/1);
+  DynamicBitset universe(cg.num_facts());
+  universe.set_all();
+  DynamicBitset out =
+      *GreedyWithin(cg, pr, universe, ConstructOptions{TieBreak::kRandom, 1},
+                    ResourceGovernor::Unlimited());
+  audit::CheckConstructedRepair(cg, pr, out, "UniqueOptimalIfTotalPriority");
+  return out;
 }
 
 }  // namespace prefrep

@@ -344,14 +344,19 @@ void SessionContext::EnsureFresh() {
     std::vector<size_t> block_of(n, BlockDecomposition::kNoBlock);
     for (const auto& [key, bm] : block_members_) {
       Block b;
-      b.id = blocks.size();
-      b.rel = bm.rel;
-      b.facts = DynamicBitset(n);
+      // Binding every Block field makes a new one a compile error here:
+      // derive it from the members below (or show it needs no delta
+      // handling), and decide in ComputeBlockFingerprint
+      // (cache/block_fingerprint.cc) whether the cache key absorbs it.
+      auto& [id, rel, facts, fact_list] = b;
+      id = blocks.size();
+      rel = bm.rel;
+      facts = DynamicBitset(n);
       for (FactId m : bm.facts) {
-        b.facts.set(m);
-        block_of[m] = b.id;
+        facts.set(m);
+        block_of[m] = id;
       }
-      b.fact_list = bm.facts;
+      fact_list = bm.facts;
       blocks.push_back(std::move(b));
     }
     DynamicBitset free_copy = free_;

@@ -199,14 +199,6 @@ class SessionContext {
 
   // Incremental block state.  A block's key is its smallest fact id;
   // std::map iteration then yields the canonical block order for free.
-  //
-  // delta-field-guard: Block=4
-  // (Every Block field is re-derived here at materialization: id from
-  // the map position, rel from the member facts, facts/fact_list from
-  // members.  Adding a field to struct Block requires teaching
-  // EnsureFresh to derive it and bumping this guard — the lint pins it
-  // to the fingerprint-field-guard count in cache/block_fingerprint.cc
-  // so the delta path and the cache key can never silently diverge.)
   struct BlockMembers {
     RelId rel = kInvalidRelId;
     std::vector<FactId> facts;  // sorted ascending

@@ -1,6 +1,6 @@
 // Fixture for tools/check_prefrep.py --selftest (never compiled): the
 // suppression escape for the raw-concurrency ban — allowed when named
-// and justified (lint_prefrep check 4 enforces the justification).
+// and justified (the nolint rule enforces the justification).
 
 #include <mutex>
 

@@ -12,6 +12,7 @@
 #include <set>
 
 #include "repair/completion.h"
+#include "repair/construct.h"
 #include "repair/exhaustive.h"
 #include "repair/subinstance_ops.h"
 #include "gen/random_instance.h"
@@ -57,8 +58,10 @@ std::set<std::vector<size_t>> CompletionOptimalByBruteForce(
     }
     // The greedy repair of a total-on-conflicts priority is unique; any
     // seed gives the same result.
-    DynamicBitset repair = GreedyCompletionRepair(cg, completed, 1);
-    DynamicBitset check = GreedyCompletionRepair(cg, completed, 2);
+    DynamicBitset repair = ConstructGloballyOptimalRepair(
+        cg, completed, {TieBreak::kRandom, 1});
+    DynamicBitset check = ConstructGloballyOptimalRepair(
+        cg, completed, {TieBreak::kRandom, 2});
     EXPECT_EQ(repair, check) << "total completion must be deterministic";
     result.insert(repair.ToVector());
   }
@@ -224,8 +227,8 @@ TEST(CompletionTest, GreedyRepairAlwaysCompletionOptimal) {
     opts.seed = seed;
     PreferredRepairProblem problem = GenerateRandomProblem(schema, opts);
     ConflictGraph cg(*problem.instance);
-    DynamicBitset greedy =
-        GreedyCompletionRepair(cg, *problem.priority, seed * 3);
+    DynamicBitset greedy = ConstructGloballyOptimalRepair(
+        cg, *problem.priority, {TieBreak::kRandom, seed * 3});
     EXPECT_TRUE(IsRepair(cg, greedy));
     EXPECT_TRUE(
         CheckCompletionOptimal(cg, *problem.priority, greedy).optimal);

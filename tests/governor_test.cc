@@ -313,6 +313,43 @@ TEST(GovernorTest, BoundedCountIsExactUngovernedAndALowerBoundGoverned) {
   }
 }
 
+TEST(GovernorTest, CrossBlockFallbacksSpendTheContextBudget) {
+  // One priority edge between two shards couples their blocks, so the
+  // enumeration and the uniqueness test fall back to the whole instance.
+  PreferredRepairProblem p = MakeHardShardedWorkload(2, 3, 3);
+  p.priority->MustAdd(p.instance->FindLabel("s0:q1:f1"),
+                      p.instance->FindLabel("s1:q2:f2"));
+  ConflictGraph cg(*p.instance);
+  const std::vector<DynamicBitset> expected =
+      AllOptimalRepairs(cg, *p.priority, RepairSemantics::kGlobal);
+  ASSERT_EQ(expected.size(), 1u);
+  {
+    ProblemContext ctx(cg, *p.priority);
+    ASSERT_FALSE(ctx.priority_block_local());
+    EXPECT_EQ(AllOptimalRepairs(ctx, RepairSemantics::kGlobal), expected);
+    const std::optional<DynamicBitset> unique =
+        UniqueGloballyOptimalRepair(ctx);
+    ASSERT_TRUE(unique.has_value());
+    EXPECT_EQ(*unique, expected.front());
+  }
+  ResourceBudget budget;
+  budget.max_nodes = 50;
+  {
+    ProblemContext ctx(cg, *p.priority);
+    ResourceGovernor g(budget);
+    ctx.set_governor(&g);
+    EXPECT_TRUE(AllOptimalRepairs(ctx, RepairSemantics::kGlobal).empty());
+    EXPECT_TRUE(g.exhausted());
+  }
+  {
+    ProblemContext ctx(cg, *p.priority);
+    ResourceGovernor g(budget);
+    ctx.set_governor(&g);
+    EXPECT_FALSE(UniqueGloballyOptimalRepair(ctx).has_value());
+    EXPECT_TRUE(g.exhausted());
+  }
+}
+
 TEST(GovernorTest, CountProductSaturatesAtSixtyFourDoublingBlocks) {
   // 64 independent unordered conflict pairs: every repair is globally
   // optimal, so the per-block product is 2^64 — one past uint64.  With

@@ -19,6 +19,7 @@
 #include "repair/ccp_primary_key.h"
 #include "repair/checker.h"
 #include "repair/completion.h"
+#include "repair/construct.h"
 #include "repair/exhaustive.h"
 #include "repair/global_one_fd.h"
 #include "repair/global_two_keys.h"
@@ -657,7 +658,8 @@ TEST_P(InclusionProperty, EveryInstanceHasACompletionOptimalRepair) {
   ConflictGraph cg(*problem.instance);
   const PriorityRelation& pr = *problem.priority;
   // The greedy procedure always yields one, and the checker accepts it.
-  DynamicBitset greedy = GreedyCompletionRepair(cg, pr, GetParam().seed);
+  DynamicBitset greedy = ConstructGloballyOptimalRepair(
+      cg, pr, {TieBreak::kRandom, GetParam().seed});
   EXPECT_TRUE(IsRepair(cg, greedy));
   EXPECT_TRUE(CheckCompletionOptimal(cg, pr, greedy).optimal);
 }

@@ -148,8 +148,7 @@ void AppendLibraryTranscript(const PreferredRepairProblem& problem,
                              std::ostream* out) {
   const Instance& instance = *problem.instance;
   const bool conflict_bounded = problem.priority->IsConflictBounded();
-  // A cross-block priority sends every question to the whole instance;
-  // only its governed entry points are recorded.
+  // A cross-block priority sends every question to the whole instance.
   const bool block_local = PriorityIsBlockLocal(
       BlockDecomposition(ConflictGraph(instance)), *problem.priority);
   auto with_context = [&](const std::string& title, auto&& body) {
@@ -225,7 +224,7 @@ void AppendLibraryTranscript(const PreferredRepairProblem& problem,
                         << " saturated=" << count.saturated << "\n";
                  });
     if (!block_local) {
-      continue;  // the whole-instance enumeration is ungoverned
+      continue;  // governor_test covers the whole-instance enumeration
     }
     with_context(std::string("enumerate ") + SemanticsName(semantics),
                  [&](const ProblemContext& ctx) {

@@ -1,6 +1,6 @@
 // Copyright (c) prefrep contributors.
 // Positive control for the negative-compile tests: the same constructs
-// written correctly — Status consumed, CheckResult consumed, guarded
+// written correctly — Status, Result and CheckResult consumed, guarded
 // field accessed under its lock — compile cleanly with every flag the
 // negative TUs are compiled with.  If this fails, the negative tests'
 // "failure" proves nothing (the flags or includes are broken, not the
@@ -13,6 +13,7 @@
 namespace {
 
 prefrep::Status MightFail() { return prefrep::Status::OK(); }
+prefrep::Result<int> MightParse() { return 1; }
 prefrep::CheckResult Decide() { return prefrep::CheckResult::Optimal(); }
 
 struct Counter {
@@ -27,8 +28,9 @@ int LockedRead(Counter& c) {
 
 bool Caller() {
   prefrep::Status s = MightFail();
+  prefrep::Result<int> parsed = MightParse();
   prefrep::CheckResult r = Decide();
-  return s.ok() && r.optimal;
+  return s.ok() && parsed.ok() && r.optimal;
 }
 
 }  // namespace
