@@ -1,11 +1,14 @@
 // B1 — polynomial scaling of GRepCheck1FD (Theorem 3.1, condition 1;
 // §4.1).  Sweeps the instance size for optimal and non-optimal
-// candidate repairs; also reports the definitional improvement check in
+// candidate repairs, and a many-small-blocks series through the
+// per-block checker; also reports the definitional improvement check in
 // isolation.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "model/context.h"
+#include "repair/checker.h"
 #include "repair/global_one_fd.h"
 #include "repair/improvement.h"
 
@@ -45,6 +48,26 @@ void BM_OneFd_ImprovableJ(benchmark::State& state) {
 BENCHMARK(BM_OneFd_ImprovableJ)->RangeMultiplier(2)->Range(16, 2048)
     ->Complexity();
 
+void BM_OneFd_SmallBlocksChecker(benchmark::State& state) {
+  // ~4-fact blocks (the domain grows with n) checked through
+  // RepairChecker, which runs GRepCheck1FD once per block on the block's
+  // own fact list: the cost should grow linearly with the instance.
+  PreferredRepairProblem problem = bench::SizedProblem(
+      bench::OneFdSchema(), state.range(0), JPolicy::kHighPriorityRepair);
+  ProblemContext ctx(*problem.instance, *problem.priority);
+  ctx.set_parallelism(1);
+  RepairChecker checker(ctx);
+  state.counters["blocks"] =
+      static_cast<double>(ctx.blocks().num_blocks());
+  for (auto _ : state) {
+    Result<CheckOutcome> r = checker.CheckGloballyOptimal(problem.j);
+    benchmark::DoNotOptimize(r.ok());
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_OneFd_SmallBlocksChecker)->RangeMultiplier(2)->Range(1024, 8192)
+    ->Unit(benchmark::kMillisecond)->Complexity(benchmark::oN);
+
 void BM_OneFd_SwapConstruction(benchmark::State& state) {
   PreferredRepairProblem problem = bench::SizedProblem(
       bench::OneFdSchema(), state.range(0), JPolicy::kRandomRepair);
@@ -70,7 +93,8 @@ void BM_OneFd_SwapConstruction(benchmark::State& state) {
     return;
   }
   for (auto _ : state) {
-    DynamicBitset swapped = SwapBlocks(inst, 0, kFd, problem.j, f, g);
+    DynamicBitset swapped =
+        SwapBlocks(inst, kFd, inst.facts_of(0), problem.j, f, g);
     benchmark::DoNotOptimize(swapped.count());
   }
 }

@@ -55,8 +55,8 @@ class OneFdSolver final : public BlockSolver {
     PREFREP_CHECK_MSG(rc.kind == TractableKind::kSingleFd,
                       "block dispatched to GRepCheck1FD but its relation is "
                       "not single-fd");
-    return CheckGlobalOptimalOneFd(ctx.conflict_graph(), ctx.priority(), b.rel,
-                                   rc.single_fd, j, &b.facts);
+    return CheckGlobalOptimalOneFd(ctx.conflict_graph(), ctx.priority(),
+                                   rc.single_fd, b.fact_list, j);
   }
 };
 
@@ -70,7 +70,7 @@ class TwoKeysSolver final : public BlockSolver {
                       "block dispatched to GRepCheck2Keys but its relation is "
                       "not two-keys");
     return CheckGlobalOptimalTwoKeys(ctx.conflict_graph(), ctx.priority(),
-                                     b.rel, rc.key1, rc.key2, j, &b.facts);
+                                     rc.key1, rc.key2, b.fact_list, j);
   }
 };
 

@@ -58,27 +58,45 @@ struct KeyedImprovementGraph {
                const std::string& to_label, bool to_left) const;
 };
 
-/// Builds G^{first,second}_J for relation `rel`.  Requires J ∩ rel to be
-/// consistent with respect to both keys (so that projections of J-facts
-/// onto either key are unique).  A non-null `universe` restricts the
-/// construction to the facts of one conflict block; since facts of
-/// different blocks never share a key projection, the unrestricted graph
-/// is the disjoint union of the per-block graphs.
-KeyedImprovementGraph BuildImprovementGraph(
-    const Instance& instance, const PriorityRelation& pr, RelId rel,
-    AttrSet first_key, AttrSet second_key, const DynamicBitset& j,
-    const DynamicBitset* universe = nullptr);
+/// Builds G^{first,second}_J over the facts of `facts`: a set of facts of
+/// one relation closed under conflicts (a conflict block, or
+/// facts_of(rel)).  Requires J ∩ facts to be consistent with respect to
+/// both keys (so that projections of J-facts onto either key are
+/// unique).  Facts of different blocks never share a key projection, so
+/// the whole-relation graph is the disjoint union of the per-block
+/// graphs.  Nodes are numbered in first-seen order over the list.
+KeyedImprovementGraph BuildImprovementGraph(const Instance& instance,
+                                            const PriorityRelation& pr,
+                                            AttrSet first_key,
+                                            AttrSet second_key,
+                                            const std::vector<FactId>& facts,
+                                            const DynamicBitset& j);
 
-/// GRepCheck2Keys restricted to relation `rel`: decides whether J ∩ rel
-/// is a globally-optimal repair of I ∩ rel where ∆|rel is equivalent to
-/// the two key constraints key1 → ⟦R⟧ and key2 → ⟦R⟧ (incomparable).
-/// Arbitrary J is handled (inconsistent or non-maximal J is rejected).
-/// A non-null `universe` restricts the check to one conflict block.
+/// BuildImprovementGraph over the whole relation `rel` (facts_of(rel)).
+KeyedImprovementGraph BuildImprovementGraph(const Instance& instance,
+                                            const PriorityRelation& pr,
+                                            RelId rel, AttrSet first_key,
+                                            AttrSet second_key,
+                                            const DynamicBitset& j);
+
+/// GRepCheck2Keys over the facts of `facts` (a conflict block, or
+/// facts_of(rel)): decides whether J ∩ facts is a globally-optimal
+/// repair of `facts`, where ∆ restricted to their relation is equivalent
+/// to the two key constraints key1 → ⟦R⟧ and key2 → ⟦R⟧ (incomparable).
+/// Arbitrary J is handled (a J inconsistent or non-maximal on the list
+/// is rejected).
+CheckResult CheckGlobalOptimalTwoKeys(const ConflictGraph& cg,
+                                      const PriorityRelation& pr,
+                                      AttrSet key1, AttrSet key2,
+                                      const std::vector<FactId>& facts,
+                                      const DynamicBitset& j);
+
+/// GRepCheck2Keys over the whole relation `rel`: decides whether J ∩ rel
+/// is a globally-optimal repair of I ∩ rel.
 CheckResult CheckGlobalOptimalTwoKeys(const ConflictGraph& cg,
                                       const PriorityRelation& pr, RelId rel,
                                       AttrSet key1, AttrSet key2,
-                                      const DynamicBitset& j,
-                                      const DynamicBitset* universe = nullptr);
+                                      const DynamicBitset& j);
 
 }  // namespace prefrep
 

@@ -35,7 +35,7 @@ TEST(OneFdTest, BlocksMoveTogether) {
   FD fd(AttrSet{1}, AttrSet{2});
 
   DynamicBitset block_a = Sub(inst, {"a1", "a2"});
-  DynamicBitset swapped = SwapBlocks(inst, 0, fd, block_a,
+  DynamicBitset swapped = SwapBlocks(inst, fd, inst.facts_of(0), block_a,
                                      inst.FindLabel("a1"),
                                      inst.FindLabel("b1"));
   EXPECT_EQ(swapped, Sub(inst, {"b1", "b2", "b3"}));

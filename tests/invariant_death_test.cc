@@ -72,7 +72,7 @@ TEST(InvariantDeathTest, SwapBlocksRequiresMemberOfJ) {
   // f must be in J; passing the outside fact dies.
   EXPECT_DEATH(
       {
-        (void)SwapBlocks(*p.instance, 0, fd, j,
+        (void)SwapBlocks(*p.instance, fd, p.instance->facts_of(0), j,
                          p.instance->FindLabel("b"),
                          p.instance->FindLabel("a"));
       },

@@ -172,9 +172,11 @@ TEST_F(RunningExampleTest, Example41SwapBlocks) {
   RelId book_loc = inst_.schema().FindRelation("BookLoc");
   DynamicBitset j = Sub(inst_, {"g1f1", "g1f2", "f2p1"});
   DynamicBitset j_prime = Sub(inst_, {"f1d3", "f2p1"});
-  EXPECT_EQ(SwapBlocks(inst_, book_loc, fd, j, F("g1f1"), F("f1d3")),
+  EXPECT_EQ(SwapBlocks(inst_, fd, inst_.facts_of(book_loc), j, F("g1f1"),
+                       F("f1d3")),
             j_prime);
-  EXPECT_EQ(SwapBlocks(inst_, book_loc, fd, j_prime, F("f1d3"), F("g1f1")),
+  EXPECT_EQ(SwapBlocks(inst_, fd, inst_.facts_of(book_loc), j_prime,
+                       F("f1d3"), F("g1f1")),
             j);
 }
 
