@@ -7,6 +7,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -57,6 +60,20 @@ struct PairHash {
     return seed;
   }
 };
+
+/// Transparent string hash, so a string-keyed index can be probed with a
+/// string_view directly (no std::string materialized per lookup).
+struct TransparentStringHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+
+/// A string-keyed map probed by string_view without allocating.
+template <typename V>
+using StringViewMap =
+    std::unordered_map<std::string, V, TransparentStringHash, std::equal_to<>>;
 
 }  // namespace prefrep
 

@@ -1,7 +1,9 @@
 #include "io/text_format.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "base/string_util.h"
 
@@ -14,17 +16,48 @@ Status LineError(size_t line_no, const std::string& message) {
                             message);
 }
 
-// Parses "Name(c1, c2, ...)" into relation name + constants.
-Status ParseFactTerm(std::string_view term, std::string* relation,
-                     std::vector<std::string>* constants) {
+// One significant line: its 1-based number and its text with the
+// comment cut and surrounding whitespace stripped, viewed in place.
+struct TextLine {
+  size_t number;
+  std::string_view text;
+};
+
+// The non-blank lines of `text`, as views into it.
+std::vector<TextLine> SignificantLines(std::string_view text) {
+  std::vector<TextLine> lines;
+  lines.reserve(static_cast<size_t>(
+                    std::count(text.begin(), text.end(), '\n')) +
+                1);
+  size_t line_no = 0;
+  for (size_t start = 0; start <= text.size();) {
+    size_t end = text.find('\n', start);
+    if (end == std::string_view::npos) {
+      end = text.size();
+    }
+    ++line_no;
+    std::string_view line = text.substr(start, end - start);
+    line = StripAsciiWhitespace(line.substr(0, line.find('#')));
+    if (!line.empty()) {
+      lines.push_back(TextLine{line_no, line});
+    }
+    start = end + 1;
+  }
+  return lines;
+}
+
+// Parses "Name(c1, c2, ...)" into relation name + constants, as views
+// into `term`.
+Status ParseFactTerm(std::string_view term, std::string_view* relation,
+                     std::vector<std::string_view>* constants) {
   size_t open = term.find('(');
   if (open == std::string_view::npos || term.back() != ')') {
     return Status::ParseError("expected Name(c1, c2, ...), got '" +
                               std::string(term) + "'");
   }
-  *relation = std::string(StripAsciiWhitespace(term.substr(0, open)));
-  std::string_view inner = term.substr(open + 1, term.size() - open - 2);
-  *constants = StrSplitTrimmed(inner, ',');
+  *relation = StripAsciiWhitespace(term.substr(0, open));
+  StrSplitTrimmedViews(term.substr(open + 1, term.size() - open - 2), ',',
+                       constants);
   if (relation->empty()) {
     return Status::ParseError("missing relation name in fact term");
   }
@@ -37,40 +70,28 @@ Status ParseFactTerm(std::string_view term, std::string* relation,
 }  // namespace
 
 Result<PreferredRepairProblem> ParseProblemText(std::string_view text) {
-  // Two passes: schema lines first (relations + fds), then facts,
-  // priorities and J, so declarations may appear in any order.
-  std::vector<std::pair<size_t, std::string>> lines;
-  {
-    size_t line_no = 0;
-    for (const std::string& raw : StrSplit(text, '\n')) {
-      ++line_no;
-      std::string line = raw;
-      size_t hash = line.find('#');
-      if (hash != std::string::npos) {
-        line = line.substr(0, hash);
-      }
-      std::string_view stripped = StripAsciiWhitespace(line);
-      if (!stripped.empty()) {
-        lines.emplace_back(line_no, std::string(stripped));
-      }
-    }
-  }
+  // Passes over views of `text`: schema lines first (relations, then
+  // fds), then facts, then priorities and J, so declarations may appear
+  // in any order.  `parts` is reused by every split.
+  const std::vector<TextLine> lines = SignificantLines(text);
+  std::vector<std::string_view> parts;
 
   Schema schema;
   // Relations first so fd lines may precede their relation declaration.
   for (const auto& [line_no, line] : lines) {
     if (StartsWith(line, "relation ")) {
-      std::vector<std::string> parts = StrSplitTrimmed(line, ' ');
+      StrSplitTrimmedViews(line, ' ', &parts);
       if (parts.size() != 3) {
         return LineError(line_no, "expected 'relation <Name> <arity>'");
       }
       std::optional<uint64_t> arity = ParseUint(parts[2]);
       if (!arity.has_value() || *arity < 1 ||
           *arity > static_cast<uint64_t>(kMaxArity)) {
-        return LineError(line_no, "bad arity '" + parts[2] + "'");
+        return LineError(line_no,
+                         "bad arity '" + std::string(parts[2]) + "'");
       }
       Result<RelId> rel =
-          schema.AddRelation(parts[1], static_cast<int>(*arity));
+          schema.AddRelation(std::string(parts[1]), static_cast<int>(*arity));
       if (!rel.ok()) {
         return LineError(line_no, rel.status().message());
       }
@@ -87,30 +108,34 @@ Result<PreferredRepairProblem> ParseProblemText(std::string_view text) {
 
   PreferredRepairProblem problem(std::move(schema));
   Instance& inst = *problem.instance;
-  // Second pass: facts.
+  // Second pass: facts, each constant interned straight from its view.
+  std::vector<ValueId> values;
   for (const auto& [line_no, line] : lines) {
     if (!StartsWith(line, "fact ")) {
       continue;
     }
-    std::string_view rest = StripAsciiWhitespace(
-        std::string_view(line).substr(5));
+    std::string_view rest = StripAsciiWhitespace(line.substr(5));
     size_t space = rest.find_first_of(" \t");
     if (space == std::string_view::npos) {
       return LineError(line_no, "expected 'fact <label> <Name>(...)'");
     }
-    std::string label(rest.substr(0, space));
-    std::string relation;
-    std::vector<std::string> constants;
+    std::string_view relation;
     Status s = ParseFactTerm(StripAsciiWhitespace(rest.substr(space)),
-                             &relation, &constants);
+                             &relation, &parts);
     if (!s.ok()) {
       return LineError(line_no, s.message());
     }
-    RelId rel = problem.instance->schema().FindRelation(relation);
+    RelId rel = inst.schema().FindRelation(relation);
     if (rel == kInvalidRelId) {
-      return LineError(line_no, "unknown relation '" + relation + "'");
+      return LineError(line_no,
+                       "unknown relation '" + std::string(relation) + "'");
     }
-    Result<FactId> added = inst.AddFact(rel, constants, label);
+    values.clear();
+    for (std::string_view constant : parts) {
+      values.push_back(inst.dict().Intern(constant));
+    }
+    Result<FactId> added =
+        inst.AddFactValues(rel, values, rest.substr(0, space));
     if (!added.ok()) {
       return LineError(line_no, added.status().message());
     }
@@ -121,29 +146,30 @@ Result<PreferredRepairProblem> ParseProblemText(std::string_view text) {
   problem.j = inst.EmptySubinstance();
   for (const auto& [line_no, line] : lines) {
     if (StartsWith(line, "prefer ")) {
-      std::vector<std::string> chain =
-          StrSplitTrimmed(line.substr(7), '>');
-      if (chain.size() < 2) {
+      StrSplitTrimmedViews(line.substr(7), '>', &parts);
+      if (parts.size() < 2) {
         return LineError(line_no, "expected 'prefer a > b [> c ...]'");
       }
-      for (size_t i = 0; i + 1 < chain.size(); ++i) {
-        Status s = problem.priority->AddByLabels(chain[i], chain[i + 1]);
+      for (size_t i = 0; i + 1 < parts.size(); ++i) {
+        Status s = problem.priority->AddByLabels(parts[i], parts[i + 1]);
         if (!s.ok()) {
           return LineError(line_no, s.message());
         }
       }
     } else if (StartsWith(line, "j ") || line == "j") {
-      for (const std::string& label :
-           StrSplitTrimmed(std::string_view(line).substr(1), ' ')) {
+      StrSplitTrimmedViews(line.substr(1), ' ', &parts);
+      for (std::string_view label : parts) {
         FactId id = inst.FindLabel(label);
         if (id == kInvalidFactId) {
-          return LineError(line_no, "unknown fact label '" + label + "'");
+          return LineError(line_no,
+                           "unknown fact label '" + std::string(label) + "'");
         }
         problem.j.set(id);
       }
     } else if (!StartsWith(line, "relation ") && !StartsWith(line, "fd ") &&
                !StartsWith(line, "fact ")) {
-      return LineError(line_no, "unrecognized directive: '" + line + "'");
+      return LineError(line_no,
+                       "unrecognized directive: '" + std::string(line) + "'");
     }
   }
   return problem;

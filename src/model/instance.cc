@@ -26,10 +26,11 @@ Result<FactId> Instance::AddFact(RelId rel,
   for (const std::string& c : constants) {
     values.push_back(dict_.Intern(c));
   }
-  return AddFactValues(rel, std::move(values), label);
+  return AddFactValues(rel, values, label);
 }
 
-Result<FactId> Instance::AddFactValues(RelId rel, std::vector<ValueId> values,
+Result<FactId> Instance::AddFactValues(RelId rel,
+                                       std::span<const ValueId> values,
                                        std::string_view label) {
   if (rel >= schema_->num_relations()) {
     return Status::OutOfRange("relation id out of range");
@@ -46,14 +47,15 @@ Result<FactId> Instance::AddFactValues(RelId rel, std::vector<ValueId> values,
     id = AppendRow(rel, values.data(), values.size());
   }
   if (!label.empty()) {
-    std::string key(label);
-    auto existing = label_index_.find(key);
+    auto existing = label_index_.find(label);
     if (existing != label_index_.end() && existing->second != id) {
-      return Status::AlreadyExists("label '" + key +
+      return Status::AlreadyExists("label '" + std::string(label) +
                                    "' already names a different fact");
     }
-    labels_[id] = key;
-    label_index_.emplace(std::move(key), id);
+    labels_[id] = label;
+    if (existing == label_index_.end()) {
+      label_index_.emplace(label, id);
+    }
   }
   return id;
 }
@@ -133,7 +135,7 @@ FactId Instance::MustAddFact(std::string_view relation_name,
 }
 
 FactId Instance::FindLabel(std::string_view label) const {
-  auto it = label_index_.find(std::string(label));
+  auto it = label_index_.find(label);
   return it == label_index_.end() ? kInvalidFactId : it->second;
 }
 

@@ -16,9 +16,9 @@
 #define PREFREP_MODEL_INSTANCE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "base/dynamic_bitset.h"
@@ -149,8 +149,9 @@ class Instance {
   Result<FactId> AddFact(RelId rel, const std::vector<std::string>& constants,
                          std::string_view label = {});
 
-  /// Adds a fact with already-interned values.
-  Result<FactId> AddFactValues(RelId rel, std::vector<ValueId> values,
+  /// Adds a fact with already-interned values (a row of the relation's
+  /// arity; `values` is copied into the relation slab).
+  Result<FactId> AddFactValues(RelId rel, std::span<const ValueId> values,
                                std::string_view label = {});
 
   /// Adds by relation name; fatal on error (for tests/examples).
@@ -235,7 +236,7 @@ class Instance {
   // probe hashes the candidate row and compares against slab rows.
   std::vector<FactId> index_slots_;
 
-  std::unordered_map<std::string, FactId> label_index_;
+  StringViewMap<FactId> label_index_;
 };
 
 }  // namespace prefrep

@@ -83,7 +83,7 @@ void Schema::MustAddFdParsed(std::string_view text) {
 }
 
 RelId Schema::FindRelation(std::string_view name) const {
-  auto it = by_name_.find(std::string(name));
+  auto it = by_name_.find(name);
   return it == by_name_.end() ? kInvalidRelId : it->second;
 }
 

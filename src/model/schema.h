@@ -8,9 +8,9 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "base/hash.h"
 #include "base/status.h"
 #include "fd/fd_set.h"
 
@@ -84,7 +84,7 @@ class Schema {
  private:
   std::vector<RelationDef> relations_;
   std::vector<FDSet> fd_sets_;
-  std::unordered_map<std::string, RelId> by_name_;
+  StringViewMap<RelId> by_name_;
 };
 
 }  // namespace prefrep

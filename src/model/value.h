@@ -7,12 +7,11 @@
 #define PREFREP_MODEL_VALUE_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "base/hash.h"
 #include "base/macros.h"
 
 namespace prefrep {
@@ -22,15 +21,6 @@ using ValueId = uint32_t;
 
 /// Sentinel for "no value".
 inline constexpr ValueId kInvalidValueId = UINT32_MAX;
-
-/// Transparent string hash, so the index can be probed with a
-/// string_view directly (no std::string materialized per lookup).
-struct TransparentStringHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view s) const {
-    return std::hash<std::string_view>{}(s);
-  }
-};
 
 /// Bidirectional map between constants (strings) and dense ValueIds.
 ///
@@ -77,9 +67,7 @@ class ValueDict {
 
  private:
   std::vector<std::string> values_;
-  std::unordered_map<std::string, ValueId, TransparentStringHash,
-                     std::equal_to<>>
-      index_;
+  StringViewMap<ValueId> index_;
 };
 
 }  // namespace prefrep

@@ -30,7 +30,7 @@ size_t PriorityRelation::RemoveEdgesTouching(FactId f) {
       continue;
     }
     ++removed;
-    edge_set_.erase(edge);
+    UnindexEdge(EdgeKey(edge.first, edge.second));
     // Unlink from the endpoint that survives; f's own lists are cleared
     // wholesale below.  std::remove keeps the survivors' order.
     if (edge.first == f) {
@@ -49,6 +49,37 @@ size_t PriorityRelation::RemoveEdgesTouching(FactId f) {
   return removed;
 }
 
+void PriorityRelation::IndexNewEdge(uint64_t key) {
+  if (edges_.size() * 10 > edge_index_.size() * 7) {
+    // Rebuild at twice the capacity; the loop indexes `key` too.
+    edge_index_.assign(std::max<size_t>(16, edge_index_.size() * 2),
+                       kEmptyEdgeSlot);
+    for (const auto& [higher, lower] : edges_) {
+      const uint64_t k = EdgeKey(higher, lower);
+      edge_index_[FindEdgeSlot(k)] = k;
+    }
+    return;
+  }
+  edge_index_[FindEdgeSlot(key)] = key;
+}
+
+void PriorityRelation::UnindexEdge(uint64_t key) {
+  const size_t mask = edge_index_.size() - 1;
+  size_t hole = FindEdgeSlot(key);
+  PREFREP_DCHECK(edge_index_[hole] == key);
+  for (size_t i = (hole + 1) & mask; edge_index_[i] != kEmptyEdgeSlot;
+       i = (i + 1) & mask) {
+    // The entry at i may fill the hole unless its home slot lies
+    // cyclically in (hole, i].
+    const size_t home = HashMix64(edge_index_[i]) & mask;
+    if (((i - home) & mask) >= ((i - hole) & mask)) {
+      edge_index_[hole] = edge_index_[i];
+      hole = i;
+    }
+  }
+  edge_index_[hole] = kEmptyEdgeSlot;
+}
+
 Status PriorityRelation::Add(FactId higher, FactId lower) {
   if (higher >= instance_->num_facts() || lower >= instance_->num_facts()) {
     return Status::OutOfRange("priority edge references unknown fact");
@@ -59,11 +90,11 @@ Status PriorityRelation::Add(FactId higher, FactId lower) {
         "priority self-loop on fact " + instance_->FactToString(higher) +
         " (a cycle of length 1)");
   }
-  if (edge_set_.count({higher, lower})) {
+  if (Prefers(higher, lower)) {
     return Status::OK();  // duplicate edge, no-op
   }
   edges_.emplace_back(higher, lower);
-  edge_set_.insert({higher, lower});
+  IndexNewEdge(EdgeKey(higher, lower));
   dominates_[higher].push_back(lower);
   dominated_by_[lower].push_back(higher);
   return Status::OK();

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -70,7 +69,8 @@ class PriorityRelation {
 
   /// True iff f ≻ g was declared.
   bool Prefers(FactId f, FactId g) const {
-    return edge_set_.count({f, g}) > 0;
+    return !edge_index_.empty() &&
+           edge_index_[FindEdgeSlot(EdgeKey(f, g))] != kEmptyEdgeSlot;
   }
 
   /// Facts g with f ≻ g.
@@ -101,10 +101,39 @@ class PriorityRelation {
   bool IsConflictBounded() const;
 
  private:
+  /// An edge packed into one index word: higher in the upper half.
+  static constexpr uint64_t EdgeKey(FactId higher, FactId lower) {
+    return (uint64_t{higher} << 32) | lower;
+  }
+  /// The empty index slot, EdgeKey(kInvalidFactId, kInvalidFactId):
+  /// no fact has that id, so no edge packs to it.
+  static constexpr uint64_t kEmptyEdgeSlot = UINT64_MAX;
+
+  /// The index slot holding `key`, or the empty slot ending its probe
+  /// run.  Requires a non-empty index.
+  size_t FindEdgeSlot(uint64_t key) const {
+    const size_t mask = edge_index_.size() - 1;
+    size_t i = HashMix64(key) & mask;
+    while (edge_index_[i] != kEmptyEdgeSlot && edge_index_[i] != key) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
+  /// Indexes the edge just appended to edges_, doubling the index first
+  /// when it would pass 70% load.
+  void IndexNewEdge(uint64_t key);
+
+  /// Empties the index slot of `key` by shifting back the rest of its
+  /// probe run, so the index never holds tombstones.
+  void UnindexEdge(uint64_t key);
+
   const Instance* instance_;
   std::vector<std::pair<FactId, FactId>> edges_;
-  std::unordered_set<std::pair<FactId, FactId>, PairHash<FactId, FactId>>
-      edge_set_;
+  // Open-addressing index of edges_ (power-of-two capacity, linear
+  // probing, kEmptyEdgeSlot = empty): one flat array, so Prefers costs
+  // a probe and releasing the relation one deallocation.
+  std::vector<uint64_t> edge_index_;
   std::vector<std::vector<FactId>> dominates_;
   std::vector<std::vector<FactId>> dominated_by_;
 };
@@ -112,15 +141,14 @@ class PriorityRelation {
 // Pins the data members above: every one is pointer-aligned, so no
 // padding can absorb a new member.  If this fires, decide whether
 // ComputeBlockFingerprint must absorb the member or show it is derived
-// (the fingerprint reads instance_ through the context; edge_set_,
+// (the fingerprint reads instance_ through the context; edge_index_,
 // dominates_ and dominated_by_ are views of edges_), then update the
 // sum.
 static_assert(
     sizeof(PriorityRelation) ==
         sizeof(const Instance*) +
             sizeof(std::vector<std::pair<FactId, FactId>>) +
-            sizeof(std::unordered_set<std::pair<FactId, FactId>,
-                                      PairHash<FactId, FactId>>) +
+            sizeof(std::vector<uint64_t>) +
             2 * sizeof(std::vector<std::vector<FactId>>),
     "PriorityRelation gained or lost a data member: decide whether "
     "ComputeBlockFingerprint (cache/block_fingerprint.cc) must absorb it");

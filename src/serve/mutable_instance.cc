@@ -70,8 +70,7 @@ Result<MutableInstance::InsertOutcome> MutableInstance::Insert(
     return Status::AlreadyExists("label '" + std::string(label) +
                                  "' already names a different fact");
   }
-  Result<FactId> added =
-      instance_->AddFactValues(rel, std::move(values), label);
+  Result<FactId> added = instance_->AddFactValues(rel, values, label);
   if (!added.ok()) {
     return added.status();
   }

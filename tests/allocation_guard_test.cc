@@ -1,20 +1,32 @@
-// Allocation guard for the exhaustive repair walk.  Timing noise hides
-// regressions of about 10%, but heap traffic is a count: this binary
-// replaces the global operator new, counts the calls made during one
-// governed ForEachRepairWithin and one ExhaustiveBlockSolver().CountBlock,
-// and requires the count to be the same small constant on two block
-// shapes whose search trees differ 8x (the walk) and 34x (the count).
-// A walk that allocated per search node or per leaf test would scale
-// with the tree.
+// Allocation guards for the exhaustive repair walk and the problem
+// parser.  Timing noise hides regressions of about 10%, but heap traffic
+// is a count: this binary replaces the global operator new and counts
+// the calls made during one call.
+//
+// The walk: one governed ForEachRepairWithin and one
+// ExhaustiveBlockSolver().CountBlock must make the same small number of
+// allocations on two block shapes whose search trees differ 8x (the
+// walk) and 34x (the count).  A walk that allocated per search node or
+// per leaf test would scale with the tree.
+//
+// The parser: ParseProblemText on a large generated text must stay under
+// a few allocations per input line — what the parsed instance, its
+// dictionary, labels and priority lists need, with no string copied per
+// line, fact, constant or label.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <optional>
+#include <string>
 
 #include "gen/hard_workloads.h"
+#include "gen/random_instance.h"
+#include "io/text_format.h"
 #include "model/context.h"
 #include "repair/block_solver.h"
 #include "repair/exhaustive.h"
@@ -135,6 +147,43 @@ TEST(AllocationGuardTest, ExhaustiveCountAllocatesPerCallNotPerNode) {
   EXPECT_EQ(small.allocations, large.allocations)
       << "nodes " << small.nodes << " vs " << large.nodes;
   EXPECT_LE(large.allocations, kMaxAllocationsPerCall);
+}
+
+// A bulk-check-shaped problem text: R(3) with FD 1 → 2 (many small
+// blocks) beside S(2) with two keys (few large blocks), 5,000 facts.
+std::string OneFdAndTwoKeysText() {
+  Schema schema;
+  const RelId r = schema.MustAddRelation("R", 3);
+  schema.MustAddFd(r, FD(AttrSet{1}, AttrSet{2}));
+  const RelId s = schema.MustAddRelation("S", 2);
+  schema.MustAddFd(s, FD(AttrSet{1}, AttrSet{2}));
+  schema.MustAddFd(s, FD(AttrSet{2}, AttrSet{1}));
+  RandomProblemOptions options;
+  options.facts_per_relation = 2500;
+  options.domain_size = options.facts_per_relation / 4 + 2;
+  options.priority_density = 0.6;
+  options.j_policy = JPolicy::kHighPriorityRepair;
+  options.seed = 11;
+  return ProblemToText(GenerateRandomProblem(schema, options));
+}
+
+// Fewer than this many allocations per input line (fact, prefer and j
+// lines alike).  The parser keeps lines, split pieces and constants as
+// views of the input; what remains is the parsed problem's own storage.
+constexpr double kMaxAllocationsPerLine = 4.0;
+
+TEST(AllocationGuardTest, ParsingAllocatesAFewTimesPerLine) {
+  const std::string text = OneFdAndTwoKeysText();
+  const auto lines =
+      static_cast<uint64_t>(std::count(text.begin(), text.end(), '\n'));
+  ASSERT_GT(lines, 12000u);
+  std::optional<Result<PreferredRepairProblem>> parsed;
+  const uint64_t allocations =
+      AllocationsDuring([&] { parsed.emplace(ParseProblemText(text)); });
+  ASSERT_TRUE(parsed->ok()) << parsed->status().ToString();
+  EXPECT_LT(static_cast<double>(allocations),
+            kMaxAllocationsPerLine * static_cast<double>(lines))
+      << allocations << " allocations for " << lines << " lines";
 }
 
 }  // namespace

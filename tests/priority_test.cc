@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "base/random.h"
 #include "priority/priority.h"
 #include "test_util.h"
 
@@ -33,6 +39,51 @@ TEST(PriorityTest, AddAndQuery) {
   // Duplicate edges are no-ops.
   EXPECT_TRUE(p.priority->Add(a, b).ok());
   EXPECT_EQ(p.priority->num_edges(), 2u);
+}
+
+TEST(PriorityTest, EdgeIndexTracksAddsAndRemovals) {
+  // The flat edge index against a reference set, through index growth
+  // and the backward shifts of many removals.
+  Schema schema = Schema::SingleRelation("R", 1, {});
+  Instance inst(&schema);
+  constexpr FactId kFacts = 40;
+  for (FactId f = 0; f < kFacts; ++f) {
+    inst.MustAddFact("R", {"v" + std::to_string(f)});
+  }
+  PriorityRelation pr(&inst);
+  std::set<std::pair<FactId, FactId>> expected;
+  std::vector<std::pair<FactId, FactId>> order;
+  Rng rng(7);
+  for (int op = 0; op < 3000; ++op) {
+    const FactId f = static_cast<FactId>(rng.NextBounded(kFacts));
+    if (rng.NextBounded(8) == 0) {
+      auto touches = [f](const std::pair<FactId, FactId>& e) {
+        return e.first == f || e.second == f;
+      };
+      const size_t before = order.size();
+      order.erase(std::remove_if(order.begin(), order.end(), touches),
+                  order.end());
+      std::erase_if(expected, touches);
+      ASSERT_EQ(pr.RemoveEdgesTouching(f), before - order.size());
+    } else {
+      const FactId g = static_cast<FactId>(rng.NextBounded(kFacts));
+      if (f == g) {
+        continue;
+      }
+      ASSERT_TRUE(pr.Add(f, g).ok());
+      if (expected.insert({f, g}).second) {
+        order.emplace_back(f, g);
+      }
+    }
+    ASSERT_EQ(pr.edges(), order) << "after op " << op;
+    for (FactId x = 0; x < kFacts; ++x) {
+      for (FactId y = 0; y < kFacts; ++y) {
+        ASSERT_EQ(pr.Prefers(x, y), expected.count({x, y}) > 0)
+            << x << " > " << y << " after op " << op;
+      }
+    }
+  }
+  EXPECT_GT(order.size(), 100u);
 }
 
 TEST(PriorityTest, SelfLoopRejected) {

@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "base/hash.h"
 #include "base/string_util.h"
 #include "conflicts/blocks.h"
 #include "gen/random_instance.h"
@@ -530,6 +534,359 @@ TEST_P(ExhaustiveBlockProperty, MatchesDefinitionalScan) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ExhaustiveBlockProperty,
                          ::testing::ValuesIn(MakeSweep()), ParamName);
+
+// --- Polynomial block solvers vs their definitional paths -----------------
+//
+// GRepCheck1FD and GRepCheck2Keys decide each block on the block's own
+// fact list.  The references below are the relation-wide algorithms they
+// replaced, restricted to the block through a universe bitset: for
+// one-FD, every swap J[f↔g] built by SwapBlocks over the whole relation
+// and tested with the whole-instance IsGlobalImprovement; for two-keys,
+// the improvement graphs built with vector-keyed node maps over the
+// relation's facts filtered through the block.  On many-block relations
+// and four kinds of J, every block's DispatchBlockSolver(...).CheckBlock
+// must equal its reference on verdict, witness and explanation, and the
+// two-keys graphs must match node for node.
+
+CheckResult ReferenceOneFdBlock(const ProblemContext& ctx, const Block& b,
+                                const FD& fd, const DynamicBitset& j) {
+  const ConflictGraph& cg = ctx.conflict_graph();
+  const Instance& instance = ctx.instance();
+  for (FactId f : b.fact_list) {
+    for (FactId g : cg.neighbors(f)) {
+      if (j.test(f) && g > f && j.test(g)) {
+        return CheckResult::NotOptimalNoWitness();
+      }
+    }
+  }
+  for (FactId g : b.fact_list) {
+    if (!j.test(g) && !cg.ConflictsWithSet(g, j)) {
+      DynamicBitset improvement = j;
+      improvement.set(g);
+      return CheckResult::NotOptimal(
+          std::move(improvement),
+          "J is not maximal: " + instance.FactToString(g) +
+              " can be added without conflict");
+    }
+  }
+  for (FactId f : b.fact_list) {
+    if (!j.test(f)) {
+      continue;
+    }
+    for (FactId g : cg.neighbors(f)) {
+      if (j.test(g)) {
+        continue;
+      }
+      DynamicBitset swapped =
+          SwapBlocks(instance, fd, instance.facts_of(b.rel), j, f, g);
+      if (IsGlobalImprovement(cg, ctx.priority(), j, swapped)) {
+        return CheckResult::NotOptimal(
+            std::move(swapped),
+            "J[" + instance.FactToString(f) + " ↔ " +
+                instance.FactToString(g) + "] is a global improvement");
+      }
+    }
+  }
+  return CheckResult::Optimal();
+}
+
+std::vector<ValueId> ReferenceProject(const Fact& f, AttrSet attrs) {
+  std::vector<ValueId> key;
+  attrs.ForEach([&](int a) { key.push_back(f.values[a - 1]); });
+  return key;
+}
+
+std::string ReferenceRender(const Instance& instance,
+                            const std::vector<ValueId>& proj) {
+  if (proj.size() == 1) {
+    return instance.dict().Text(proj[0]);
+  }
+  std::vector<std::string> texts;
+  for (ValueId v : proj) {
+    texts.push_back(instance.dict().Text(v));
+  }
+  return "(" + StrJoin(texts, ", ") + ")";
+}
+
+KeyedImprovementGraph ReferenceImprovementGraph(
+    const Instance& instance, const PriorityRelation& pr, const Block& b,
+    AttrSet first_key, AttrSet second_key, const DynamicBitset& j) {
+  KeyedImprovementGraph g;
+  std::unordered_map<std::vector<ValueId>, size_t, VectorHash<ValueId>>
+      index[2];
+  auto node = [&](const std::vector<ValueId>& proj, bool left) {
+    auto [it, inserted] = index[left ? 0 : 1].emplace(proj, 0);
+    if (inserted) {
+      it->second = g.graph.AddNode();
+      g.labels.push_back(ReferenceRender(instance, proj));
+      g.is_left.push_back(left);
+      g.left_fact.push_back(kInvalidFactId);
+      g.right_fact.push_back(kInvalidFactId);
+    }
+    return it->second;
+  };
+  for (FactId f : instance.facts_of(b.rel)) {
+    if (!j.test(f) || !b.facts.test(f)) {
+      continue;
+    }
+    const Fact fact = instance.fact(f);
+    const size_t left = node(ReferenceProject(fact, first_key), true);
+    const size_t right = node(ReferenceProject(fact, second_key), false);
+    g.left_fact[left] = f;
+    g.right_fact[right] = f;
+    g.graph.AddEdge(left, right);
+  }
+  for (FactId f_prime : instance.facts_of(b.rel)) {
+    if (j.test(f_prime) || !b.facts.test(f_prime)) {
+      continue;
+    }
+    const Fact fp = instance.fact(f_prime);
+    for (FactId f : pr.Dominates(f_prime)) {
+      if (!j.test(f) || instance.fact(f).rel != b.rel ||
+          !FactsAgreeOn(fp, instance.fact(f), second_key)) {
+        continue;
+      }
+      const size_t right = node(ReferenceProject(fp, second_key), false);
+      const size_t left = node(ReferenceProject(fp, first_key), true);
+      if (g.backward_witness.emplace(std::make_pair(right, left), f_prime)
+              .second) {
+        g.graph.AddEdge(right, left);
+      }
+      break;
+    }
+  }
+  return g;
+}
+
+DynamicBitset ReferenceImprovementFromCycle(const KeyedImprovementGraph& g,
+                                            const std::vector<size_t>& cycle,
+                                            const DynamicBitset& j) {
+  DynamicBitset out = j;
+  for (size_t i = 0; i < cycle.size(); ++i) {
+    const size_t u = cycle[i];
+    if (g.is_left[u]) {
+      out.reset(g.left_fact[u]);
+    } else {
+      out.set(g.backward_witness.at({u, cycle[(i + 1) % cycle.size()]}));
+    }
+  }
+  return out;
+}
+
+CheckResult ReferenceTwoKeysBlock(const ProblemContext& ctx, const Block& b,
+                                  AttrSet key1, AttrSet key2,
+                                  const DynamicBitset& j) {
+  const ConflictGraph& cg = ctx.conflict_graph();
+  const PriorityRelation& pr = ctx.priority();
+  for (FactId f : b.fact_list) {
+    for (FactId g : cg.neighbors(f)) {
+      if (j.test(f) && g > f && j.test(g)) {
+        return CheckResult::NotOptimalNoWitness();
+      }
+    }
+  }
+  for (FactId g : b.fact_list) {
+    if (j.test(g)) {
+      continue;
+    }
+    const std::vector<FactId>& neighbors = cg.neighbors(g);
+    if (std::all_of(neighbors.begin(), neighbors.end(), [&](FactId f) {
+          return !j.test(f) || pr.Prefers(g, f);
+        })) {
+      DynamicBitset improvement = j;
+      for (FactId f : neighbors) {
+        improvement.reset(f);
+      }
+      improvement.set(g);
+      return CheckResult::NotOptimal(
+          std::move(improvement),
+          "Pareto improvement through " + ctx.instance().FactToString(g));
+    }
+  }
+  const KeyedImprovementGraph g12 =
+      ReferenceImprovementGraph(ctx.instance(), pr, b, key1, key2, j);
+  if (auto cycle = g12.graph.FindCycle()) {
+    return CheckResult::NotOptimal(
+        ReferenceImprovementFromCycle(g12, *cycle, j), "cycle in G12_J");
+  }
+  const KeyedImprovementGraph g21 =
+      ReferenceImprovementGraph(ctx.instance(), pr, b, key2, key1, j);
+  if (auto cycle = g21.graph.FindCycle()) {
+    return CheckResult::NotOptimal(
+        ReferenceImprovementFromCycle(g21, *cycle, j), "cycle in G21_J");
+  }
+  return CheckResult::Optimal();
+}
+
+void ExpectSameGraph(const KeyedImprovementGraph& mine,
+                     const KeyedImprovementGraph& reference) {
+  EXPECT_EQ(mine.labels, reference.labels);
+  EXPECT_EQ(mine.is_left, reference.is_left);
+  EXPECT_EQ(mine.left_fact, reference.left_fact);
+  EXPECT_EQ(mine.right_fact, reference.right_fact);
+  EXPECT_EQ(mine.backward_witness, reference.backward_witness);
+  ASSERT_EQ(mine.graph.num_nodes(), reference.graph.num_nodes());
+  for (size_t u = 0; u < mine.graph.num_nodes(); ++u) {
+    EXPECT_EQ(mine.graph.successors(u), reference.graph.successors(u));
+  }
+}
+
+// A repair built by adding `order`'s facts greedily to `base`.
+DynamicBitset GreedyRepair(const ConflictGraph& cg, DynamicBitset base,
+                           const std::vector<FactId>& order) {
+  for (FactId f : order) {
+    if (!base.test(f) && !cg.ConflictsWithSet(f, base)) {
+      base.set(f);
+    }
+  }
+  return base;
+}
+
+// The four Js of the battery: the generated J, J minus one fact, a
+// greedy repair in random order, and the generated J with one block's
+// part swapped for another block-repair of that block.  All are
+// consistent, as CheckBlock requires.
+std::vector<DynamicBitset> BlockBatteryJs(const ProblemContext& ctx,
+                                          const DynamicBitset& generated,
+                                          Rng& rng) {
+  const ConflictGraph& cg = ctx.conflict_graph();
+  std::vector<DynamicBitset> out{generated};
+  std::vector<FactId> members;
+  generated.ForEach(
+      [&](size_t f) { members.push_back(static_cast<FactId>(f)); });
+  DynamicBitset minus_one = generated;
+  if (!members.empty()) {
+    minus_one.reset(members[rng.NextBounded(members.size())]);
+  }
+  out.push_back(minus_one);
+  std::vector<FactId> all(cg.num_facts());
+  std::iota(all.begin(), all.end(), FactId{0});
+  rng.Shuffle(&all);
+  out.push_back(GreedyRepair(cg, DynamicBitset(cg.num_facts()), all));
+  DynamicBitset swapped_block = generated;
+  if (ctx.blocks().num_blocks() > 0) {
+    const Block& b = ctx.blocks().block(
+        static_cast<size_t>(rng.NextBounded(ctx.blocks().num_blocks())));
+    std::vector<FactId> order = b.fact_list;
+    rng.Shuffle(&order);
+    swapped_block = GreedyRepair(cg, generated - b.facts, order);
+  }
+  out.push_back(swapped_block);
+  return out;
+}
+
+struct BlockBatteryStats {
+  size_t one_fd_blocks = 0;
+  size_t two_keys_blocks = 0;
+};
+
+// Compares every block of every J variant with its reference.
+void ExpectBlocksMatchReferences(const PreferredRepairProblem& problem,
+                                 uint64_t seed, BlockBatteryStats* stats) {
+  ProblemContext ctx(*problem.instance, *problem.priority);
+  ctx.set_parallelism(1);
+  Rng rng(seed);
+  const Instance& instance = *problem.instance;
+  for (const DynamicBitset& j : BlockBatteryJs(ctx, problem.j, rng)) {
+    SCOPED_TRACE("J = " + instance.SubinstanceToString(j));
+    for (const Block& b : ctx.blocks().blocks()) {
+      const RelationClassification& rc = ctx.classification().relations[b.rel];
+      const BlockSolver& solver =
+          DispatchBlockSolver(ctx, b, PriorityMode::kConflictOnly);
+      const CheckResult mine = solver.CheckBlock(ctx, b, j);
+      CheckResult reference;
+      if (rc.kind == TractableKind::kSingleFd) {
+        ASSERT_EQ(solver.Name(), "GRepCheck1FD");
+        reference = ReferenceOneFdBlock(ctx, b, rc.single_fd, j);
+        ++stats->one_fd_blocks;
+      } else {
+        ASSERT_EQ(rc.kind, TractableKind::kTwoKeys);
+        ASSERT_EQ(solver.Name(), "GRepCheck2Keys");
+        reference = ReferenceTwoKeysBlock(ctx, b, rc.key1, rc.key2, j);
+        ++stats->two_keys_blocks;
+        for (const auto& [first, second] :
+             {std::make_pair(rc.key1, rc.key2),
+              std::make_pair(rc.key2, rc.key1)}) {
+          ExpectSameGraph(
+              BuildImprovementGraph(instance, ctx.priority(), first, second,
+                                    b.fact_list, j),
+              ReferenceImprovementGraph(instance, ctx.priority(), b, first,
+                                        second, j));
+        }
+      }
+      SCOPED_TRACE("block " + std::to_string(b.id) + " of " +
+                   std::to_string(b.size()) + " facts");
+      EXPECT_EQ(mine.verdict, reference.verdict);
+      ASSERT_EQ(mine.witness.has_value(), reference.witness.has_value());
+      if (mine.witness.has_value()) {
+        EXPECT_EQ(instance.SubinstanceToString(mine.witness->improvement),
+                  instance.SubinstanceToString(
+                      reference.witness->improvement));
+        EXPECT_EQ(mine.witness->explanation, reference.witness->explanation);
+      }
+    }
+  }
+}
+
+TEST(PolynomialBlockProperty, OneFdBlocksMatchTheSwapReference) {
+  const struct {
+    int arity;
+    FD fd;
+  } shapes[] = {{3, FD(AttrSet{1}, AttrSet{2})},
+                {3, FD(AttrSet{1, 3}, AttrSet{2})},
+                {2, FD(AttrSet(), AttrSet{1})}};
+  BlockBatteryStats stats;
+  for (const auto& shape : shapes) {
+    for (uint64_t seed = 1; seed <= 48; ++seed) {
+      SCOPED_TRACE("fd " + shape.fd.ToString() + " seed " +
+                   std::to_string(seed));
+      RandomProblemOptions opts;
+      opts.facts_per_relation = 40 + 8 * seed;
+      opts.domain_size = opts.facts_per_relation / 4 + 2;
+      opts.priority_density = 0.6;
+      opts.j_policy = seed % 2 == 0 ? JPolicy::kHighPriorityRepair
+                                    : JPolicy::kRandomRepair;
+      opts.seed = seed * 1000003 + static_cast<uint64_t>(shape.arity);
+      ExpectBlocksMatchReferences(
+          GenerateRandomProblem(
+              Schema::SingleRelation("R", shape.arity, {shape.fd}), opts),
+          seed, &stats);
+    }
+  }
+  EXPECT_GT(stats.one_fd_blocks, 10000u) << stats.one_fd_blocks;
+}
+
+TEST(PolynomialBlockProperty, TwoKeysBlocksMatchTheGraphReference) {
+  const struct {
+    int arity;
+    AttrSet key1;
+    AttrSet key2;
+  } shapes[] = {{2, AttrSet{1}, AttrSet{2}},
+                {4, AttrSet{1, 2}, AttrSet{2, 3}}};
+  BlockBatteryStats stats;
+  for (const auto& shape : shapes) {
+    const AttrSet all = AttrSet::FromMask((uint64_t{1} << shape.arity) - 1);
+    for (uint64_t seed = 1; seed <= 16; ++seed) {
+      SCOPED_TRACE("arity " + std::to_string(shape.arity) + " seed " +
+                   std::to_string(seed));
+      RandomProblemOptions opts;
+      opts.facts_per_relation = 30 + 10 * seed;
+      opts.domain_size = opts.facts_per_relation / (shape.arity == 2 ? 2 : 6);
+      opts.priority_density = 0.6;
+      opts.j_policy = seed % 2 == 0 ? JPolicy::kHighPriorityRepair
+                                    : JPolicy::kRandomRepair;
+      opts.seed = seed * 7919 + static_cast<uint64_t>(shape.arity);
+      ExpectBlocksMatchReferences(
+          GenerateRandomProblem(
+              Schema::SingleRelation("T", shape.arity,
+                                     {FD(shape.key1, all),
+                                      FD(shape.key2, all)}),
+              opts),
+          seed, &stats);
+    }
+  }
+  EXPECT_GT(stats.two_keys_blocks, 1000u) << stats.two_keys_blocks;
+}
 
 // --- The walk at the word boundary: universes of 63, 64 and 65 facts --------
 //

@@ -106,11 +106,13 @@ prefrep-durability
 prefrep-hotloop
     Node-based hash maps keyed by materialized key vectors
     (std::unordered_map<std::vector<...>, ...>) are banned in
-    src/conflicts/: the conflict join is the hot path the columnar
-    rewrite flattened (docs/memory-layout.md), and a vector-keyed map
-    reintroduces one heap allocation per probe plus pointer-chasing
-    per bucket.  Key by the seeded projection hash and verify against
-    a row representative instead (conflicts/projection.h).
+    src/conflicts/ and src/repair/global_two_keys.cc: the conflict join
+    is the hot path the columnar rewrite flattened
+    (docs/memory-layout.md), GRepCheck2Keys interns one graph node per
+    key projection of a block, and a vector-keyed map reintroduces one
+    heap allocation per probe plus pointer-chasing per bucket.  Key by
+    the seeded projection hash and verify against a row representative
+    instead (conflicts/projection.h).
     Escape: NOLINT(prefrep-hotloop) on or above the line — the
     preserved reference join (conflicts.cc) carries one deliberately.
 
@@ -644,7 +646,8 @@ RULES = (
          exempt=("src/persist/file_io.cc",), escapable=True),
     Rule("prefrep-durability", check_recovery_entry_returns, ("src/persist/",),
          (".h",), escapable=True),
-    Rule("prefrep-hotloop", check_hotloop, ("src/conflicts/",),
+    Rule("prefrep-hotloop", check_hotloop,
+         ("src/conflicts/", "src/repair/global_two_keys.cc"),
          escapable=True),
 )
 
