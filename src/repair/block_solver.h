@@ -83,7 +83,11 @@ class BlockSolver {
   /// solver's optimality notion).  `j` is a whole-instance bitset and
   /// must be consistent; facts outside the block are read-only context
   /// (witnesses modify `j` inside the block only, so they remain valid
-  /// whole-instance improvements).
+  /// whole-instance improvements).  Consistency is what lets the
+  /// polynomial solvers decide on the block alone: conflicts never leave
+  /// a block, so a candidate that differs from J only inside b is
+  /// consistent iff it is consistent on b, and Definition 2.4 needs
+  /// nothing from the other blocks.
   virtual CheckResult CheckBlock(const ProblemContext& ctx, const Block& b,
                                  const DynamicBitset& j) const = 0;
 
@@ -104,10 +108,14 @@ class BlockSolver {
   virtual uint64_t CountBlock(const ProblemContext& ctx, const Block& b) const;
 };
 
-/// GRepCheck1FD on one block of a kSingleFd relation (Theorem 3.1).
+/// GRepCheck1FD on one block of a kSingleFd relation (Theorem 3.1):
+/// every swap J[f↔g] is decided on the block's fact list alone, in
+/// O(|b| · swaps(b)) (repair/global_one_fd.h).
 const BlockSolver& OneFdBlockSolver();
 
-/// GRepCheck2Keys on one block of a kTwoKeys relation (Theorem 3.1).
+/// GRepCheck2Keys on one block of a kTwoKeys relation (Theorem 3.1): the
+/// improvement graphs are built over the block's fact list alone
+/// (repair/global_two_keys.h).
 const BlockSolver& TwoKeysBlockSolver();
 
 /// The exact 2^{|block|} baseline; correct for every block and both

@@ -144,10 +144,13 @@ TEST(RngTest, ZipfSkewsLow) {
 }
 
 TEST(StringUtilTest, SplitJoinTrim) {
-  EXPECT_EQ(StrSplit("a,b,,c", ','),
-            (std::vector<std::string>{"a", "b", "", "c"}));
   EXPECT_EQ(StrSplitTrimmed(" a , b ,, c ", ','),
             (std::vector<std::string>{"a", "b", "c"}));
+  std::vector<std::string_view> pieces{"stale"};
+  StrSplitTrimmedViews(" a , b ,, c ", ',', &pieces);
+  EXPECT_EQ(pieces, (std::vector<std::string_view>{"a", "b", "c"}));
+  StrSplitTrimmedViews(" \t ", ',', &pieces);
+  EXPECT_TRUE(pieces.empty());
   EXPECT_EQ(StrJoin({"x", "y"}, ", "), "x, y");
   EXPECT_EQ(StripAsciiWhitespace("  hi\t"), "hi");
   EXPECT_TRUE(StartsWith("relation R 2", "relation "));
