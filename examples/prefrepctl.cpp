@@ -297,7 +297,8 @@ int CmdAnswers(const PreferredRepairProblem& p, SessionContext& session,
     std::printf("path: %s\n", CqaPathName(path));
     PrintCacheStats(session.cache());
     if (certain == Trilean::kUnknown) {
-      std::printf("budget: %s\n", governor.CauseString().c_str());
+      std::printf("budget: %s\n",
+                  CqaUnknownStatus(governor).message().c_str());
       return 4;
     }
     return certain == Trilean::kTrue ? 0 : 1;

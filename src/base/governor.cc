@@ -80,45 +80,28 @@ bool ResourceGovernor::CheckpointSlow() {
 }
 
 bool ResourceGovernor::AdmitBlock(size_t block_facts) {
-  if (block_facts > kMaxExhaustiveBlockFacts) {
-    // The hard cap binds even for the shared unlimited governor, but
-    // that one must stay write-free (it is shared across threads), so
-    // only caller-owned governors record the refusal.
-    if (this != &Unlimited()) {
-      blocks_refused_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return false;
-  }
-  if (!armed_) {
+  if (WouldAdmitBlock(block_facts)) {
     return true;
   }
-  if (exhausted()) {
-    return false;
-  }
-  if (budget_.max_block != 0 && block_facts > budget_.max_block) {
+  // Record the refusal, except on the shared Unlimited() governor, which
+  // must stay write-free, and where exhaustion alone turned the block
+  // away.
+  if (this != &Unlimited() &&
+      (block_facts > kMaxExhaustiveBlockFacts || !exhausted())) {
     blocks_refused_.fetch_add(1, std::memory_order_relaxed);
-    return false;
   }
-  return true;
+  return false;
 }
 
 bool ResourceGovernor::WouldAdmitBlock(size_t block_facts) const {
-  // Mirror of AdmitBlock without the refusal accounting.  Kept in sync
-  // by tests/governor_test.cc; any divergence would let a cache hit be
-  // served where a fresh solve would have recorded a refusal.
   if (block_facts > kMaxExhaustiveBlockFacts) {
-    return false;
+    return false;  // binds even the unarmed governor
   }
   if (!armed_) {
     return true;
   }
-  if (exhausted()) {
-    return false;
-  }
-  if (budget_.max_block != 0 && block_facts > budget_.max_block) {
-    return false;
-  }
-  return true;
+  return !exhausted() &&
+         (budget_.max_block == 0 || block_facts <= budget_.max_block);
 }
 
 std::string ResourceGovernor::CauseString() const {
@@ -181,15 +164,26 @@ uint64_t ResourceGovernor::NodeFiringIndex() const {
   return firing;
 }
 
-void ResourceGovernor::CommitReplayNodes(uint64_t n) {
-  if (!armed_ || n == 0) {
-    return;
+bool ResourceGovernor::TryReplay(uint64_t nodes, bool nodes_valid) {
+  if (!armed_) {
+    return true;  // counts nothing, so there is nothing to replay
   }
-  PREFREP_CHECK_MSG(NodeFiringIndex() == 0 ||
-                        nodes_spent() + n < NodeFiringIndex(),
-                    "replayed node batch would cross the firing index — the "
-                    "parallel merge must rerun such blocks instead");
-  nodes_.fetch_add(n, std::memory_order_relaxed);
+  if (exhausted()) {
+    return false;  // a fresh run would not have run either
+  }
+  const uint64_t firing = NodeFiringIndex();
+  if (budget_.Unlimited() && firing == 0) {
+    // Armed for cancellation only (a worker of an ungoverned parallel
+    // session): the merge never reads its node count back.
+    return true;
+  }
+  if (!nodes_valid || (firing != 0 && nodes_spent() + nodes >= firing)) {
+    // Uncounted, or the fresh run would have fired mid-block: rerun it so
+    // the budget fires at exactly the same checkpoint.
+    return false;
+  }
+  nodes_.fetch_add(nodes, std::memory_order_relaxed);
+  return true;
 }
 
 std::string DegradationReport::ToString() const {

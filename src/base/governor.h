@@ -148,10 +148,11 @@ class ResourceGovernor {
   bool AdmitBlock(size_t block_facts);
 
   /// Pure query: would AdmitBlock(block_facts) currently return true?
-  /// Records nothing.  The block-solve cache (cache/block_cache.h) uses
-  /// it to decide whether serving a memoized result preserves the
-  /// refusal accounting a fresh solve would have produced; ordinary
-  /// solvers must keep calling AdmitBlock so refusals are recorded.
+  /// Records nothing.  The block-solve cache (cache/block_cache.h) and
+  /// the categoricity memo use it to decide whether serving a memoized
+  /// result preserves the refusal accounting a fresh solve would have
+  /// produced; ordinary solvers must keep calling AdmitBlock so refusals
+  /// are recorded.
   bool WouldAdmitBlock(size_t block_facts) const;
 
   /// True once the deadline, node budget, injected fault, or a
@@ -193,10 +194,10 @@ class ResourceGovernor {
   /// enumeration state.  0 disables.  Never call this on Unlimited().
   void ForceExhaustAtCheckpointForTesting(uint64_t nth);
 
-  // ---- Parallel-solving support (repair/parallel_solver.h) ----------
+  // ---- Replay support (repair/parallel_solver.h, the caches) --------
   //
-  // The three hooks below exist for the deterministic parallel merge
-  // and are of no use to ordinary callers.
+  // The hooks below exist for the deterministic parallel merge and for
+  // serving stored block answers, and are of no use to ordinary callers.
 
   /// Arms cooperative cancellation on a worker-local governor: once
   /// `*cancel_bound` drops to `position` or below, the next
@@ -214,13 +215,19 @@ class ResourceGovernor {
   /// parallel merge replays worker node counts against.
   uint64_t NodeFiringIndex() const;
 
-  /// Serial-order replay: account `n` checkpoints that a worker already
-  /// performed (against its private governor) as if they had happened
-  /// here, without re-running them.  The caller guarantees
-  /// `nodes_spent() + n < NodeFiringIndex()` (or no node-space limit is
-  /// armed), so the batch cannot fire.  No-op when unarmed, keeping the
-  /// shared Unlimited() governor write-free.
-  void CommitReplayNodes(uint64_t n);
+  /// The one replay rule: may a result computed elsewhere — a parallel
+  /// worker's payload, a block-cache hit, a categoricity memo entry —
+  /// stand in for a fresh run under this governor?  `nodes` is the
+  /// checkpoints that run spent and `nodes_valid` whether they were
+  /// counted (an unarmed governor counts nothing).  True iff the fresh
+  /// run would have completed too: always when unarmed or armed for
+  /// cancellation only (nothing reads their count back), never when
+  /// exhausted, and otherwise iff the count is valid and replaying it
+  /// stays strictly below NodeFiringIndex() — in which case it is
+  /// committed as if its checkpoints had happened here, keeping
+  /// nodes_spent() on the fresh run's trajectory.  Block admission is
+  /// the caller's test (WouldAdmitBlock).
+  bool TryReplay(uint64_t nodes, bool nodes_valid);
 
   /// The deadline anchor (set iff deadline_ms > 0); workers pass it to
   /// the anchored constructor so all shares of one budget agree.

@@ -125,37 +125,6 @@ BlockCacheStats BlockSolveCache::stats() const {
   return s;
 }
 
-bool MayServeCachedEntry(const ResourceGovernor& governor,
-                         const BlockSolveCache::Entry& entry) {
-  if (governor.unlimited()) {
-    return true;  // CommitReplayNodes is a no-op; nothing to preserve
-  }
-  if (governor.exhausted()) {
-    return false;  // a fresh solve would not run either
-  }
-  if (governor.budget().Unlimited() && governor.NodeFiringIndex() == 0) {
-    // Armed by cancellation only: a parallel worker of an ungoverned
-    // session.  The shared governor is unarmed, so the merge never
-    // reads this worker's node count — replay accuracy is moot.
-    return true;
-  }
-  if (!entry.nodes_valid) {
-    return false;  // node-counting caller, uncounted entry: miss
-  }
-  const uint64_t firing = governor.NodeFiringIndex();
-  if (firing != 0 && governor.nodes_spent() + entry.nodes >= firing) {
-    // The fresh solve would have exhausted the budget mid-block; rerun
-    // it so the budget fires exactly as it does cache-off.
-    return false;
-  }
-  return true;
-}
-
-void ReplayServedNodes(ResourceGovernor& governor,
-                       const BlockSolveCache::Entry& entry) {
-  governor.CommitReplayNodes(entry.nodes_valid ? entry.nodes : 0);
-}
-
 void BlockSolveCache::Clear() {
   for (Shard& shard : shards_) {
     MutexLock lock(shard.mu);

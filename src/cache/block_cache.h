@@ -11,14 +11,14 @@
 // through the canonical relabeling.
 //
 // Stored payloads are in canonical (block-local) coordinates and carry
-// the node count the original solve spent, so a hit can be committed to
-// the caller's governor as a zero-node replay (CommitReplayNodes) and
-// the node trajectory stays exactly on the cache-off path.  Only
-// complete, exact results are ever stored — never kUnknown verdicts,
-// never results produced by an exhausted governor — which is what makes
-// the issue's "at least as generous a budget" serve rule collapse to
-// the node-replay check the callers perform (see docs/caching.md,
-// "Governor interaction").
+// the node count the original solve spent, so a hit can be replayed onto
+// the caller's governor without re-enumerating and the node trajectory
+// stays exactly on the cache-off path.  Only complete, exact results
+// are ever stored — never kUnknown verdicts, never results produced by
+// an exhausted governor — which is what makes "serve only under a
+// budget at least as generous" collapse to the governor's replay rule,
+// ResourceGovernor::TryReplay (see docs/caching.md, "Governor
+// interaction").
 //
 // Thread safety: 16 independently-locked shards; counters are atomics.
 // Worker timing can change which thread pays a miss (two workers may
@@ -26,10 +26,10 @@
 // timing-dependent — but every stored value for a key is the same
 // deterministic result, so *values* served are not.
 //
-// The cache itself is policy-free: callers (repair/block_solver.cc,
-// repair/construct.cc) decide when serving is governor-correct and call
-// NoteHit/NoteMiss accordingly, so the counters reflect served results,
-// not raw probes.
+// The cache itself is policy-free: its one caller, CachedBlockSolve
+// (repair/block_solver.h), decides when serving is governor-correct and
+// calls NoteHit/NoteMiss accordingly, so the counters reflect served
+// results, not raw probes.
 
 #ifndef PREFREP_CACHE_BLOCK_CACHE_H_
 #define PREFREP_CACHE_BLOCK_CACHE_H_
@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "base/dynamic_bitset.h"
-#include "base/governor.h"
 #include "base/macros.h"
 #include "base/thread_annotations.h"
 #include "cache/block_fingerprint.h"
@@ -177,26 +176,6 @@ class BlockSolveCache {
   std::atomic<size_t> entries_{0};
   std::atomic<size_t> bytes_{0};
 };
-
-/// The governor-correct serve rule shared by every cache call site
-/// (repair/block_solver.cc, repair/construct.cc): a hit may be served
-/// iff a fresh solve would also have completed, so serving changes
-/// nothing but wall-clock time.  Concretely: always serve to an
-/// unlimited governor; never to an exhausted one; serve regardless of
-/// node validity to a governor armed only for cancellation (its node
-/// counter is never read back); otherwise require a counted entry
-/// (nodes_valid) whose replay stays strictly below the node firing
-/// index — if the fresh solve would have fired mid-block, refuse the
-/// hit and let it fire.  Block admission (WouldAdmitBlock) is the
-/// caller's job: only solver paths have refusal accounting to preserve.
-bool MayServeCachedEntry(const ResourceGovernor& governor,
-                         const BlockSolveCache::Entry& entry);
-
-/// Commits a served entry's node cost to the caller's governor
-/// (CommitReplayNodes), keeping nodes_spent() exactly on the cache-off
-/// trajectory.  MayServeCachedEntry must have approved the entry.
-void ReplayServedNodes(ResourceGovernor& governor,
-                       const BlockSolveCache::Entry& entry);
 
 }  // namespace prefrep
 

@@ -5,11 +5,11 @@
 #include <utility>
 #include <vector>
 
+#include "cache/block_fingerprint.h"
 #include "io/text_format.h"
 #include "repair/audit.h"
 #include "repair/block_solver.h"
 #include "repair/construct.h"
-#include "repair/parallel_solver.h"
 
 namespace prefrep {
 
@@ -157,65 +157,60 @@ BlockCategoricity DecideBlockImpl(const ProblemContext& ctx, const Block& b,
   return out;
 }
 
-// Mirror of the block-solve cache's MayServeCachedEntry (see
-// docs/caching.md): serve a memoized verdict only when a fresh decision
-// under `governor` would have completed identically.  Exponential
-// entries must additionally re-pass block admission, so the refusal a
-// fresh solve would have recorded is reproduced by an actual refused
-// solve instead of short-circuited.
-bool MayServeMemoEntry(const ResourceGovernor& governor,
-                       const CategoricityMemo::Entry& entry,
-                       size_t block_facts) {
-  if (entry.exponential && !governor.WouldAdmitBlock(block_facts)) {
-    return false;
-  }
-  if (governor.unlimited()) {
-    return true;
-  }
-  if (governor.exhausted()) {
-    return false;
-  }
-  if (governor.budget().Unlimited() && governor.NodeFiringIndex() == 0) {
-    return true;  // cancellation-only governor: no node-space dimension
-  }
-  if (!entry.nodes_valid) {
-    return false;
-  }
-  const uint64_t firing = governor.NodeFiringIndex();
-  if (firing != 0 && governor.nodes_spent() + entry.nodes >= firing) {
-    return false;
-  }
-  return true;
-}
+// One block's payload on the fold: its decision, whether the memo
+// served it, and the checkpoints it spent after the block's head
+// checkpoint.
+struct FoldedBlock {
+  BlockCategoricity result;
+  bool served = false;
+  uint64_t nodes = 0;
+};
 
-BlockCategoricity FromMemoEntry(const CategoricityMemo::Entry& entry,
-                                size_t universe_size) {
-  BlockCategoricity out;
-  out.unique = entry.unique;
-  out.exponential = entry.exponential;
-  if (entry.unique == Trilean::kTrue) {
-    out.repair = DynamicBitset(universe_size);
-    for (FactId f : entry.repair_facts) {
-      out.repair.set(f);
-    }
+// Checkpoints once for the block, then serves its memo entry when the
+// entry may stand in for a fresh decision under ctx.governor() —
+// exhaustive-tier entries must also pass admission, so that a refusal a
+// fresh decision would record is recorded by one — or decides it fresh.
+// Workers run this too; they only read the memo.
+FoldedBlock SolveBlock(const ProblemContext& ctx, const Block& b,
+                       RepairSemantics semantics, bool conflict_bounded,
+                       const CategoricityMemo* memo) {
+  FoldedBlock out;
+  ResourceGovernor& governor = ctx.governor();
+  if (!governor.Checkpoint()) {
+    out.result.unknown_reason = governor.CauseString();
+    return out;
   }
+  const uint64_t before = governor.nodes_spent();
+  const CategoricityMemo::Entry* entry =
+      memo != nullptr ? memo->Lookup(BlockKey(b), semantics) : nullptr;
+  if (entry != nullptr &&
+      (!entry->exponential || governor.WouldAdmitBlock(b.size())) &&
+      governor.TryReplay(entry->nodes, entry->nodes_valid)) {
+    out.served = true;
+    out.result.unique = entry->unique;
+    out.result.exponential = entry->exponential;
+    if (entry->unique == Trilean::kTrue) {
+      out.result.repair =
+          UncanonicalizeSubset(b, entry->repair_local, b.facts.size());
+    }
+  } else {
+    out.result = DecideBlockImpl(ctx, b, semantics, conflict_bounded);
+  }
+  out.nodes = governor.nodes_spent() - before;
   return out;
 }
 
-CategoricityMemo::Entry ToMemoEntry(const BlockCategoricity& result,
-                                    uint64_t nodes, bool nodes_valid) {
+// The memo entry of a complete fresh decision of `b`.
+CategoricityMemo::Entry MemoEntry(const Block& b, const FoldedBlock& f,
+                                  bool nodes_valid) {
   CategoricityMemo::Entry entry;
-  entry.unique = result.unique;
-  entry.exponential = result.exponential;
-  entry.nodes = nodes;
-  entry.nodes_valid = nodes_valid;
-  if (result.unique == Trilean::kTrue) {
-    for (size_t f = 0; f < result.repair.size(); ++f) {
-      if (result.repair.test(f)) {
-        entry.repair_facts.push_back(f);
-      }
-    }
+  entry.unique = f.result.unique;
+  if (entry.unique == Trilean::kTrue) {
+    entry.repair_local = CanonicalizeSubset(b, f.result.repair);
   }
+  entry.nodes = nodes_valid ? f.nodes : 0;
+  entry.nodes_valid = nodes_valid;
+  entry.exponential = f.result.exponential;
   return entry;
 }
 
@@ -241,84 +236,55 @@ CategoricityResult DecideCategoricity(const ProblemContext& ctx,
         "does not apply";
     return result;
   }
-  ResourceGovernor& governor = ctx.governor();
-  const BlockDecomposition& blocks = ctx.blocks();
   const bool conflict_bounded = ctx.priority().IsConflictBounded();
-
-  // Blocks without a memoized verdict run through the parallel session;
-  // memoized blocks are resolved at merge time, rerun serially when the
-  // entry cannot be served under this governor.
-  std::vector<const CategoricityMemo::Entry*> memoized(blocks.num_blocks(),
-                                                       nullptr);
-  std::vector<size_t> fresh_order;
-  fresh_order.reserve(blocks.num_blocks());
-  for (const Block& b : blocks.blocks()) {
-    if (memo != nullptr) {
-      memoized[b.id] = memo->Lookup(BlockKey(b), semantics);
-    }
-    if (memoized[b.id] == nullptr) {
-      if (memo != nullptr) {
-        ++memo->misses_;
-      }
-      fresh_order.push_back(b.id);
-    }
-  }
-  ParallelBlockSession<BlockCategoricity> session(
-      ctx, std::move(fresh_order),
-      [semantics, conflict_bounded](const ProblemContext& cx,
-                                    const Block& bb) {
-        return DecideBlockImpl(cx, bb, semantics, conflict_bounded);
+  // Node costs are meaningful only when the caller's governor counts;
+  // a worker's count is not stored otherwise.
+  const bool nodes_valid = !ctx.governor().unlimited();
+  DynamicBitset repair = ctx.blocks().free_facts();
+  // Fresh complete verdicts, stored once the fold has joined its
+  // workers, so the memo is never written while they read it.
+  std::vector<std::pair<FactId, CategoricityMemo::Entry>> fresh;
+  FoldOutcome outcome = FoldBlocks(
+      ctx, nullptr,
+      [semantics, conflict_bounded, memo](const ProblemContext& cx,
+                                          const Block& b) {
+        return SolveBlock(cx, b, semantics, conflict_bounded, memo);
       },
-      [](const BlockCategoricity& r) { return r.unique != Trilean::kUnknown; },
-      [](const BlockCategoricity& r) { return r.unique == Trilean::kFalse; });
-
-  DynamicBitset repair = blocks.free_facts();
-  for (const Block& b : blocks.blocks()) {
-    if (!governor.Checkpoint()) {
-      result.unknown_reason = governor.CauseString();
-      return result;
-    }
-    BlockCategoricity block_result;
-    bool store = false;
-    const uint64_t before = governor.nodes_spent();
-    if (memoized[b.id] != nullptr &&
-        MayServeMemoEntry(governor, *memoized[b.id], b.size())) {
-      ++memo->hits_;
-      const CategoricityMemo::Entry& entry = *memoized[b.id];
-      governor.CommitReplayNodes(entry.nodes_valid ? entry.nodes : 0);
-      block_result = FromMemoEntry(entry, repair.size());
-    } else if (memoized[b.id] != nullptr) {
-      // Unservable entry: rerun on the caller's thread so the shared
-      // governor records the authoritative refusal/exhaustion.
-      ++memo->misses_;
-      block_result = DecideBlockImpl(ctx, b, semantics, conflict_bounded);
-      store = true;
-    } else {
-      block_result = session.Next(b);
-      store = memo != nullptr;
-    }
-    audit::CheckBlockCategoricity(ctx, b, semantics, block_result);
-    if (store && block_result.unique != Trilean::kUnknown) {
-      memo->Store(BlockKey(b), semantics,
-                  ToMemoEntry(block_result, governor.nodes_spent() - before,
-                              /*nodes_valid=*/!governor.unlimited()));
-    }
-    if (block_result.unique == Trilean::kFalse) {
-      result.verdict = Categoricity::kAmbiguous;
-      result.ambiguous_block = b.id;
-      audit::CheckCategoricityVerdict(ctx, semantics, result);
-      return result;
-    }
-    if (block_result.unique == Trilean::kUnknown) {
-      result.unknown_reason = block_result.unknown_reason.empty()
-                                  ? governor.CauseString()
-                                  : block_result.unknown_reason;
-      return result;
-    }
-    repair |= block_result.repair;
+      [](const FoldedBlock& f) {
+        return f.result.unique != Trilean::kUnknown;
+      },
+      [](const FoldedBlock& f) { return f.result.unique == Trilean::kFalse; },
+      [&](const Block& b, FoldedBlock& f, bool /*budget_fired*/) {
+        audit::CheckBlockCategoricity(ctx, b, semantics, f.result);
+        if (memo != nullptr && f.served) {
+          memo->NoteHit();
+        } else if (memo != nullptr) {
+          memo->NoteMiss();
+          if (f.result.unique != Trilean::kUnknown) {
+            fresh.emplace_back(BlockKey(b), MemoEntry(b, f, nodes_valid));
+          }
+        }
+        switch (f.result.unique) {
+          case Trilean::kFalse:
+            result.verdict = Categoricity::kAmbiguous;
+            result.ambiguous_block = b.id;
+            return FoldStep::Stop();
+          case Trilean::kUnknown:
+            result.unknown_reason = std::move(f.result.unknown_reason);
+            return FoldStep::Stop();
+          case Trilean::kTrue:
+            break;
+        }
+        repair |= f.result.repair;
+        return FoldStep::Exact();
+      });
+  for (auto& [key, entry] : fresh) {
+    memo->Store(key, semantics, std::move(entry));
   }
-  result.verdict = Categoricity::kCategorical;
-  result.repair = std::move(repair);
+  if (!outcome.stopped()) {
+    result.verdict = Categoricity::kCategorical;
+    result.repair = std::move(repair);
+  }
   audit::CheckCategoricityVerdict(ctx, semantics, result);
   return result;
 }

@@ -99,23 +99,27 @@ struct CategoricityResult {
 /// (block key, semantics) where the block key is the block's smallest
 /// fact id — the same key the serve layer files block state under, so
 /// its insert/delete/prefer invalidation can retire memo entries
-/// alongside fingerprints.  Single-threaded by design (the serve layer
-/// consults it from the request thread only; DecideCategoricity touches
-/// it exclusively in its serial merge loop, never from workers).
+/// alongside fingerprints.  Not locked: the workers of
+/// DecideCategoricity's fold only Lookup, and every write happens on
+/// the calling thread — the hit/miss counters, which no worker reads,
+/// during the fold, and Store once the fold has joined its workers.
 ///
 /// Serving follows the block-solve cache's discipline so the memo can
 /// only change cost, never outcome: only complete (known) verdicts are
 /// stored, and an entry is served only when a fresh solve under the
-/// requesting governor would have completed identically — see
-/// DecideCategoricity for the replay rule.
+/// requesting governor would have completed identically — the
+/// governor's replay rule (ResourceGovernor::TryReplay), after block
+/// admission for exhaustive-tier entries.
 class CategoricityMemo {
  public:
   struct Entry {
     Trilean unique = Trilean::kUnknown;
-    /// The unique optimal block-repair's facts (sorted ids; ids are
-    /// stable across universe growth, unlike bitset widths).  Empty
-    /// unless unique == Trilean::kTrue.
-    std::vector<FactId> repair_facts;
+    /// The unique optimal block-repair in block-local coordinates (bit
+    /// i = the block's i-th fact; CanonicalizeSubset).  An entry is
+    /// retired whenever its block's membership changes, so its local
+    /// indices stay as stable as fact ids.  Empty unless unique ==
+    /// Trilean::kTrue.
+    DynamicBitset repair_local;
     /// Serial node cost of the decision, valid only when `nodes_valid`
     /// (measured under an armed governor).
     uint64_t nodes = 0;
@@ -151,16 +155,17 @@ class CategoricityMemo {
     return out;
   }
 
+  /// Traffic of DecideCategoricity: a hit is a block it served from
+  /// the memo, a miss a block it reached and did not serve.
+  void NoteHit() { ++hits_; }
+  void NoteMiss() { ++misses_; }
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
 
  private:
-  friend CategoricityResult DecideCategoricity(const ProblemContext&,
-                                               RepairSemantics,
-                                               CategoricityMemo*);
   std::map<std::pair<FactId, int>, Entry> entries_;
-  mutable uint64_t hits_ = 0;
-  mutable uint64_t misses_ = 0;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
 };
 
 /// Decides whether block `b` has a unique optimal block-repair under
@@ -172,15 +177,14 @@ BlockCategoricity DecideBlockCategoricity(const ProblemContext& ctx,
 
 /// Decides whether (I, ≻) has a unique `semantics`-optimal repair.
 /// Requires nothing of the priority: cross-block priorities yield
-/// kUnknown outright.  Per-block decisions run through a
-/// ParallelBlockSession (byte-identical to the serial pass at any
-/// thread count); the serial merge checkpoints ctx.governor() once per
-/// block and bails at the first ambiguous or undecided block.  With a
-/// `memo`, blocks whose stored verdict may be served under the current
-/// governor (same replay rule as the block-solve cache: complete entry,
-/// admission re-checked for exponential entries, node replay below the
-/// firing index) skip recomputation; everything else is decided fresh
-/// and, if complete, stored back.
+/// kUnknown outright.  Blocks are decided on FoldBlocks (byte-identical
+/// to the serial pass at any thread count): each block checkpoints
+/// ctx.governor() once, and the fold stops at the first ambiguous or
+/// undecided block.  With a `memo`, a block whose stored verdict may be
+/// served under the current governor (admission re-checked for
+/// exhaustive-tier entries, then the governor's replay rule) skips
+/// recomputation; every other block reached is decided fresh and, if
+/// complete, stored back after the fold.
 CategoricityResult DecideCategoricity(const ProblemContext& ctx,
                                       RepairSemantics semantics,
                                       CategoricityMemo* memo = nullptr);

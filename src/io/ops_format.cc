@@ -58,20 +58,6 @@ Status ParseSemantics(std::string_view word, bool allow_all_repairs,
   return Status::OK();
 }
 
-const char* SemanticsName(AnswerSemantics s) {
-  switch (s) {
-    case AnswerSemantics::kAllRepairs:
-      return "repairs";
-    case AnswerSemantics::kGlobal:
-      return "global";
-    case AnswerSemantics::kPareto:
-      return "pareto";
-    case AnswerSemantics::kCompletion:
-      return "completion";
-  }
-  return "global";
-}
-
 Status ParseU64(std::string_view word, uint64_t* out) {
   // ParseUint rejects overflow; the old hand-rolled loop here wrapped
   // silently, letting a 20-digit budget value round-trip as garbage
@@ -122,6 +108,20 @@ Status ParseFactTerm(std::string_view term, SessionOp* op) {
 }
 
 }  // namespace
+
+const char* SemanticsName(AnswerSemantics s) {
+  switch (s) {
+    case AnswerSemantics::kAllRepairs:
+      return "repairs";
+    case AnswerSemantics::kGlobal:
+      return "global";
+    case AnswerSemantics::kPareto:
+      return "pareto";
+    case AnswerSemantics::kCompletion:
+      return "completion";
+  }
+  return "global";
+}
 
 Result<SessionOp> ParseSessionOp(std::string_view line) {
   std::string_view rest = Trim(line);

@@ -86,6 +86,10 @@ inline constexpr size_t kMaxSessionScriptOps = 1u << 20;
 [[nodiscard]] Result<std::vector<SessionOp>> ParseSessionScript(
     std::string_view text);
 
+/// The grammar word of a semantics ("repairs", "global", "pareto",
+/// "completion"), which session replies also print.
+const char* SemanticsName(AnswerSemantics s);
+
 /// Renders an op back to its grammar line (tests round-trip through
 /// this; generated workloads are emitted as text so every consumer —
 /// battery, bench, prefrepd — speaks the same scripts).

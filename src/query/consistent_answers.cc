@@ -195,10 +195,7 @@ Result<std::vector<ConjunctiveQuery::AnswerTuple>> ConsistentAnswersBounded(
   std::optional<std::vector<DynamicBitset>> repairs =
       RepairsForBounded(ctx, semantics, all_repairs_universe, options);
   if (!repairs.has_value()) {
-    Status status = ctx.governor().ToStatus();
-    return status.ok() ? Status::ResourceExhausted(
-                             "repair enumeration abandoned (oversized block)")
-                       : status;
+    return CqaUnknownStatus(ctx.governor());
   }
   std::vector<ConjunctiveQuery::AnswerTuple> intersection =
       query.Evaluate(ctx.instance(), repairs->front());
@@ -239,6 +236,13 @@ Trilean PossiblyTrueBounded(const ProblemContext& ctx,
                             const CqaOptions& options) {
   return SomeRepairAnswers(ctx, query, semantics, all_repairs_universe,
                            options, /*target=*/true);
+}
+
+Status CqaUnknownStatus(const ResourceGovernor& governor) {
+  Status status = governor.ToStatus();
+  return status.ok() ? Status::ResourceExhausted(
+                           "repair enumeration abandoned (oversized block)")
+                     : status;
 }
 
 std::vector<ConjunctiveQuery::AnswerTuple> ConsistentAnswers(

@@ -143,6 +143,13 @@ Trilean PossiblyTrueBounded(const ProblemContext& ctx,
                                 nullptr,
                             const CqaOptions& options = {});
 
+/// Why a *Bounded call that ran under `governor` answered unknown: the
+/// governor's status when it degraded (whose message is CauseString()),
+/// otherwise kResourceExhausted "repair enumeration abandoned (oversized
+/// block)" — the hard block cap refuses a block even when no budget is
+/// installed, and the shared unlimited governor records nothing.
+Status CqaUnknownStatus(const ResourceGovernor& governor);
+
 }  // namespace prefrep
 
 #endif  // PREFREP_QUERY_CONSISTENT_ANSWERS_H_

@@ -22,9 +22,9 @@
 //     supplies only a per-block solve and a combine step.
 //   * CachedBlockSolve — the one block-solve-cache round trip
 //     (cache/block_cache.h).  It owns admission mirroring, lookup, the
-//     governor-correct serve rule, node replay, the audit re-solve and
-//     the complete-only store; each cached operation supplies only its
-//     eligibility, key salt and payload codec.
+//     serve decision (the governor's replay rule), the audit re-solve
+//     and the complete-only store; each cached operation supplies only
+//     its eligibility, key salt and payload codec.
 //
 // The payoff is on the exponential paths: the exhaustive fallback costs
 // Σ_b 2^{|b|} instead of 2^n, so k independent hard gadgets cost k·2^c
@@ -180,9 +180,10 @@ void AuditServedHit(
 ///  * Serve only when a fresh solve would have completed too.  Ops whose
 ///    fresh solve applies block admission (`admission`) rerun it when
 ///    the governor would refuse the block, so the refusal is recorded
-///    exactly as cache-off; a hit is served only under
-///    MayServeCachedEntry, and its stored node cost is replayed onto
-///    the governor so nodes_spent() stays on the cache-off trajectory.
+///    exactly as cache-off; a hit is served only when
+///    ResourceGovernor::TryReplay accepts its stored node cost, which
+///    it then commits, so nodes_spent() stays on the cache-off
+///    trajectory.
 ///  * Store only complete results.  Nothing from an exhausted governor,
 ///    and nothing `encode` rejects (abandoned, partial or unreplayable
 ///    payloads), enters the table.
@@ -209,9 +210,9 @@ auto CachedBlockSolve(const ProblemContext& ctx, const Block& b,
   const BlockFingerprint op_key =
       DeriveOpKey(base, key.op, key.salt_a, key.salt_b);
   if (std::optional<BlockSolveCache::Entry> entry = cache->Lookup(op_key);
-      entry.has_value() && MayServeCachedEntry(governor, *entry)) {
+      entry.has_value() &&
+      governor.TryReplay(entry->nodes, entry->nodes_valid)) {
     cache->NoteHit();
-    ReplayServedNodes(governor, *entry);
     Payload served = decode(*entry);
     if (PREFREP_AUDIT_ENABLED) {
       block_cache_internal::AuditServedHit(

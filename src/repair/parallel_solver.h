@@ -22,12 +22,14 @@
 //      start.
 //   2. MERGE, in the caller's serial block order.  A worker result is
 //      adopted verbatim iff the worker completed it, it is a usable
-//      payload, and replaying its node count after the blocks merged
-//      before it stays strictly below the budget's firing index — i.e.
-//      iff the serial pass would have completed the block identically.
-//      Adopted node counts are committed to the shared governor
-//      (ResourceGovernor::CommitReplayNodes), keeping its nodes_spent()
-//      exactly on the serial trajectory.  Any other block is simply
+//      payload, and the shared governor's replay rule
+//      (ResourceGovernor::TryReplay — the one the block-solve cache and
+//      the categoricity memo serve by) accepts its node count: replayed
+//      after the blocks merged before it, it stays strictly below the
+//      budget's firing index, i.e. the serial pass would have completed
+//      the block identically.  TryReplay commits the adopted count to
+//      the shared governor, keeping its nodes_spent() exactly on the
+//      serial trajectory.  Any other block is simply
 //      RERUN on the caller's thread against the shared governor, which
 //      reproduces the serial behaviour bit for bit: where inside the
 //      block the budget fires, the exhaustion cause string, admission
@@ -107,19 +109,19 @@ class ParallelBlockSession {
         valid_(std::move(valid)),
         refutes_(std::move(refutes)) {
     ResourceGovernor& shared = parent_.governor();
-    firing_ = shared.NodeFiringIndex();
+    const uint64_t firing = shared.NodeFiringIndex();
     const size_t threads =
         parallel_internal::SessionThreads(parent_, order_.size());
     serial_ = threads <= 1 || shared.exhausted();
     uint64_t worker_cap = 0;
-    if (!serial_ && firing_ != 0) {
+    if (!serial_ && firing != 0) {
       const uint64_t spent = shared.nodes_spent();
-      if (firing_ <= spent + 1) {
+      if (firing <= spent + 1) {
         serial_ = true;  // no node-space headroom left to speculate in
       } else {
         // Workers fire at local node worker_cap + 1 = the earliest
         // global index at which any serial schedule could fire.
-        worker_cap = firing_ - spent - 1;
+        worker_cap = firing - spent - 1;
       }
     }
     if (serial_) {
@@ -163,9 +165,8 @@ class ParallelBlockSession {
       done_cv_.Wait(mutex_, [&slot] { return slot.done; });
     }
     ResourceGovernor& shared = parent_.governor();
-    if (slot.completed && !shared.exhausted() && valid_(slot.payload) &&
-        (firing_ == 0 || shared.nodes_spent() + slot.nodes < firing_)) {
-      shared.CommitReplayNodes(slot.nodes);
+    if (slot.completed && valid_(slot.payload) &&
+        shared.TryReplay(slot.nodes, /*nodes_valid=*/true)) {
       return std::move(slot.payload);
     }
     // Serial-order rerun against the shared governor: reproduces what
@@ -222,7 +223,6 @@ class ParallelBlockSession {
   ValidFn valid_;
   RefutesFn refutes_;
   bool serial_ = true;
-  uint64_t firing_ = 0;
   ResourceBudget worker_budget_;
   std::chrono::steady_clock::time_point start_{};
   size_t next_pos_ = 0;

@@ -15,24 +15,6 @@
 
 namespace prefrep {
 
-namespace {
-
-const char* SemName(AnswerSemantics s) {
-  switch (s) {
-    case AnswerSemantics::kAllRepairs:
-      return "repairs";
-    case AnswerSemantics::kGlobal:
-      return "global";
-    case AnswerSemantics::kPareto:
-      return "pareto";
-    case AnswerSemantics::kCompletion:
-      return "completion";
-  }
-  return "global";
-}
-
-}  // namespace
-
 Result<std::unique_ptr<SessionContext>> SessionContext::Create(
     const PreferredRepairProblem& problem, SessionOptions options) {
   PREFREP_CHECK_MSG(problem.schema != nullptr && problem.instance != nullptr &&
@@ -480,7 +462,7 @@ Result<std::string> SessionContext::RunCheck(AnswerSemantics semantics) {
   const CheckResult result = CheckOptimalByBlocks(
       *ctx_, j, ToRepairSemantics(semantics), mode_, nullptr, &report);
   ctx_->set_governor(nullptr);
-  std::string out = std::string("check ") + SemName(semantics) + ": ";
+  std::string out = std::string("check ") + SemanticsName(semantics) + ": ";
   switch (result.verdict) {
     case CheckResult::Verdict::kYes:
       out += "optimal";
@@ -533,7 +515,7 @@ Result<std::string> SessionContext::RunCount(AnswerSemantics semantics) {
   const BoundedCount count =
       CountOptimalRepairsBounded(*ctx_, ToRepairSemantics(semantics));
   ctx_->set_governor(nullptr);
-  std::string out = std::string("count ") + SemName(semantics) + ": ";
+  std::string out = std::string("count ") + SemanticsName(semantics) + ": ";
   if (!count.exact) {
     out += ">= ";
   }
@@ -601,13 +583,13 @@ Result<std::string> SessionContext::RunCqa(AnswerSemantics semantics,
   CqaOptions cqa_options;
   cqa_options.memo = &categoricity_memo_;
   cqa_options.path = &path;
-  std::string out = std::string("cqa ") + SemName(semantics) + ": ";
+  std::string out = std::string("cqa ") + SemanticsName(semantics) + ": ";
   if (query->IsBoolean()) {
     const Trilean certain =
         CertainlyTrueBounded(*ctx_, *query, semantics, universe, cqa_options);
     out += TrileanName(certain);
     if (certain == Trilean::kUnknown) {
-      out += " (" + governor.CauseString() + ")";
+      out += " (" + CqaUnknownStatus(governor).message() + ")";
     }
   } else {
     Result<std::vector<ConjunctiveQuery::AnswerTuple>> answers =

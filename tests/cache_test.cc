@@ -1,8 +1,8 @@
 // Tests for the block-solve cache (cache/): canonical fingerprint
 // invariance and distinctness, subset (un)canonicalization, per-op key
-// derivation, LRU eviction and the store-upgrade policy, the
-// governor-correct serve rule, and the end-to-end hit behaviour on a
-// sharded hard workload.
+// derivation, LRU eviction and the store-upgrade policy, and the
+// end-to-end hit behaviour on a sharded hard workload.  The serve rule
+// is the governor's replay rule, tested in governor_test.
 
 #include <gtest/gtest.h>
 
@@ -144,83 +144,6 @@ TEST(BlockSolveCacheTest, ClearDropsEntriesButKeepsCounters) {
   EXPECT_EQ(stats.bytes, 0u);
   EXPECT_EQ(stats.stores, 1u);
   EXPECT_EQ(stats.hits, 1u);
-}
-
-// ---- The serve rule -------------------------------------------------
-
-TEST(ServeRuleTest, UnlimitedGovernorAlwaysServes) {
-  BlockSolveCache::Entry uncounted;
-  uncounted.nodes_valid = false;
-  EXPECT_TRUE(MayServeCachedEntry(ResourceGovernor::Unlimited(), uncounted));
-  ReplayServedNodes(ResourceGovernor::Unlimited(), uncounted);  // no-op
-}
-
-TEST(ServeRuleTest, ExhaustedGovernorNeverServes) {
-  ResourceBudget budget;
-  budget.max_nodes = 1;
-  ResourceGovernor gov(budget);
-  EXPECT_TRUE(gov.Checkpoint());
-  EXPECT_FALSE(gov.Checkpoint());  // node budget fires
-  ASSERT_TRUE(gov.exhausted());
-  EXPECT_FALSE(MayServeCachedEntry(gov, CountedEntry(1, 0)));
-}
-
-TEST(ServeRuleTest, CancellationOnlyWorkersServeUncountedEntries) {
-  // A worker of an ungoverned parallel session: armed for cancellation,
-  // no node-space budget.  Its node counter is never merged back, so
-  // even uncounted entries are servable.
-  std::atomic<uint64_t> bound{1000};
-  ResourceGovernor gov{ResourceBudget{}};
-  gov.ArmCancellation(&bound, /*position=*/1);
-  ASSERT_FALSE(gov.unlimited());
-  ASSERT_EQ(gov.NodeFiringIndex(), 0u);
-  BlockSolveCache::Entry uncounted;
-  uncounted.nodes_valid = false;
-  EXPECT_TRUE(MayServeCachedEntry(gov, uncounted));
-}
-
-TEST(ServeRuleTest, NodeCountingGovernorRefusesUncountedEntries) {
-  ResourceBudget budget;
-  budget.max_nodes = 100;
-  ResourceGovernor gov(budget);
-  BlockSolveCache::Entry uncounted;
-  uncounted.nodes_valid = false;
-  EXPECT_FALSE(MayServeCachedEntry(gov, uncounted));
-}
-
-TEST(ServeRuleTest, ReplayMustStayBelowTheFiringIndex) {
-  ResourceBudget budget;
-  budget.max_nodes = 10;  // firing index 11
-  ResourceGovernor gov(budget);
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(gov.Checkpoint());
-  }
-  // 5 spent + 5 replayed = 10 < 11: the fresh solve would have
-  // completed, so the hit is served and committed.
-  BlockSolveCache::Entry five = CountedEntry(0, 5);
-  ASSERT_TRUE(MayServeCachedEntry(gov, five));
-  ReplayServedNodes(gov, five);
-  EXPECT_EQ(gov.nodes_spent(), 10u);
-  EXPECT_FALSE(gov.exhausted());
-  // 10 spent + 1 replayed = 11 ≥ 11: the fresh solve would have fired
-  // mid-block — the hit is refused so the budget fires identically.
-  EXPECT_FALSE(MayServeCachedEntry(gov, CountedEntry(0, 1)));
-}
-
-TEST(ServeRuleTest, WouldAdmitBlockMirrorsAdmitBlockWithoutRecording) {
-  ResourceBudget budget;
-  budget.max_block = 8;
-  ResourceGovernor gov(budget);
-  EXPECT_TRUE(gov.WouldAdmitBlock(8));
-  EXPECT_FALSE(gov.WouldAdmitBlock(9));
-  EXPECT_FALSE(
-      gov.WouldAdmitBlock(ResourceGovernor::kMaxExhaustiveBlockFacts + 1));
-  EXPECT_EQ(gov.blocks_refused(), 0u);  // pure query: nothing recorded
-  EXPECT_FALSE(gov.AdmitBlock(9));
-  EXPECT_EQ(gov.blocks_refused(), 1u);
-  // The unarmed governor admits everything under the hard cap.
-  EXPECT_TRUE(ResourceGovernor::Unlimited().WouldAdmitBlock(
-      ResourceGovernor::kMaxExhaustiveBlockFacts));
 }
 
 // ---- End to end -----------------------------------------------------

@@ -2,10 +2,13 @@
 // degraded verdicts are three-valued and never wrong, cancellation
 // unwinds from any enumeration state without torn witnesses, and the
 // bounded counting/construction/query layers keep their degradation
-// contracts.  Run under the asan preset this file doubles as the
-// clean-unwinding (no leak, no torn state) check.
+// contracts, and the replay and admission rules that the parallel merge
+// and the caches share hold.  Run under the asan preset this file
+// doubles as the clean-unwinding (no leak, no torn state) check.
 
 #include <gtest/gtest.h>
+
+#include <atomic>
 
 #include "base/governor.h"
 #include "gen/hard_workloads.h"
@@ -67,6 +70,7 @@ TEST(GovernorTest, NodeBudgetFiresAtTheConfiguredCheckpointAndIsSticky) {
   EXPECT_EQ(g.cause(), ExhaustCause::kNodeBudget);
   EXPECT_FALSE(g.Checkpoint());  // sticky
   EXPECT_FALSE(g.AdmitBlock(2));  // no new blocks after exhaustion
+  EXPECT_EQ(g.blocks_refused(), 0u);  // exhaustion turned it away
   EXPECT_EQ(g.ToStatus().code(), StatusCode::kResourceExhausted);
 }
 
@@ -78,6 +82,82 @@ TEST(GovernorTest, FaultInjectionFiresAtTheNthCheckpoint) {
   EXPECT_FALSE(g.Checkpoint());
   EXPECT_EQ(g.cause(), ExhaustCause::kFaultInjection);
   EXPECT_EQ(g.nodes_spent(), 3u);
+}
+
+// ---- The replay rule and block admission ----------------------------
+//
+// ResourceGovernor::TryReplay decides whether a result computed
+// elsewhere (a worker payload, a block-cache hit, a categoricity memo
+// entry) may stand in for a fresh run; WouldAdmitBlock is the admission
+// test the caches re-check first.
+
+TEST(ReplayRuleTest, UnlimitedGovernorAlwaysServes) {
+  ResourceGovernor& unlimited = ResourceGovernor::Unlimited();
+  EXPECT_TRUE(unlimited.TryReplay(7, /*nodes_valid=*/false));
+  EXPECT_EQ(unlimited.nodes_spent(), 0u);  // nothing committed
+}
+
+TEST(ReplayRuleTest, ExhaustedGovernorNeverServes) {
+  ResourceBudget budget;
+  budget.max_nodes = 1;
+  ResourceGovernor gov(budget);
+  EXPECT_TRUE(gov.Checkpoint());
+  EXPECT_FALSE(gov.Checkpoint());  // node budget fires
+  ASSERT_TRUE(gov.exhausted());
+  EXPECT_FALSE(gov.TryReplay(0, /*nodes_valid=*/true));
+}
+
+TEST(ReplayRuleTest, CancellationOnlyWorkersServeUncountedEntries) {
+  // A worker of an ungoverned parallel session: armed for cancellation,
+  // no node-space budget.  Its node counter is never merged back, so
+  // even uncounted entries are servable.
+  std::atomic<uint64_t> bound{1000};
+  ResourceGovernor gov{ResourceBudget{}};
+  gov.ArmCancellation(&bound, /*position=*/1);
+  ASSERT_FALSE(gov.unlimited());
+  ASSERT_EQ(gov.NodeFiringIndex(), 0u);
+  EXPECT_TRUE(gov.TryReplay(0, /*nodes_valid=*/false));
+}
+
+TEST(ReplayRuleTest, NodeCountingGovernorRefusesUncountedEntries) {
+  ResourceBudget budget;
+  budget.max_nodes = 100;
+  ResourceGovernor gov(budget);
+  EXPECT_FALSE(gov.TryReplay(0, /*nodes_valid=*/false));
+}
+
+TEST(ReplayRuleTest, ReplayMustStayBelowTheFiringIndex) {
+  ResourceBudget budget;
+  budget.max_nodes = 10;  // firing index 11
+  ResourceGovernor gov(budget);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(gov.Checkpoint());
+  }
+  // 5 spent + 5 replayed = 10 < 11: the fresh solve would have
+  // completed, so the result is served and its count committed.
+  ASSERT_TRUE(gov.TryReplay(5, /*nodes_valid=*/true));
+  EXPECT_EQ(gov.nodes_spent(), 10u);
+  EXPECT_FALSE(gov.exhausted());
+  // 10 spent + 1 replayed = 11 ≥ 11: the fresh solve would have fired
+  // mid-block — the result is refused so the budget fires identically.
+  EXPECT_FALSE(gov.TryReplay(1, /*nodes_valid=*/true));
+  EXPECT_EQ(gov.nodes_spent(), 10u);  // a refusal commits nothing
+}
+
+TEST(ReplayRuleTest, WouldAdmitBlockMirrorsAdmitBlockWithoutRecording) {
+  ResourceBudget budget;
+  budget.max_block = 8;
+  ResourceGovernor gov(budget);
+  EXPECT_TRUE(gov.WouldAdmitBlock(8));
+  EXPECT_FALSE(gov.WouldAdmitBlock(9));
+  EXPECT_FALSE(
+      gov.WouldAdmitBlock(ResourceGovernor::kMaxExhaustiveBlockFacts + 1));
+  EXPECT_EQ(gov.blocks_refused(), 0u);  // pure query: nothing recorded
+  EXPECT_FALSE(gov.AdmitBlock(9));
+  EXPECT_EQ(gov.blocks_refused(), 1u);
+  // The unarmed governor admits everything under the hard cap.
+  EXPECT_TRUE(ResourceGovernor::Unlimited().WouldAdmitBlock(
+      ResourceGovernor::kMaxExhaustiveBlockFacts));
 }
 
 TEST(GovernorTest, OversizedBlockIsRefusedEvenWithoutAConfiguredBudget) {

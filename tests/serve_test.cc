@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/block_fingerprint.h"
 #include "gen/edit_script.h"
 #include "io/ops_format.h"
 #include "io/text_format.h"
@@ -125,10 +126,7 @@ void ExpectMemoMatchesRecompute(SessionContext& session,
           << note << ": cached categoricity bit diverged for block key "
           << key << " sem " << static_cast<int>(sem);
       if (entry->unique == Trilean::kTrue) {
-        std::vector<FactId> fresh_facts;
-        fresh.repair.ForEach(
-            [&](size_t f) { fresh_facts.push_back(f); });
-        EXPECT_EQ(entry->repair_facts, fresh_facts)
+        EXPECT_EQ(entry->repair_local, CanonicalizeSubset(b, fresh.repair))
             << note << ": cached unique repair diverged for block key "
             << key;
       }
@@ -373,6 +371,28 @@ TEST(ServeSessionTest, BudgetOpGovernsFollowingQueries) {
   MustExecute(*s, "budget");
   const std::string exact = MustExecute(*s, "count global");
   EXPECT_EQ(exact.find(">="), std::string::npos) << exact;
+}
+
+// Under an unlimited budget no governor is installed, so a Boolean cqa
+// that the 63-fact hard cap leaves unknown must not print that
+// governor's "within budget": it names the oversized block, as the
+// non-Boolean reply does.
+TEST(ServeSessionTest, UngovernedBooleanCqaNamesTheOversizedBlock) {
+  ProblemSpec spec;
+  spec.arity = 3;
+  spec.fds = {"1 -> 2"};
+  for (int i = 0; i < 64; ++i) {
+    spec.facts.push_back("f" + std::to_string(i) + ": k, v" +
+                         std::to_string(i) + ", z");
+  }
+  PreferredRepairProblem p = testing_util::MakeProblem(spec);
+  std::unique_ptr<SessionContext> s = MustCreate(p);
+  const std::string unknown =
+      "unknown (repair enumeration abandoned (oversized block))";
+  const std::string boolean = MustExecute(*s, "cqa global Q() :- R(x, y, z)");
+  EXPECT_NE(boolean.find(unknown), std::string::npos) << boolean;
+  const std::string tuples = MustExecute(*s, "cqa global Q(x) :- R(x, y, z)");
+  EXPECT_NE(tuples.find(unknown), std::string::npos) << tuples;
 }
 
 // ---- Randomized differential battery -------------------------------
