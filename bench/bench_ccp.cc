@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "conflicts/blocks.h"
 #include "repair/ccp_constant_attr.h"
 #include "repair/ccp_primary_key.h"
 
@@ -34,7 +35,8 @@ void BM_CcpPrimaryKey_GraphBuild(benchmark::State& state) {
       /*seed=*/42, /*cross_density=*/0.5);
   ConflictGraph cg(*problem.instance);
   for (auto _ : state) {
-    Digraph g = BuildCcpPrimaryKeyGraph(cg, *problem.priority, problem.j);
+    Digraph g = BuildCcpPrimaryKeyGraph(cg, *problem.priority, problem.j,
+                                        AllFactIds(cg));
     benchmark::DoNotOptimize(g.num_edges());
   }
 }

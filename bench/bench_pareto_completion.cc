@@ -47,8 +47,8 @@ void BM_Completion_Check(benchmark::State& state) {
       S4(), state.range(0), JPolicy::kHighPriorityRepair);
   ConflictGraph cg(*problem.instance);
   for (auto _ : state) {
-    CheckResult r =
-        CheckCompletionOptimal(cg, *problem.priority, problem.j);
+    CheckResult r = CheckCompletionOptimal(cg, *problem.priority, problem.j,
+                                           AllFactIds(cg));
     benchmark::DoNotOptimize(r.optimal);
   }
   state.SetComplexityN(state.range(0));

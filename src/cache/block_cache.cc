@@ -9,16 +9,9 @@ BlockSolveCache::BlockSolveCache(size_t capacity)
       shard_capacity_(std::max<size_t>(capacity_ / kNumShards, 1)) {}
 
 size_t BlockSolveCache::EntryBytes(const Entry& entry) {
-  auto bitset_bytes = [](const DynamicBitset& b) {
-    return ((b.size() + 63) / 64) * sizeof(uint64_t);
-  };
-  size_t bytes = sizeof(Entry) + sizeof(BlockFingerprint);
-  bytes += bitset_bytes(entry.witness_local);
-  bytes += bitset_bytes(entry.repair_local);
-  for (const DynamicBitset& r : entry.repairs_local) {
-    bytes += sizeof(DynamicBitset) + bitset_bytes(r);
-  }
-  return bytes;
+  return sizeof(Entry) + sizeof(BlockFingerprint) +
+         (entry.repair_local.size() + 63) / 64 * sizeof(uint64_t) +
+         entry.repairs_local.size() * sizeof(uint64_t);
 }
 
 std::optional<BlockSolveCache::Entry> BlockSolveCache::Lookup(

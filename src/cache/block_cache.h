@@ -7,13 +7,15 @@
 // (MakeHardShardedWorkload; the paper's reductions stamp out copies of
 // S1..S6 the same way), yet every block was solved from scratch.  The
 // cache closes that gap: each isomorphism class of blocks pays for one
-// exhaustive solve, every later encounter replays the stored result
-// through the canonical relabeling.
+// exhaustive solve, every later encounter replays the stored result.
 //
-// Stored payloads are in canonical (block-local) coordinates and carry
-// the node count the original solve spent, so a hit can be replayed onto
-// the caller's governor without re-enumerating and the node trajectory
-// stays exactly on the cache-off path.  Only complete, exact results
+// Stored payloads are block masks (conflicts/blocks.h: bit i = the
+// block's i-th fact).  Canonical order is fact_list order, so a mask is
+// already in canonical coordinates: payloads are stored as the solvers
+// return them and served as stored.  They carry the node count the
+// original solve spent, so a hit can be replayed onto the caller's
+// governor without re-enumerating and the node trajectory stays
+// exactly on the cache-off path.  Only complete, exact results
 // are ever stored — never kUnknown verdicts, never results produced by
 // an exhausted governor — which is what makes "serve only under a
 // budget at least as generous" collapse to the governor's replay rule,
@@ -75,18 +77,19 @@ class BlockSolveCache {
   PREFREP_DISALLOW_COPY(BlockSolveCache);
 
   /// What one cached solve produced.  Exactly one payload member is
-  /// meaningful per entry kind; all bitsets are block-local (universe =
-  /// block size, canonical indices).
+  /// meaningful per entry kind; every mask is in block coordinates.
   struct Entry {
     /// True verdict payload: `optimal`, plus the improving block-repair
-    /// when not optimal.
+    /// as one word when not optimal (only the exhaustive solver's
+    /// verdicts are cached, and it admits at most 63 facts).
     bool optimal = false;
-    DynamicBitset witness_local;
+    uint64_t witness_local = 0;
     /// Count payload.
     uint64_t count = 0;
-    /// Optimal-set payload (canonical enumeration order).
-    std::vector<DynamicBitset> repairs_local;
-    /// Construction payload.
+    /// Optimal-set payload: OptimalBlockRepairs as returned, one word
+    /// per block-repair, in enumeration order.
+    std::vector<uint64_t> repairs_local;
+    /// Construction payload: the greedy block mask (block-size bits).
     DynamicBitset repair_local;
     /// Checkpoints the original solve spent, and whether that number is
     /// meaningful: a solve under an unarmed governor counts nothing, so

@@ -46,9 +46,9 @@ BlockFingerprint ComputeBlockFingerprint(const ProblemContext& ctx,
   // compile error here.  If it fires, decide whether the field changes
   // block identity: absorb it below, or show it is derived (id and
   // fact_list are coordinates the canonical relabeling exists to erase,
-  // facts is fact_list as a bitset, rel is covered by the
-  // classification and value sections).  Then extend the binding.
-  const auto& [id, rel, facts, fact_list] = b;
+  // rel is covered by the classification and value sections).  Then
+  // extend the binding.
+  const auto& [id, rel, fact_list] = b;
   const Instance& instance = ctx.instance();
   const ConflictGraph& cg = ctx.conflict_graph();
   const PriorityRelation& priority = ctx.priority();
@@ -95,24 +95,13 @@ BlockFingerprint ComputeBlockFingerprint(const ProblemContext& ctx,
     }
   }
 
-  // Local index of a block fact: fact_list is ascending, so a binary
-  // search replaces a hash map (fact ids are dense but block facts need
-  // not be contiguous).  SIZE_MAX for facts outside the block.
-  const auto local = [&b](FactId g) -> size_t {
-    auto it = std::lower_bound(b.fact_list.begin(), b.fact_list.end(), g);
-    if (it == b.fact_list.end() || *it != g) {
-      return SIZE_MAX;
-    }
-    return static_cast<size_t>(it - b.fact_list.begin());
-  };
-
   // Conflict edges as local pairs (i, j), i < j.  fact_list and every
   // neighbor list are ascending, so the emission order is canonical
   // without sorting.
   acc.Absorb(kTagConflicts);
   for (size_t i = 0; i < n; ++i) {
     for (FactId g : cg.neighbors(fact_list[i])) {
-      const size_t j = local(g);
+      const size_t j = PositionIn(fact_list, g);
       if (j == SIZE_MAX || j <= i) {
         continue;  // neighbor outside the block (impossible) or j <= i
       }
@@ -128,7 +117,7 @@ BlockFingerprint ComputeBlockFingerprint(const ProblemContext& ctx,
   std::vector<std::pair<uint64_t, uint64_t>> priority_edges;
   for (size_t i = 0; i < n; ++i) {
     for (FactId g : priority.Dominates(fact_list[i])) {
-      const size_t j = local(g);
+      const size_t j = PositionIn(fact_list, g);
       PREFREP_CHECK_MSG(j != SIZE_MAX,
                         "block fingerprint requires a block-local priority "
                         "(an edge leaves the block)");
@@ -161,25 +150,6 @@ uint64_t CanonicalSubsetDigest(const Block& b, const DynamicBitset& sub) {
     }
   }
   return acc.Finish().lo;
-}
-
-DynamicBitset UncanonicalizeSubset(const Block& b, const DynamicBitset& local,
-                                   size_t num_facts) {
-  PREFREP_CHECK_MSG(local.size() == b.fact_list.size(),
-                    "cached block payload has the wrong block size");
-  DynamicBitset global(num_facts);
-  local.ForEach([&](size_t i) { global.set(b.fact_list[i]); });
-  return global;
-}
-
-DynamicBitset CanonicalizeSubset(const Block& b, const DynamicBitset& global) {
-  DynamicBitset local(b.fact_list.size());
-  for (size_t i = 0; i < b.fact_list.size(); ++i) {
-    if (global.test(b.fact_list[i])) {
-      local.set(i);
-    }
-  }
-  return local;
 }
 
 }  // namespace prefrep

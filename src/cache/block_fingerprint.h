@@ -8,9 +8,10 @@
 // incidental identity a block carries:
 //
 //   * global fact ids — facts are relabeled to local indices 0..n-1 in
-//     ascending-fact-id order (the order every enumeration loop in this
-//     library already uses, which is what makes replayed witnesses land
-//     on the right facts); and
+//     ascending-fact-id order, i.e. fact_list order.  Those are block
+//     coordinates (conflicts/blocks.h), the coordinates every block
+//     answer is computed in, so a stored answer lands on the right facts
+//     of any block with the same fingerprint as it is; and
 //   * concrete values — values are renamed first-occurrence-first while
 //     scanning the facts in local order and each tuple left to right,
 //     which preserves exactly the equality structure FD reasoning uses.
@@ -119,22 +120,11 @@ enum class BlockCacheOp : uint64_t {
 BlockFingerprint DeriveOpKey(const BlockFingerprint& base, BlockCacheOp op,
                              uint64_t salt_a = 0, uint64_t salt_b = 0);
 
-/// Digest of a subinstance restricted to block `b`, in canonical (local
-/// index) coordinates.  Used to salt verdict-cache keys with J ∩ b:
-/// CheckBlock answers depend on which block facts J keeps, and local
-/// indices make the digest rename-invariant.
+/// Digest of a subinstance restricted to block `b`, in block
+/// coordinates.  Used to salt verdict-cache keys with J ∩ b: CheckBlock
+/// answers depend on which block facts J keeps, and local indices make
+/// the digest rename-invariant.
 uint64_t CanonicalSubsetDigest(const Block& b, const DynamicBitset& sub);
-
-/// Maps a block-local bitset (universe = b.size(), produced by a cached
-/// solve of an isomorphic block) back to this block's global fact ids
-/// (universe = num_facts).
-DynamicBitset UncanonicalizeSubset(const Block& b,
-                                   const DynamicBitset& local,
-                                   size_t num_facts);
-
-/// Projects a global subinstance onto block `b` in local coordinates —
-/// the inverse of UncanonicalizeSubset, used when storing results.
-DynamicBitset CanonicalizeSubset(const Block& b, const DynamicBitset& global);
 
 }  // namespace prefrep
 

@@ -73,8 +73,9 @@ struct BlockCategoricity {
   /// `repair`); kFalse: at least two; kUnknown: abandoned by the budget
   /// or refused admission.
   Trilean unique = Trilean::kUnknown;
-  /// The unique optimal block-repair (full-universe bitset, block facts
-  /// only); meaningful iff unique == Trilean::kTrue.
+  /// The unique optimal block-repair as a block mask of b.size() bits
+  /// (bit i = b.fact_list[i], conflicts/blocks.h); meaningful iff
+  /// unique == Trilean::kTrue.
   DynamicBitset repair;
   /// True when the exponential tier (optimal block-repair enumeration)
   /// decided the block; false for the polynomial total-priority tier.
@@ -114,11 +115,10 @@ class CategoricityMemo {
  public:
   struct Entry {
     Trilean unique = Trilean::kUnknown;
-    /// The unique optimal block-repair in block-local coordinates (bit
-    /// i = the block's i-th fact; CanonicalizeSubset).  An entry is
-    /// retired whenever its block's membership changes, so its local
-    /// indices stay as stable as fact ids.  Empty unless unique ==
-    /// Trilean::kTrue.
+    /// BlockCategoricity::repair as decided: the unique optimal
+    /// block-repair as a block mask.  An entry is retired whenever its
+    /// block's membership changes, so its bit positions stay as stable
+    /// as fact ids.  Empty unless unique == Trilean::kTrue.
     DynamicBitset repair_local;
     /// Serial node cost of the decision, valid only when `nodes_valid`
     /// (measured under an armed governor).

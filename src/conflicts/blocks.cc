@@ -1,5 +1,9 @@
 #include "conflicts/blocks.h"
 
+#include <algorithm>
+#include <functional>
+#include <numeric>
+
 namespace prefrep {
 
 #if PREFREP_AUDIT_ENABLED
@@ -24,35 +28,35 @@ void AuditDecomposition(const ConflictGraph& cg,
                       "audit: a fact with conflicts was marked free");
   });
   for (const Block& b : blocks) {
-    PREFREP_CHECK_MSG(b.facts.IsDisjointFrom(covered),
-                      "audit: blocks overlap each other or the free facts");
-    covered |= b.facts;
     PREFREP_CHECK_MSG(b.size() >= 2,
                       "audit: a block must hold at least two facts");
-    b.facts.ForEach([&](size_t f) {
+    for (FactId f : b.fact_list) {
+      PREFREP_CHECK_MSG(!covered.test(f),
+                        "audit: blocks overlap each other or the free facts");
+      covered.set(f);
       PREFREP_CHECK_MSG(block_of[f] == b.id,
                         "audit: block membership disagrees with block_of");
-      PREFREP_CHECK_MSG(cg.instance().fact(static_cast<FactId>(f)).rel ==
-                            b.rel,
+      PREFREP_CHECK_MSG(cg.instance().fact(f).rel == b.rel,
                         "audit: a block spans relations");
-    });
+    }
     // Connectivity: a BFS inside the block reaches every block fact, so
     // the block is one component, not a union of several.
     DynamicBitset visited(n);
-    std::vector<FactId> queue{
-        static_cast<FactId>(b.facts.FindFirst())};
+    std::vector<FactId> queue{b.fact_list.front()};
     visited.set(queue.front());
+    size_t reached = 1;
     while (!queue.empty()) {
       FactId f = queue.back();
       queue.pop_back();
       for (FactId g : cg.neighbors(f)) {
-        if (b.facts.test(g) && !visited.test(g)) {
+        if (block_of[g] == b.id && !visited.test(g)) {
           visited.set(g);
           queue.push_back(g);
+          ++reached;
         }
       }
     }
-    PREFREP_CHECK_MSG(visited == b.facts,
+    PREFREP_CHECK_MSG(reached == b.size(),
                       "audit: a block is not a connected component");
   }
   PREFREP_CHECK_MSG(covered.count() == n,
@@ -91,14 +95,14 @@ BlockDecomposition::BlockDecomposition(const ConflictGraph& cg)
     Block block;
     block.id = blocks_.size();
     block.rel = instance.fact(start).rel;
-    block.facts = DynamicBitset(n);
     queue.clear();
     queue.push_back(start);
     block_of_[start] = block.id;
+    size_t members = 0;
     while (!queue.empty()) {
       FactId f = queue.back();
       queue.pop_back();
-      block.facts.set(f);
+      ++members;
       PREFREP_CHECK_MSG(instance.fact(f).rel == block.rel,
                         "conflict edges must be intra-relation");
       for (FactId g : cg.neighbors(f)) {
@@ -108,13 +112,16 @@ BlockDecomposition::BlockDecomposition(const ConflictGraph& cg)
         }
       }
     }
-    block.fact_list.reserve(block.facts.count());
-    block.facts.ForEach([&](size_t f) {
-      block.fact_list.push_back(static_cast<FactId>(f));
-    });
-    largest_block_ = std::max(largest_block_, block.fact_list.size());
+    block.fact_list.reserve(members);
+    largest_block_ = std::max(largest_block_, members);
     by_relation_[block.rel].push_back(block.id);
     blocks_.push_back(std::move(block));
+  }
+  // One ascending pass lists every block's facts in order, with no sort.
+  for (FactId f = 0; f < n; ++f) {
+    if (block_of_[f] != kNoBlock) {
+      blocks_[block_of_[f]].fact_list.push_back(f);
+    }
   }
 #if PREFREP_AUDIT_ENABLED
   AuditDecomposition(cg, blocks_, free_facts_, block_of_);
@@ -149,10 +156,13 @@ BlockDecomposition::BlockDecomposition(std::vector<Block> blocks,
   for (const Block& b : blocks_) {
     PREFREP_CHECK_MSG(b.size() >= 2,
                       "audit: a block must hold at least two facts");
-    PREFREP_CHECK_MSG(b.facts.count() == b.fact_list.size(),
-                      "audit: block bitset and fact list disagree");
+    PREFREP_CHECK_MSG(std::adjacent_find(b.fact_list.begin(),
+                                         b.fact_list.end(),
+                                         std::greater_equal<FactId>()) ==
+                          b.fact_list.end(),
+                      "audit: a block's fact list is not ascending");
     for (FactId f : b.fact_list) {
-      PREFREP_CHECK_MSG(b.facts.test(f) && block_of_[f] == b.id,
+      PREFREP_CHECK_MSG(block_of_[f] == b.id,
                         "audit: block membership disagrees with block_of");
     }
   }
@@ -173,17 +183,23 @@ bool PriorityIsBlockLocal(const BlockDecomposition& blocks,
 bool PriorityStaysInBlock(const Block& b, const PriorityRelation& priority) {
   for (FactId f : b.fact_list) {
     for (FactId g : priority.Dominates(f)) {
-      if (!b.facts.test(g)) {
+      if (PositionIn(b.fact_list, g) == SIZE_MAX) {
         return false;
       }
     }
     for (FactId g : priority.DominatedBy(f)) {
-      if (!b.facts.test(g)) {
+      if (PositionIn(b.fact_list, g) == SIZE_MAX) {
         return false;
       }
     }
   }
   return true;
+}
+
+std::vector<FactId> AllFactIds(const ConflictGraph& cg) {
+  std::vector<FactId> all(cg.num_facts());
+  std::iota(all.begin(), all.end(), FactId{0});
+  return all;
 }
 
 }  // namespace prefrep

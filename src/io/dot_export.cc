@@ -1,5 +1,6 @@
 #include "io/dot_export.h"
 
+#include "conflicts/blocks.h"
 #include "repair/ccp_primary_key.h"
 
 namespace prefrep {
@@ -93,7 +94,7 @@ std::string CcpGraphToDot(const ConflictGraph& cg,
                           const PriorityRelation& pr,
                           const DynamicBitset& j) {
   const Instance& inst = cg.instance();
-  Digraph graph = BuildCcpPrimaryKeyGraph(cg, pr, j);
+  Digraph graph = BuildCcpPrimaryKeyGraph(cg, pr, j, AllFactIds(cg));
   std::string out = "digraph ccp {\n  rankdir=LR;\n";
   out += "  { rank=source;";
   for (FactId f = 0; f < inst.num_facts(); ++f) {

@@ -67,7 +67,10 @@ void StreamAllRepairs(const ProblemContext& ctx,
                       const DynamicBitset* universe,
                       const std::function<bool(const DynamicBitset&)>& fn) {
   if (universe != nullptr) {
-    ForEachRepairWithin(ctx.conflict_graph(), *universe, ctx.governor(), fn);
+    std::vector<FactId> facts;
+    universe->ForEach(
+        [&](size_t f) { facts.push_back(static_cast<FactId>(f)); });
+    ForEachRepairWithin(ctx.conflict_graph(), facts, ctx.governor(), fn);
   } else {
     ForEachRepair(ctx.conflict_graph(), ctx.governor(), fn);
   }

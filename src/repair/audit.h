@@ -62,8 +62,7 @@ void BlockVerdictImpl(const ProblemContext& ctx, const BlockSolver& solver,
 void BlockCountImpl(const ProblemContext& ctx, const BlockSolver& solver,
                     const Block& b, uint64_t count);
 void BlockRepairSetImpl(const ProblemContext& ctx, const BlockSolver& solver,
-                        const Block& b,
-                        const std::vector<DynamicBitset>& repairs);
+                        const Block& b, const std::vector<uint64_t>& repairs);
 void GlobalVerdictImpl(const ConflictGraph& cg, const PriorityRelation& pr,
                        const DynamicBitset& j, const CheckResult& result,
                        const char* algorithm);
@@ -74,12 +73,12 @@ void ConstructedRepairImpl(const ConflictGraph& cg, const PriorityRelation& pr,
                            const DynamicBitset* universe);
 void ConstructedBlockRepairImpl(const ConflictGraph& cg,
                                 const PriorityRelation& pr,
-                                const DynamicBitset& universe,
-                                const DynamicBitset& repair,
+                                const std::vector<FactId>& facts,
+                                const DynamicBitset& mask,
                                 const char* origin);
 void CompletionVerdictImpl(const ConflictGraph& cg, const PriorityRelation& pr,
                            const DynamicBitset& j,
-                           const DynamicBitset* universe,
+                           const std::vector<FactId>& facts,
                            const CheckResult& result);
 
 /// Test-only fault injection: while enabled, AuditedCheckBlock corrupts
@@ -123,10 +122,11 @@ inline void CheckBlockCount(const ProblemContext& ctx,
 #endif
 }
 
-/// Cross-validates a materialized per-block optimal-repair set.
+/// Cross-validates a materialized per-block optimal-repair set (one
+/// block mask per block-repair, conflicts/blocks.h).
 inline void CheckBlockRepairSet(const ProblemContext& ctx,
                                 const BlockSolver& solver, const Block& b,
-                                const std::vector<DynamicBitset>& repairs) {
+                                const std::vector<uint64_t>& repairs) {
 #if PREFREP_AUDIT_ENABLED
   internal::BlockRepairSetImpl(ctx, solver, b, repairs);
 #else
@@ -194,38 +194,39 @@ inline void CheckConstructedRepair(const ConflictGraph& cg,
 #endif
 }
 
-/// Postcondition for constructed block-repairs: contained in `universe`,
-/// consistent, and maximal within `universe`.
+/// Postcondition for constructed block-repairs: `mask` (bit i =
+/// facts[i]) names a consistent subset of `facts` that is maximal
+/// within `facts`.
 inline void CheckConstructedBlockRepair(const ConflictGraph& cg,
                                         const PriorityRelation& pr,
-                                        const DynamicBitset& universe,
-                                        const DynamicBitset& repair,
+                                        const std::vector<FactId>& facts,
+                                        const DynamicBitset& mask,
                                         const char* origin) {
 #if PREFREP_AUDIT_ENABLED
-  internal::ConstructedBlockRepairImpl(cg, pr, universe, repair, origin);
+  internal::ConstructedBlockRepairImpl(cg, pr, facts, mask, origin);
 #else
   (void)cg;
   (void)pr;
-  (void)universe;
-  (void)repair;
+  (void)facts;
+  (void)mask;
   (void)origin;
 #endif
 }
 
-/// Postcondition for positive completion verdicts: a completion-optimal
-/// J must be a (block-)repair.
+/// Postcondition for positive completion verdicts: J ∩ facts must be a
+/// repair of `facts` (a block, or the whole instance).
 inline void CheckCompletionVerdict(const ConflictGraph& cg,
                                    const PriorityRelation& pr,
                                    const DynamicBitset& j,
-                                   const DynamicBitset* universe,
+                                   const std::vector<FactId>& facts,
                                    const CheckResult& result) {
 #if PREFREP_AUDIT_ENABLED
-  internal::CompletionVerdictImpl(cg, pr, j, universe, result);
+  internal::CompletionVerdictImpl(cg, pr, j, facts, result);
 #else
   (void)cg;
   (void)pr;
   (void)j;
-  (void)universe;
+  (void)facts;
   (void)result;
 #endif
 }

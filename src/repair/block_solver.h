@@ -91,15 +91,18 @@ class BlockSolver {
   virtual CheckResult CheckBlock(const ProblemContext& ctx, const Block& b,
                                  const DynamicBitset& j) const = 0;
 
-  /// Materializes the optimal block-repairs of `b` (full-universe
-  /// bitsets with only block facts set).  Default: filter the 2^{|b|}
-  /// block-repair enumeration through CheckBlock — for polynomial
-  /// solvers that is O(2^{|b|} · poly) instead of the O(4^{|b|})
-  /// pairwise filter.  The enumeration checkpoints on ctx.governor();
-  /// when the budget fires the result is empty (a real block always has
-  /// ≥ 1 optimal block-repair, so empty unambiguously means "abandoned").
-  virtual std::vector<DynamicBitset> OptimalBlockRepairs(
-      const ProblemContext& ctx, const Block& b) const;
+  /// Materializes the optimal block-repairs of `b`, one word per
+  /// block-repair: a block mask, bit i = b.fact_list[i]
+  /// (conflicts/blocks.h).  One word always suffices, because
+  /// AdmitBlock refuses blocks of more than 63 facts even when the
+  /// governor is unarmed.  Default: filter the 2^{|b|} block-repair
+  /// enumeration through CheckBlock — for polynomial solvers that is
+  /// O(2^{|b|} · poly) instead of the O(4^{|b|}) pairwise filter.  The
+  /// enumeration checkpoints on ctx.governor(); when the budget fires
+  /// the result is empty (a real block always has ≥ 1 optimal
+  /// block-repair, so empty unambiguously means "abandoned").
+  virtual std::vector<uint64_t> OptimalBlockRepairs(const ProblemContext& ctx,
+                                                    const Block& b) const;
 
   /// Counts the optimal block-repairs.  Default: enumerate and count
   /// without materializing, checkpointing on ctx.governor(); when the
@@ -189,9 +192,11 @@ void AuditServedHit(
 ///    payloads), enters the table.
 ///
 /// `encode(payload, &entry)` fills the op's payload fields and returns
-/// whether it may be stored; `decode(entry)` rehydrates a stored entry
-/// in this block's coordinates and must equal the fresh solve (audit
-/// builds re-solve every served hit and compare).
+/// whether it may be stored; `decode(entry)` rebuilds the payload from a
+/// stored entry and must equal the fresh solve (audit builds re-solve
+/// every served hit and compare).  Block answers are block masks, and
+/// canonical order is fact_list order, so a payload is stored as solved
+/// and served as stored.
 template <typename Solve, typename Encode, typename Decode>
 auto CachedBlockSolve(const ProblemContext& ctx, const Block& b,
                       bool eligible, bool admission, const BlockCacheKey& key,
@@ -236,13 +241,12 @@ auto CachedBlockSolve(const ProblemContext& ctx, const Block& b,
 }
 
 /// solver.OptimalBlockRepairs through the block-solve cache: a block
-/// whose fingerprint was solved before replays the stored set through
-/// the canonical relabeling instead of re-enumerating.  Only
-/// BlockDetermined() solvers are cached; abandoned (empty) results never
-/// are.
-std::vector<DynamicBitset> CachedOptimalBlockRepairs(const BlockSolver& solver,
-                                                     const ProblemContext& ctx,
-                                                     const Block& b);
+/// whose fingerprint was solved before replays the stored block masks
+/// instead of re-enumerating.  Only BlockDetermined() solvers are
+/// cached; abandoned (empty) results never are.
+std::vector<uint64_t> CachedOptimalBlockRepairs(const BlockSolver& solver,
+                                                const ProblemContext& ctx,
+                                                const Block& b);
 
 /// solver.CountBlock through the block-solve cache (same contract as
 /// CachedOptimalBlockRepairs; zero and cut-short counts are never
@@ -391,9 +395,10 @@ CheckResult CheckOptimalByBlocks(const ProblemContext& ctx,
 
 /// Materializes every σ-optimal repair as {conflict-free facts} × ∏
 /// per-block optimal block-repairs, filtering each block through the
-/// dispatched (polynomial where the dichotomy allows) solver.  Falls
-/// back to the governed whole-instance enumeration of exhaustive.h
-/// (OptimalRepairsWithin over all facts) when the priority is not
+/// dispatched (polynomial where the dichotomy allows) solver; each
+/// block's masks become global ids here, once.  Falls back to the
+/// governed whole-instance enumeration of exhaustive.h
+/// (OptimalRepairsWithin over AllFacts) when the priority is not
 /// block-local.
 ///
 /// Returns EMPTY iff the computation was abandoned: a block was refused

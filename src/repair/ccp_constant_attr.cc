@@ -10,7 +10,7 @@
 namespace prefrep {
 
 std::vector<std::vector<FactId>> ConsistentPartitions(
-    const Instance& instance, RelId rel) {
+    const Instance& instance, RelId rel, const std::vector<FactId>& facts) {
   const Schema& schema = instance.schema();
   // ⟦R.∅⟧: the attributes forced constant by ∆|rel.
   AttrSet constant_attrs = schema.fds(rel).Closure(AttrSet());
@@ -18,7 +18,7 @@ std::vector<std::vector<FactId>> ConsistentPartitions(
                      VectorHash<ValueId>>
       groups;
   std::vector<std::vector<ValueId>> order;  // deterministic output order
-  for (FactId f : instance.facts_of(rel)) {
+  for (FactId f : facts) {
     const Fact& fact = instance.fact(f);
     std::vector<ValueId> key;
     constant_attrs.ForEach(
@@ -43,7 +43,8 @@ void ForEachConstantAttrRepair(
   const Schema& schema = instance.schema();
   std::vector<std::vector<std::vector<FactId>>> partitions;
   for (RelId rel = 0; rel < schema.num_relations(); ++rel) {
-    std::vector<std::vector<FactId>> p = ConsistentPartitions(instance, rel);
+    std::vector<std::vector<FactId>> p =
+        ConsistentPartitions(instance, rel, instance.facts_of(rel));
     if (!p.empty()) {
       partitions.push_back(std::move(p));
     }

@@ -20,11 +20,14 @@
 
 namespace prefrep {
 
-/// The consistent partitions of relation `rel`: facts grouped by their
-/// projection onto ⟦R.∅⟧ (the closure of ∅ under ∆|rel).  If ∆|rel is
-/// trivial the single group is all of R^I.  Exposed for tests.
+/// The consistent partitions of `facts` (facts of relation `rel`): the
+/// facts grouped by their projection onto ⟦R.∅⟧ (the closure of ∅ under
+/// ∆|rel), each group in list order.  If ∆|rel is trivial the single
+/// group is all of `facts`.  Pass facts_of(rel) for the whole relation,
+/// or a block's fact_list: only the list is read, so a resident
+/// session's tombstoned facts never enter a partition.
 std::vector<std::vector<FactId>> ConsistentPartitions(
-    const Instance& instance, RelId rel);
+    const Instance& instance, RelId rel, const std::vector<FactId>& facts);
 
 /// Enumerates every repair of the instance (one partition per non-empty
 /// relation), invoking `fn(repair)`; stops early if `fn` returns false.

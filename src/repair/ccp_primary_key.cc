@@ -1,5 +1,6 @@
 #include "repair/ccp_primary_key.h"
 
+#include "conflicts/blocks.h"
 #include "repair/subinstance_ops.h"
 
 namespace prefrep {
@@ -7,26 +8,18 @@ namespace prefrep {
 Digraph BuildCcpPrimaryKeyGraph(const ConflictGraph& cg,
                                 const PriorityRelation& pr,
                                 const DynamicBitset& j,
-                                const DynamicBitset* universe) {
-  size_t n = cg.num_facts();
-  Digraph graph(n);
-  for (FactId f = 0; f < n; ++f) {
-    if (universe != nullptr && !universe->test(f)) {
-      continue;
-    }
-    if (j.test(f)) {
-      // f ∈ J: conflict edges towards I \ J.
-      for (FactId g : cg.neighbors(f)) {
-        if (!j.test(g)) {
-          graph.AddEdge(f, g);
-        }
-      }
-    } else {
-      // f ∈ I \ J: priority edges towards the J-facts it improves.
-      for (FactId target : pr.Dominates(f)) {
-        if (j.test(target) &&
-            (universe == nullptr || universe->test(target))) {
-          graph.AddEdge(f, target);
+                                const std::vector<FactId>& facts) {
+  Digraph graph(facts.size());
+  for (size_t i = 0; i < facts.size(); ++i) {
+    const FactId f = facts[i];
+    // f ∈ J: conflict edges towards I \ J; f ∈ I \ J: priority edges
+    // towards the J-facts it improves.
+    const bool in_j = j.test(f);
+    for (FactId g : in_j ? cg.neighbors(f) : pr.Dominates(f)) {
+      if (j.test(g) != in_j) {
+        const size_t k = PositionIn(facts, g);
+        if (k != SIZE_MAX) {
+          graph.AddEdge(i, k);
         }
       }
     }
@@ -50,7 +43,7 @@ CheckResult CheckGlobalOptimalCcpPrimaryKey(const ConflictGraph& cg,
             " can be added without conflict");
   }
 
-  Digraph graph = BuildCcpPrimaryKeyGraph(cg, pr, j);
+  Digraph graph = BuildCcpPrimaryKeyGraph(cg, pr, j, AllFactIds(cg));
   std::optional<std::vector<size_t>> cycle = graph.FindCycle();
   if (!cycle.has_value()) {
     return CheckResult::Optimal();

@@ -16,20 +16,23 @@
 #ifndef PREFREP_REPAIR_CCP_PRIMARY_KEY_H_
 #define PREFREP_REPAIR_CCP_PRIMARY_KEY_H_
 
+#include <vector>
+
 #include "graph/digraph.h"
 #include "repair/improvement.h"
 
 namespace prefrep {
 
-/// Builds G_{J, I\J} over fact ids (node i = fact i).  Exposed for tests
-/// (Example 7.2 / Figure 6).  A non-null `universe` keeps only edges
-/// between facts of `universe`; when the priority is block-local the
-/// unrestricted graph is the disjoint union of the per-block graphs, so
-/// cycles can be hunted block by block.
+/// Builds G_{J, I\J} over the facts of `facts` (ascending; node i =
+/// facts[i]), keeping only edges between listed facts.  Pass AllFactIds(cg)
+/// for the whole instance (node i = fact i; Example 7.2 / Figure 6), or
+/// a block's fact_list: when the priority is block-local the whole graph
+/// is the disjoint union of the per-block graphs, so cycles can be
+/// hunted block by block.
 Digraph BuildCcpPrimaryKeyGraph(const ConflictGraph& cg,
                                 const PriorityRelation& pr,
                                 const DynamicBitset& j,
-                                const DynamicBitset* universe = nullptr);
+                                const std::vector<FactId>& facts);
 
 /// Decides whether J is a globally-optimal repair of the ccp-instance
 /// (I, ≻) under a primary-key assignment ∆.  Arbitrary J is handled: an

@@ -27,6 +27,8 @@
 #ifndef PREFREP_REPAIR_COMPLETION_H_
 #define PREFREP_REPAIR_COMPLETION_H_
 
+#include <vector>
+
 #include "repair/improvement.h"
 
 namespace prefrep {
@@ -36,15 +38,18 @@ namespace prefrep {
 /// cross-conflict priorities are not defined by [SCM] and are rejected
 /// with a PREFREP_CHECK.
 ///
-/// A non-null `universe` restricts the check to one conflict block:
-/// decides whether J ∩ universe is a completion-optimal repair of the
-/// block.  Sound because the greedy procedure's picks and deletions
-/// never leave a block (conflicts and conflict-bounded priorities are
-/// intra-block), so its possible outputs factor across blocks.
+/// The check runs on `facts`, scanned in list order: it decides whether
+/// J ∩ facts is a completion-optimal repair of the listed facts.  Pass a
+/// block's fact_list for one block, AllFactIds(cg) for the whole
+/// instance.  Per block is sound because the greedy procedure's picks
+/// and deletions never leave a block (conflicts and conflict-bounded
+/// priorities are intra-block), so its possible outputs factor across
+/// blocks.  The fixpoint runs on masks over `facts` and never scans the
+/// other fact ids.
 CheckResult CheckCompletionOptimal(const ConflictGraph& cg,
                                    const PriorityRelation& pr,
                                    const DynamicBitset& j,
-                                   const DynamicBitset* universe = nullptr);
+                                   const std::vector<FactId>& facts);
 
 }  // namespace prefrep
 

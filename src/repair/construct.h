@@ -18,6 +18,7 @@
 
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "model/context.h"
 #include "repair/improvement.h"
@@ -42,16 +43,19 @@ struct ConstructOptions {
   uint64_t seed = 1;  ///< used by TieBreak::kRandom
 };
 
-/// One greedy pass over `universe` (all facts, or one conflict block):
-/// repeatedly keeps a ≻-maximal remaining fact, chosen by
-/// `options.tie_break` (kRandom draws from Rng(options.seed)), and drops
-/// its conflicts.  Conflict-bounded priorities keep both dominators and
-/// conflicts inside a block, so a pass over one block never reads
-/// outside it.  Checkpoints on `governor` once per pick; nullopt when
-/// the budget fires (the partial bitset would not be a maximal repair).
+/// One greedy pass over `facts` (ascending: a block's fact_list, or
+/// AllFactIds(cg) for the whole instance): repeatedly keeps a ≻-maximal
+/// remaining fact, chosen by `options.tie_break` (kRandom draws from
+/// Rng(options.seed)), and drops its conflicts.  Returns the kept facts
+/// as a mask over `facts` (bit i = facts[i]; for AllFactIds(cg) that is
+/// the whole-instance bitset).  Conflict-bounded priorities keep both
+/// dominators and conflicts inside a block, so a pass over one block
+/// reads its list only.  Checkpoints on `governor` once per pick;
+/// nullopt when the budget fires (the partial mask would not be a
+/// maximal repair).
 std::optional<DynamicBitset> GreedyWithin(const ConflictGraph& cg,
                                           const PriorityRelation& pr,
-                                          const DynamicBitset& universe,
+                                          const std::vector<FactId>& facts,
                                           const ConstructOptions& options,
                                           ResourceGovernor& governor);
 

@@ -12,18 +12,14 @@ namespace prefrep {
 
 namespace {
 
-// Walks the repairs of `universe` (repair/repair_walk.h) and hands each
-// to `fn` as a full-universe bitset.  The bitset is synced from the
-// walk's local words at each leaf, flipping only the members that
-// changed since the previous leaf.
-void WalkUniverse(const ConflictGraph& cg, const DynamicBitset& universe,
-                  ResourceGovernor& governor, bool use_pivot,
-                  const std::function<bool(const DynamicBitset&)>& fn) {
-  std::vector<FactId> members;
-  members.reserve(universe.count());
-  universe.ForEach(
-      [&](size_t f) { members.push_back(static_cast<FactId>(f)); });
-  const RepairWalkTable table(cg, std::move(members));
+// Walks the repairs of `facts` (repair/repair_walk.h) and hands each to
+// `fn` as a full-universe bitset.  The bitset is synced from the walk's
+// local words at each leaf, flipping only the members that changed
+// since the previous leaf.
+void WalkFacts(const ConflictGraph& cg, std::vector<FactId> facts,
+               ResourceGovernor& governor, bool use_pivot,
+               const std::function<bool(const DynamicBitset&)>& fn) {
+  const RepairWalkTable table(cg, std::move(facts));
   RepairWalk walk(table);
   DynamicBitset repair(cg.num_facts());
   std::vector<uint64_t> shown(table.words(), 0);  // local words of `repair`
@@ -39,44 +35,38 @@ void WalkUniverse(const ConflictGraph& cg, const DynamicBitset& universe,
   });
 }
 
-DynamicBitset AllFacts(const ConflictGraph& cg) {
-  DynamicBitset universe(cg.num_facts());
-  universe.set_all();
-  return universe;
-}
-
 }  // namespace
 
 void ForEachRepair(const ConflictGraph& cg,
                    const std::function<bool(const DynamicBitset&)>& fn) {
-  WalkUniverse(cg, AllFacts(cg), ResourceGovernor::Unlimited(),
-               /*use_pivot=*/true, fn);
+  WalkFacts(cg, AllFactIds(cg), ResourceGovernor::Unlimited(),
+            /*use_pivot=*/true, fn);
 }
 
 void ForEachRepairNoPivot(
     const ConflictGraph& cg,
     const std::function<bool(const DynamicBitset&)>& fn) {
-  WalkUniverse(cg, AllFacts(cg), ResourceGovernor::Unlimited(),
-               /*use_pivot=*/false, fn);
+  WalkFacts(cg, AllFactIds(cg), ResourceGovernor::Unlimited(),
+            /*use_pivot=*/false, fn);
 }
 
 void ForEachRepair(const ConflictGraph& cg, ResourceGovernor& governor,
                    const std::function<bool(const DynamicBitset&)>& fn) {
-  WalkUniverse(cg, AllFacts(cg), governor, /*use_pivot=*/true, fn);
+  WalkFacts(cg, AllFactIds(cg), governor, /*use_pivot=*/true, fn);
 }
 
 void ForEachRepairWithin(
-    const ConflictGraph& cg, const DynamicBitset& universe,
+    const ConflictGraph& cg, const std::vector<FactId>& facts,
     const std::function<bool(const DynamicBitset&)>& fn) {
-  WalkUniverse(cg, universe, ResourceGovernor::Unlimited(),
-               /*use_pivot=*/true, fn);
+  WalkFacts(cg, facts, ResourceGovernor::Unlimited(), /*use_pivot=*/true,
+            fn);
 }
 
 void ForEachRepairWithin(
-    const ConflictGraph& cg, const DynamicBitset& universe,
+    const ConflictGraph& cg, const std::vector<FactId>& facts,
     ResourceGovernor& governor,
     const std::function<bool(const DynamicBitset&)>& fn) {
-  WalkUniverse(cg, universe, governor, /*use_pivot=*/true, fn);
+  WalkFacts(cg, facts, governor, /*use_pivot=*/true, fn);
 }
 
 std::vector<DynamicBitset> AllRepairs(const ConflictGraph& cg) {
@@ -89,9 +79,9 @@ std::vector<DynamicBitset> AllRepairs(const ConflictGraph& cg) {
 }
 
 std::vector<DynamicBitset> AllRepairsWithin(const ConflictGraph& cg,
-                                            const DynamicBitset& universe) {
+                                            const std::vector<FactId>& facts) {
   std::vector<DynamicBitset> out;
-  ForEachRepairWithin(cg, universe, [&](const DynamicBitset& repair) {
+  ForEachRepairWithin(cg, facts, [&](const DynamicBitset& repair) {
     out.push_back(repair);
     return true;
   });
@@ -177,13 +167,13 @@ namespace {
 
 // Keeps the entries of `repairs` that no other entry improves under the
 // given semantics.  `repairs` must be improvement-closed: all repairs of
-// the instance, or all block-repairs of the block `universe`.  The
-// quadratic scan checkpoints on `governor`; when it fires the returned
-// vector is partial and the caller must discard it.
+// `facts` (the whole instance, or one block).  The quadratic scan
+// checkpoints on `governor`; when it fires the returned vector is
+// partial and the caller must discard it.
 std::vector<DynamicBitset> FilterOptimal(
     const ConflictGraph& cg, const PriorityRelation& pr,
     const std::vector<DynamicBitset>& repairs, RepairSemantics semantics,
-    const DynamicBitset* universe, ResourceGovernor& governor) {
+    const std::vector<FactId>& facts, ResourceGovernor& governor) {
   std::vector<DynamicBitset> out;
   for (const DynamicBitset& j : repairs) {
     if (!governor.Checkpoint()) {
@@ -208,7 +198,7 @@ std::vector<DynamicBitset> FilterOptimal(
         }
         break;
       case RepairSemantics::kCompletion:
-        optimal = CheckCompletionOptimal(cg, pr, j, universe).optimal;
+        optimal = CheckCompletionOptimal(cg, pr, j, facts).optimal;
         break;
     }
     if (optimal) {
@@ -220,21 +210,19 @@ std::vector<DynamicBitset> FilterOptimal(
 
 }  // namespace
 
-std::vector<DynamicBitset> OptimalRepairsWithin(const ConflictGraph& cg,
-                                                const PriorityRelation& pr,
-                                                const DynamicBitset& universe,
-                                                RepairSemantics semantics) {
-  return FilterOptimal(cg, pr, AllRepairsWithin(cg, universe), semantics,
-                       &universe, ResourceGovernor::Unlimited());
+std::vector<DynamicBitset> OptimalRepairsWithin(
+    const ConflictGraph& cg, const PriorityRelation& pr,
+    const std::vector<FactId>& facts, RepairSemantics semantics) {
+  return FilterOptimal(cg, pr, AllRepairsWithin(cg, facts), semantics, facts,
+                       ResourceGovernor::Unlimited());
 }
 
-std::vector<DynamicBitset> OptimalRepairsWithin(const ConflictGraph& cg,
-                                                const PriorityRelation& pr,
-                                                const DynamicBitset& universe,
-                                                RepairSemantics semantics,
-                                                ResourceGovernor& governor) {
+std::vector<DynamicBitset> OptimalRepairsWithin(
+    const ConflictGraph& cg, const PriorityRelation& pr,
+    const std::vector<FactId>& facts, RepairSemantics semantics,
+    ResourceGovernor& governor) {
   std::vector<DynamicBitset> repairs;
-  ForEachRepairWithin(cg, universe, governor,
+  ForEachRepairWithin(cg, facts, governor,
                       [&](const DynamicBitset& repair) {
                         repairs.push_back(repair);
                         return true;
@@ -242,7 +230,7 @@ std::vector<DynamicBitset> OptimalRepairsWithin(const ConflictGraph& cg,
   if (governor.exhausted()) {
     return {};  // incomplete repair set: filtering it would be unsound
   }
-  return FilterOptimal(cg, pr, repairs, semantics, &universe, governor);
+  return FilterOptimal(cg, pr, repairs, semantics, facts, governor);
 }
 
 std::vector<DynamicBitset> AllOptimalRepairs(const ConflictGraph& cg,
@@ -252,14 +240,14 @@ std::vector<DynamicBitset> AllOptimalRepairs(const ConflictGraph& cg,
   if (!PriorityIsBlockLocal(blocks, pr)) {
     // A cross-block priority couples blocks; fall back to the
     // whole-instance baseline.
-    return FilterOptimal(cg, pr, AllRepairs(cg), semantics, nullptr,
+    return FilterOptimal(cg, pr, AllRepairs(cg), semantics, AllFactIds(cg),
                          ResourceGovernor::Unlimited());
   }
   // Optimal repairs factor: {free facts} × ∏_b optimal repairs of b.
   std::vector<DynamicBitset> out{blocks.free_facts()};
   for (const Block& block : blocks.blocks()) {
     std::vector<DynamicBitset> optimal =
-        OptimalRepairsWithin(cg, pr, block.facts, semantics);
+        OptimalRepairsWithin(cg, pr, block.fact_list, semantics);
     PREFREP_CHECK_MSG(!optimal.empty(),
                       "every block admits an optimal block-repair");
     std::vector<DynamicBitset> next;

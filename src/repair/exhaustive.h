@@ -38,17 +38,17 @@ void ForEachRepair(const ConflictGraph& cg,
 void ForEachRepair(const ConflictGraph& cg, ResourceGovernor& governor,
                    const std::function<bool(const DynamicBitset&)>& fn);
 
-/// Same, restricted to the facts of `universe`: enumerates the maximal
-/// consistent subsets of `universe` (used for the per-relation fallback
-/// of the unified checker, where one relation is hard but the others are
-/// tractable).
+/// Same, restricted to `facts` (ascending, duplicate-free: a block's
+/// fact_list, or any fact subset): enumerates the maximal consistent
+/// subsets of `facts`, each handed to `fn` as a whole-instance bitset.
+/// The walk reads the list only; it never scans the other fact ids.
 void ForEachRepairWithin(const ConflictGraph& cg,
-                         const DynamicBitset& universe,
+                         const std::vector<FactId>& facts,
                          const std::function<bool(const DynamicBitset&)>& fn);
 
 /// Budget-governed variant of ForEachRepairWithin (see above).
 void ForEachRepairWithin(const ConflictGraph& cg,
-                         const DynamicBitset& universe,
+                         const std::vector<FactId>& facts,
                          ResourceGovernor& governor,
                          const std::function<bool(const DynamicBitset&)>& fn);
 
@@ -62,12 +62,12 @@ void ForEachRepairNoPivot(
 /// Materializes all repairs (use only on small instances).
 std::vector<DynamicBitset> AllRepairs(const ConflictGraph& cg);
 
-/// Materializes the maximal consistent subsets of `universe` (full-size
-/// bitsets with only universe facts set).  The per-block building brick:
+/// Materializes the maximal consistent subsets of `facts` (full-size
+/// bitsets with only listed facts set).  The per-block building brick:
 /// the repairs of I are exactly {free facts} ∪ one block-repair per
 /// block, so whole-instance work of 2^n factors into Σ 2^{|block|}.
 std::vector<DynamicBitset> AllRepairsWithin(const ConflictGraph& cg,
-                                            const DynamicBitset& universe);
+                                            const std::vector<FactId>& facts);
 
 /// Counts the repairs without materializing them.
 uint64_t CountRepairs(const ConflictGraph& cg);
@@ -119,26 +119,26 @@ std::vector<DynamicBitset> AllOptimalRepairs(const ConflictGraph& cg,
                                              const PriorityRelation& pr,
                                              RepairSemantics semantics);
 
-/// The block-repairs of `universe` (one conflict block) that are optimal
-/// *within the block* under the given semantics.  Never empty for a
-/// non-empty block (a completion-optimal block-repair always exists).
-/// Optimality within the block equals optimality of the whole repair
-/// restricted to the block whenever the priority is block-local.
-std::vector<DynamicBitset> OptimalRepairsWithin(const ConflictGraph& cg,
-                                                const PriorityRelation& pr,
-                                                const DynamicBitset& universe,
-                                                RepairSemantics semantics);
+/// The block-repairs of `facts` (one conflict block's fact_list, or
+/// AllFactIds(cg) for the whole instance) that are optimal *within the
+/// list* under the given semantics, as whole-instance bitsets.  Never
+/// empty for a non-empty block (a completion-optimal block-repair
+/// always exists).  Optimality within the block equals optimality of
+/// the whole repair restricted to the block whenever the priority is
+/// block-local.
+std::vector<DynamicBitset> OptimalRepairsWithin(
+    const ConflictGraph& cg, const PriorityRelation& pr,
+    const std::vector<FactId>& facts, RepairSemantics semantics);
 
 /// Budget-governed variant: both the block-repair enumeration and the
 /// quadratic optimality filter checkpoint on `governor`.  When
 /// `governor.exhausted()` afterwards the returned vector is partial and
 /// MUST be discarded (a subset of the optimal block-repairs is not a
 /// usable under-approximation for cross-products).
-std::vector<DynamicBitset> OptimalRepairsWithin(const ConflictGraph& cg,
-                                                const PriorityRelation& pr,
-                                                const DynamicBitset& universe,
-                                                RepairSemantics semantics,
-                                                ResourceGovernor& governor);
+std::vector<DynamicBitset> OptimalRepairsWithin(
+    const ConflictGraph& cg, const PriorityRelation& pr,
+    const std::vector<FactId>& facts, RepairSemantics semantics,
+    ResourceGovernor& governor);
 
 }  // namespace prefrep
 

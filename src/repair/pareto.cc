@@ -2,6 +2,7 @@
 // by searching for a Pareto improvement set directly.
 #include "repair/pareto.h"
 
+#include "conflicts/blocks.h"
 #include "repair/audit.h"
 #include "repair/subinstance_ops.h"
 
@@ -10,13 +11,12 @@ namespace prefrep {
 CheckResult FindParetoImprovement(const ConflictGraph& cg,
                                   const PriorityRelation& pr,
                                   const DynamicBitset& j,
-                                  const DynamicBitset* universe) {
+                                  const std::vector<FactId>& facts) {
   PREFREP_CHECK_MSG(IsConsistent(cg, j),
                     "FindParetoImprovement requires a consistent J");
-  size_t n = cg.num_facts();
   const Instance& instance = cg.instance();
-  for (FactId g = 0; g < n; ++g) {
-    if (j.test(g) || (universe != nullptr && !universe->test(g))) {
+  for (FactId g : facts) {
+    if (j.test(g)) {
       continue;
     }
     // g improves J iff g ≻ f for every f ∈ J conflicting with g.
@@ -53,7 +53,7 @@ CheckResult CheckParetoOptimal(const ConflictGraph& cg,
   if (!IsConsistent(cg, j)) {
     return CheckResult::NotOptimalNoWitness();  // not even a repair
   }
-  CheckResult improvement = FindParetoImprovement(cg, pr, j);
+  CheckResult improvement = FindParetoImprovement(cg, pr, j, AllFactIds(cg));
   if (!improvement.optimal) {
     return improvement;
   }

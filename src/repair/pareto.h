@@ -12,6 +12,8 @@
 #ifndef PREFREP_REPAIR_PARETO_H_
 #define PREFREP_REPAIR_PARETO_H_
 
+#include <vector>
+
 #include "repair/improvement.h"
 
 namespace prefrep {
@@ -22,14 +24,15 @@ namespace prefrep {
 /// The witness returned is (J \ C(g)) ∪ {g}, where g is the improving
 /// fact and C(g) the facts of J conflicting with g.
 ///
-/// A non-null `universe` restricts the candidate improving facts g to
-/// one conflict block; a Pareto improvement through g only removes facts
+/// The candidate improving facts g are those of `facts`, scanned in
+/// list order: a block's fact_list, or AllFactIds(cg) for the whole
+/// instance.  A Pareto improvement through g only removes facts
 /// conflicting with g, so the whole-instance verdict is the conjunction
 /// of the per-block verdicts (plus presence of all conflict-free facts).
 CheckResult FindParetoImprovement(const ConflictGraph& cg,
                                   const PriorityRelation& pr,
                                   const DynamicBitset& j,
-                                  const DynamicBitset* universe = nullptr);
+                                  const std::vector<FactId>& facts);
 
 /// Pareto-optimal repair checking: true iff `j` is a Pareto-optimal
 /// repair of I, i.e. `j` is consistent and admits no Pareto improvement.

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "conflicts/blocks.h"
+
 namespace prefrep {
 
 RepairWalkTable::RepairWalkTable(const ConflictGraph& cg,
@@ -18,20 +20,12 @@ RepairWalkTable::RepairWalkTable(const ConflictGraph& cg,
     repair_walk_internal::FillPrefix(row, words_, c);
     row[i / 64] &= ~(uint64_t{1} << (i % 64));
     for (FactId u : cg.neighbors(members_[i])) {
-      const size_t k = LocalIndex(u);
+      const size_t k = PositionIn(members_, u);
       if (k != SIZE_MAX) {
         row[k / 64] &= ~(uint64_t{1} << (k % 64));
       }
     }
   }
-}
-
-size_t RepairWalkTable::LocalIndex(FactId f) const {
-  auto it = std::lower_bound(members_.begin(), members_.end(), f);
-  if (it == members_.end() || *it != f) {
-    return SIZE_MAX;
-  }
-  return static_cast<size_t>(it - members_.begin());
 }
 
 RepairWalk::RepairWalk(const RepairWalkTable& table) : table_(&table) {

@@ -77,9 +77,6 @@ class RepairWalkTable {
 
   const uint64_t* row(size_t i) const { return rows_.data() + i * words_; }
 
-  /// Local index of fact `f`, or SIZE_MAX when `f` is not a member.
-  size_t LocalIndex(FactId f) const;
-
  private:
   std::vector<FactId> members_;
   size_t words_;

@@ -102,7 +102,7 @@ void SessionContext::InstallBlock(std::vector<FactId> members) {
   for (FactId m : members) {
     block_key_of_[m] = key;
   }
-  bm.facts = std::move(members);
+  bm.fact_list = std::move(members);
   const bool inserted = block_members_.emplace(key, std::move(bm)).second;
   PREFREP_CHECK_MSG(inserted, "block key already resident");
   if (cache_ != nullptr) {
@@ -164,8 +164,8 @@ Result<std::string> SessionContext::Insert(
   for (FactId key : touched_keys) {
     auto it = block_members_.find(key);
     PREFREP_CHECK_MSG(it != block_members_.end(), "dangling block key");
-    members.insert(members.end(), it->second.facts.begin(),
-                   it->second.facts.end());
+    members.insert(members.end(), it->second.fact_list.begin(),
+                   it->second.fact_list.end());
     RetireBlock(key);
   }
   std::sort(members.begin(), members.end());
@@ -197,7 +197,7 @@ Result<std::string> SessionContext::Delete(std::string_view label) {
   PREFREP_CHECK_MSG(key != kInvalidFactId, "live non-free fact has a block");
   auto it = block_members_.find(key);
   PREFREP_CHECK_MSG(it != block_members_.end(), "dangling block key");
-  const std::vector<FactId> members = it->second.facts;
+  const std::vector<FactId> members = it->second.fact_list;
   RetireBlock(key);
   for (FactId m : members) {
     block_key_of_[m] = kInvalidFactId;
@@ -330,15 +330,13 @@ void SessionContext::EnsureFresh() {
       // derive it from the members below (or show it needs no delta
       // handling), and decide in ComputeBlockFingerprint
       // (cache/block_fingerprint.cc) whether the cache key absorbs it.
-      auto& [id, rel, facts, fact_list] = b;
+      auto& [id, rel, fact_list] = b;
       id = blocks.size();
       rel = bm.rel;
-      facts = DynamicBitset(n);
-      for (FactId m : bm.facts) {
-        facts.set(m);
+      fact_list = bm.fact_list;
+      for (FactId m : fact_list) {
         block_of[m] = id;
       }
-      fact_list = bm.facts;
       blocks.push_back(std::move(b));
     }
     DynamicBitset free_copy = free_;

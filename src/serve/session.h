@@ -201,7 +201,7 @@ class SessionContext {
   // std::map iteration then yields the canonical block order for free.
   struct BlockMembers {
     RelId rel = kInvalidRelId;
-    std::vector<FactId> facts;  // sorted ascending
+    std::vector<FactId> fact_list;  // sorted ascending
   };
   std::map<FactId, BlockMembers> block_members_;
   std::vector<FactId> block_key_of_;  // kInvalidFactId: free or dead

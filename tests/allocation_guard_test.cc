@@ -9,6 +9,12 @@
 // walk) and 34x (the count).  A walk that allocated per search node or
 // per leaf test would scale with the tree.
 //
+// Block answers: ExhaustiveBlockSolver().OptimalBlockRepairs returns one
+// word per optimal block-repair, so beyond its result vector's growth it
+// allocates the same on a block with 20 optimal block-repairs as on one
+// with 189.  A session refresh after one edit rebuilds the block view
+// with one buffer per block (its fact list) plus a constant.
+//
 // The parser: ParseProblemText on a large generated text must stay under
 // a few allocations per input line — what the parsed instance, its
 // dictionary, labels and priority lists need, with no string copied per
@@ -24,12 +30,16 @@
 #include <optional>
 #include <string>
 
+#include "gen/edit_script.h"
 #include "gen/hard_workloads.h"
 #include "gen/random_instance.h"
+#include "io/ops_format.h"
 #include "io/text_format.h"
 #include "model/context.h"
+#include "repair/audit.h"
 #include "repair/block_solver.h"
 #include "repair/exhaustive.h"
+#include "serve/session.h"
 
 namespace {
 
@@ -105,7 +115,7 @@ Measurement MeasureWalk(size_t cliques, size_t clique_size) {
         return true;
       };
   m.allocations = AllocationsDuring([&] {
-    ForEachRepairWithin(shard.ctx.conflict_graph(), shard.block().facts,
+    ForEachRepairWithin(shard.ctx.conflict_graph(), shard.block().fact_list,
                         governor, count_repair);
   });
   m.nodes = governor.nodes_spent();
@@ -147,6 +157,85 @@ TEST(AllocationGuardTest, ExhaustiveCountAllocatesPerCallNotPerNode) {
   EXPECT_EQ(small.allocations, large.allocations)
       << "nodes " << small.nodes << " vs " << large.nodes;
   EXPECT_LE(large.allocations, kMaxAllocationsPerCall);
+}
+
+// The one block of MakeHardShardedWorkload(1, cliques, clique_size)
+// with its priority edges dropped, so every block-repair is optimal.
+Measurement MeasureOptimalSet(size_t cliques, size_t clique_size) {
+  const PreferredRepairProblem problem =
+      MakeHardShardedWorkload(1, cliques, clique_size);
+  const PriorityRelation no_edges(problem.instance.get());
+  ProblemContext ctx(*problem.instance, no_edges);
+  ResourceGovernor governor(CountingBudget());
+  ctx.set_governor(&governor);
+  const Block& b = ctx.blocks().block(0);
+  Measurement m;
+  m.allocations = AllocationsDuring([&] {
+    m.result = ExhaustiveBlockSolver().OptimalBlockRepairs(ctx, b).size();
+  });
+  m.nodes = governor.nodes_spent();
+  return m;
+}
+
+// The allocations a vector of words makes while growing to `n` entries.
+uint64_t GrowthAllocations(size_t n) {
+  return AllocationsDuring([n] {
+    std::vector<uint64_t> v;
+    for (size_t i = 0; i < n; ++i) {
+      v.push_back(i);
+    }
+  });
+}
+
+TEST(AllocationGuardTest, OptimalSetAllocatesPerCallNotPerRepair) {
+  const Measurement small = MeasureOptimalSet(3, 3);
+  const Measurement large = MeasureOptimalSet(4, 4);
+  EXPECT_EQ(small.result, 20u);
+  EXPECT_EQ(large.result, 189u);
+  const uint64_t small_own = small.allocations - GrowthAllocations(20);
+  const uint64_t large_own = large.allocations - GrowthAllocations(189);
+  EXPECT_EQ(small_own, large_own)
+      << small.allocations << " vs " << large.allocations << " allocations";
+  EXPECT_LE(large_own, kMaxAllocationsPerCall);
+}
+
+// The constant part of a session refresh: the view's own vectors, the
+// decomposition and context objects, and the fingerprints of the
+// blocks the edit changed.
+constexpr uint64_t kMaxRefreshAllocationsBeyondBlocks = 40;
+
+TEST(AllocationGuardTest, SessionRefreshAllocatesOncePerBlock) {
+  if (audit::Enabled()) {
+    GTEST_SKIP() << "audit builds compare every refresh with a rebuild";
+  }
+  EditScriptOptions options;
+  options.shards = 64;
+  options.facts_per_shard = 4;
+  const EditScriptWorkload workload = MakeEditScriptWorkload(options);
+  SessionOptions session_options;
+  session_options.threads = 1;
+  session_options.cache_capacity = 4096;
+  Result<std::unique_ptr<SessionContext>> session =
+      SessionContext::Create(workload.problem, session_options);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const auto execute = [&](const std::string& line) {
+    Result<SessionOp> op = ParseSessionOp(line);
+    ASSERT_TRUE(op.ok()) << line;
+    ASSERT_TRUE((*session)->Execute(*op).ok()) << line;
+  };
+  // Tombstones first, so the refresh below runs on a universe larger
+  // than the live facts.
+  for (size_t shard = 0; shard < 8; ++shard) {
+    execute("delete s" + std::to_string(shard) + "f0");
+  }
+  (void)(*session)->context();
+  execute("delete s8f0");
+  const uint64_t allocations =
+      AllocationsDuring([&] { (void)(*session)->context(); });
+  const size_t blocks = (*session)->context().blocks().num_blocks();
+  EXPECT_EQ(blocks, 64u);
+  EXPECT_LE(allocations, blocks + kMaxRefreshAllocationsBeyondBlocks)
+      << allocations << " allocations for " << blocks << " blocks";
 }
 
 // A bulk-check-shaped problem text: R(3) with FD 1 → 2 (many small

@@ -106,7 +106,7 @@ TEST_P(BlockProperty, BlocksPartitionNonIsolatedFacts) {
           << "isolated fact " << f << " inside a block";
       // Conflicts never leave the block (blocks are components).
       for (FactId g : cg.neighbors(f)) {
-        EXPECT_TRUE(b.facts.test(g))
+        EXPECT_EQ(blocks.block_of(g), b.id)
             << "conflict " << f << "-" << g << " crosses block " << b.id;
       }
     }
@@ -180,7 +180,7 @@ TEST_P(BlockProperty, BlockRepairCountsMultiply) {
 
   uint64_t product = 1;
   for (const Block& b : blocks.blocks()) {
-    product *= AllRepairsWithin(cg, b.facts).size();
+    product *= AllRepairsWithin(cg, b.fact_list).size();
   }
   EXPECT_EQ(product, CountRepairs(cg));
 }

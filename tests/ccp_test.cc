@@ -41,7 +41,8 @@ TEST(CcpPrimaryKeyTest, Example72Figure6Graph) {
   DynamicBitset j = testing_util::Sub(inst, {"f02", "f1b"});
   ASSERT_TRUE(IsRepair(cg, j));
 
-  Digraph g = BuildCcpPrimaryKeyGraph(cg, *problem.priority, j);
+  Digraph g =
+      BuildCcpPrimaryKeyGraph(cg, *problem.priority, j, AllFactIds(cg));
   // Conflict edges J → I\J: f02 → {f01, f0c}, f1b → {f1a, f13}.
   auto has_edge = [&](const std::string& from, const std::string& to) {
     size_t u = inst.FindLabel(from);
@@ -158,7 +159,8 @@ TEST(CcpConstantAttrTest, PartitionsGroupByClosureOfEmptySet) {
   inst.MustAddFact("R", {"a", "2"}, "a2");
   inst.MustAddFact("R", {"b", "1"}, "b1");
   inst.MustAddFact("R", {"c", "9"}, "c9");
-  std::vector<std::vector<FactId>> parts = ConsistentPartitions(inst, 0);
+  std::vector<std::vector<FactId>> parts =
+      ConsistentPartitions(inst, 0, inst.facts_of(0));
   ASSERT_EQ(parts.size(), 3u);  // groups a, b, c
   EXPECT_EQ(parts[0].size(), 2u);
   EXPECT_EQ(parts[1].size(), 1u);
@@ -172,7 +174,8 @@ TEST(CcpConstantAttrTest, TrivialFdMakesOnePartition) {
   Instance& inst = *problem.instance;
   inst.MustAddFact("R", {"a", "1"});
   inst.MustAddFact("R", {"b", "2"});
-  std::vector<std::vector<FactId>> parts = ConsistentPartitions(inst, 0);
+  std::vector<std::vector<FactId>> parts =
+      ConsistentPartitions(inst, 0, inst.facts_of(0));
   ASSERT_EQ(parts.size(), 1u);
   EXPECT_EQ(parts[0].size(), 2u);
 }

@@ -85,8 +85,9 @@ TEST(CompletionTest, GreedyFixpointMatchesBruteForceOnRandomInstances) {
     std::set<std::vector<size_t>> expected =
         CompletionOptimalByBruteForce(cg, *problem.priority);
     for (const DynamicBitset& repair : AllRepairs(cg)) {
-      bool checker =
-          CheckCompletionOptimal(cg, *problem.priority, repair).optimal;
+      bool checker = CheckCompletionOptimal(cg, *problem.priority, repair,
+                                            AllFactIds(cg))
+                         .optimal;
       bool brute = expected.count(repair.ToVector()) > 0;
       EXPECT_EQ(checker, brute)
           << "seed " << seed << " J = "
@@ -120,8 +121,9 @@ TEST(CompletionTest, GlobalStrictlyContainsCompletionUnderSingleFd) {
   ASSERT_TRUE(IsRepair(cg, block_a));
   EXPECT_TRUE(
       ExhaustiveCheckGlobalOptimal(cg, *problem.priority, block_a).optimal);
-  EXPECT_FALSE(
-      CheckCompletionOptimal(cg, *problem.priority, block_a).optimal);
+  EXPECT_FALSE(CheckCompletionOptimal(cg, *problem.priority, block_a,
+                                      AllFactIds(cg))
+                   .optimal);
 }
 
 // The same separation is reachable by random search over arity-3
@@ -143,8 +145,9 @@ TEST(CompletionTest, GapAlsoFoundByRandomSearch) {
       bool global =
           ExhaustiveCheckGlobalOptimal(cg, *problem.priority, repair)
               .optimal;
-      bool completion =
-          CheckCompletionOptimal(cg, *problem.priority, repair).optimal;
+      bool completion = CheckCompletionOptimal(cg, *problem.priority, repair,
+                                               AllFactIds(cg))
+                            .optimal;
       EXPECT_TRUE(!completion || global);
       if (global && !completion) {
         found = true;
@@ -165,13 +168,16 @@ TEST(CompletionTest, ChainPriorityUniqueOptimal) {
   ConflictGraph cg(*problem.instance);
   const Instance& inst = *problem.instance;
   EXPECT_TRUE(CheckCompletionOptimal(cg, *problem.priority,
-                                     testing_util::Sub(inst, {"x1"}))
+                                     testing_util::Sub(inst, {"x1"}),
+                                     AllFactIds(cg))
                   .optimal);
   EXPECT_FALSE(CheckCompletionOptimal(cg, *problem.priority,
-                                      testing_util::Sub(inst, {"x2"}))
+                                      testing_util::Sub(inst, {"x2"}),
+                                      AllFactIds(cg))
                    .optimal);
   EXPECT_FALSE(CheckCompletionOptimal(cg, *problem.priority,
-                                      testing_util::Sub(inst, {"x3"}))
+                                      testing_util::Sub(inst, {"x3"}),
+                                      AllFactIds(cg))
                    .optimal);
 }
 
@@ -185,13 +191,16 @@ TEST(CompletionTest, IncomparableTopsBothOptimal) {
   ConflictGraph cg(*problem.instance);
   const Instance& inst = *problem.instance;
   EXPECT_TRUE(CheckCompletionOptimal(cg, *problem.priority,
-                                     testing_util::Sub(inst, {"x1"}))
+                                     testing_util::Sub(inst, {"x1"}),
+                                     AllFactIds(cg))
                   .optimal);
   EXPECT_TRUE(CheckCompletionOptimal(cg, *problem.priority,
-                                     testing_util::Sub(inst, {"x2"}))
+                                     testing_util::Sub(inst, {"x2"}),
+                                     AllFactIds(cg))
                   .optimal);
   EXPECT_FALSE(CheckCompletionOptimal(cg, *problem.priority,
-                                      testing_util::Sub(inst, {"x3"}))
+                                      testing_util::Sub(inst, {"x3"}),
+                                      AllFactIds(cg))
                    .optimal);
 }
 
@@ -207,14 +216,17 @@ TEST(CompletionTest, NonRepairRejected) {
   // {x1} is consistent but not maximal (y1 is addable): not an output of
   // the greedy, which never leaves an unconflicted fact behind.
   EXPECT_FALSE(CheckCompletionOptimal(cg, *problem.priority,
-                                      testing_util::Sub(inst, {"x1"}))
+                                      testing_util::Sub(inst, {"x1"}),
+                                      AllFactIds(cg))
                    .optimal);
   EXPECT_TRUE(CheckCompletionOptimal(cg, *problem.priority,
-                                     testing_util::Sub(inst, {"x1", "y1"}))
+                                     testing_util::Sub(inst, {"x1", "y1"}),
+                                     AllFactIds(cg))
                   .optimal);
   // Inconsistent J rejected.
   EXPECT_FALSE(CheckCompletionOptimal(cg, *problem.priority,
-                                      testing_util::Sub(inst, {"x1", "x2"}))
+                                      testing_util::Sub(inst, {"x1", "x2"}),
+                                      AllFactIds(cg))
                    .optimal);
 }
 
@@ -230,8 +242,9 @@ TEST(CompletionTest, GreedyRepairAlwaysCompletionOptimal) {
     DynamicBitset greedy = ConstructGloballyOptimalRepair(
         cg, *problem.priority, {TieBreak::kRandom, seed * 3});
     EXPECT_TRUE(IsRepair(cg, greedy));
-    EXPECT_TRUE(
-        CheckCompletionOptimal(cg, *problem.priority, greedy).optimal);
+    EXPECT_TRUE(CheckCompletionOptimal(cg, *problem.priority, greedy,
+                                       AllFactIds(cg))
+                    .optimal);
   }
 }
 

@@ -33,7 +33,8 @@ TEST(ConstructTest, OutputIsOptimalOnHardSchemasToo) {
       DynamicBitset repair = ConstructGloballyOptimalRepair(cg, *p.priority);
       EXPECT_TRUE(IsRepair(cg, repair)) << "S" << index;
       EXPECT_TRUE(
-          CheckCompletionOptimal(cg, *p.priority, repair).optimal)
+          CheckCompletionOptimal(cg, *p.priority, repair, AllFactIds(cg))
+              .optimal)
           << "S" << index;
       EXPECT_TRUE(
           ExhaustiveCheckGlobalOptimal(cg, *p.priority, repair).optimal)

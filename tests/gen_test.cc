@@ -319,12 +319,13 @@ TEST(CategoricalWorkloadTest, NearMissBreaksExactlyOneBlock) {
     }
   }
   std::vector<DynamicBitset> last_optimal = OptimalRepairsWithin(
-      cg, *p.priority, last.facts, RepairSemantics::kGlobal);
+      cg, *p.priority, last.fact_list, RepairSemantics::kGlobal);
   EXPECT_GT(last_optimal.size(), 1u);
   // Every other block keeps its total priority and its unique optimum.
   for (size_t i = 0; i + 1 < ctx.blocks().num_blocks(); ++i) {
     std::vector<DynamicBitset> optimal =
-        OptimalRepairsWithin(cg, *p.priority, ctx.blocks().block(i).facts,
+        OptimalRepairsWithin(cg, *p.priority,
+                             ctx.blocks().block(i).fact_list,
                              RepairSemantics::kGlobal);
     EXPECT_EQ(optimal.size(), 1u) << "block " << i;
   }

@@ -54,7 +54,9 @@ TEST(InvariantDeathTest, CompletionRequiresConflictBoundedPriority) {
   p.priority->MustAdd(0, 1);  // cross-conflict edge
   ConflictGraph cg(*p.instance);
   EXPECT_DEATH(
-      { (void)CheckCompletionOptimal(cg, *p.priority, p.j); },
+      {
+        (void)CheckCompletionOptimal(cg, *p.priority, p.j, AllFactIds(cg));
+      },
       "conflict-bounded");
   EXPECT_DEATH(
       { (void)ConstructGloballyOptimalRepair(cg, *p.priority); },
@@ -88,8 +90,8 @@ TEST(InvariantDeathTest, ParetoRequiresConsistentJ) {
   ConflictGraph cg(*p.instance);
   EXPECT_DEATH(
       {
-        (void)FindParetoImprovement(cg, *p.priority,
-                                    p.instance->AllFacts());
+        (void)FindParetoImprovement(cg, *p.priority, p.instance->AllFacts(),
+                                    AllFactIds(cg));
       },
       "consistent");
 }

@@ -331,8 +331,9 @@ CheckResult ReferenceCheckBlock(const ProblemContext& ctx, const Block& b,
         " facts) exceeds the admissible size for exhaustive solving");
   }
   CheckResult result = CheckResult::Optimal();
-  ForEachRepairWithin(cg, b.facts, governor, [&](const DynamicBitset& r) {
-    DynamicBitset candidate = (j - b.facts) | r;
+  const DynamicBitset block = testing_util::ListBits(b.fact_list, j.size());
+  ForEachRepairWithin(cg, b.fact_list, governor, [&](const DynamicBitset& r) {
+    DynamicBitset candidate = (j - block) | r;
     if (IsGlobalImprovement(cg, ctx.priority(), j, candidate)) {
       result = CheckResult::NotOptimal(
           std::move(candidate),
@@ -349,11 +350,12 @@ CheckResult ReferenceCheckBlock(const ProblemContext& ctx, const Block& b,
 }
 
 // The reference optimal set and count: the block-repairs the reference
-// check calls optimal, in walk order.  A walk the budget cut short
-// empties the set (OptimalBlockRepairs' contract) and leaves the count
-// a lower bound (CountBlock's).
+// check calls optimal, in walk order, as block masks (bit i =
+// b.fact_list[i], the form OptimalBlockRepairs returns).  A walk the
+// budget cut short empties the set (OptimalBlockRepairs' contract) and
+// leaves the count a lower bound (CountBlock's).
 struct ReferenceOptimal {
-  std::vector<DynamicBitset> set;
+  std::vector<uint64_t> set;
   uint64_t count = 0;
 };
 
@@ -364,12 +366,18 @@ ReferenceOptimal ReferenceOptimalBlockRepairs(const ProblemContext& ctx,
   if (!governor.AdmitBlock(b.size())) {
     return out;
   }
-  ForEachRepairWithin(ctx.conflict_graph(), b.facts, governor,
+  ForEachRepairWithin(ctx.conflict_graph(), b.fact_list, governor,
                       [&](const DynamicBitset& r) {
                         const CheckResult result =
                             ReferenceCheckBlock(ctx, b, r);
                         if (result.known() && result.optimal) {
-                          out.set.push_back(r);
+                          uint64_t mask = 0;
+                          for (size_t i = 0; i < b.size(); ++i) {
+                            if (r.test(b.fact_list[i])) {
+                              mask |= uint64_t{1} << i;
+                            }
+                          }
+                          out.set.push_back(mask);
                           ++out.count;
                         }
                         return true;
@@ -425,20 +433,22 @@ std::vector<DynamicBitset> CandidateJs(const ConflictGraph& cg,
   out.push_back(random_subset);
   const DynamicBitset repair =
       ExtendToRepair(cg, DynamicBitset(cg.num_facts()));
-  const DynamicBitset in_block = repair & b.facts;
+  const DynamicBitset block =
+      testing_util::ListBits(b.fact_list, cg.num_facts());
+  const DynamicBitset in_block = repair & block;
   if (in_block.any()) {
     DynamicBitset shrunk = repair;
     shrunk.reset(in_block.FindFirst());
     out.push_back(shrunk);
   }
-  const DynamicBitset outside_block = b.facts - repair;
+  const DynamicBitset outside_block = block - repair;
   if (outside_block.any()) {
     DynamicBitset grown = repair;
     grown.set(outside_block.FindFirst());
     out.push_back(grown);
   }
   for (size_t f = 0; f < cg.num_facts(); ++f) {
-    if (!b.facts.test(f) && !repair.test(f) &&
+    if (!block.test(f) && !repair.test(f) &&
         cg.ConflictsWithSet(static_cast<FactId>(f), repair)) {
       DynamicBitset grown = repair;
       grown.set(f);
@@ -485,12 +495,10 @@ Block SubsetBlock(const ConflictGraph& cg, size_t size, Rng& rng) {
   Block b;
   b.id = 7;
   b.rel = 0;
-  b.facts = DynamicBitset(cg.num_facts());
   for (size_t f : rng.Sample(cg.num_facts(), size)) {
-    b.facts.set(f);
+    b.fact_list.push_back(static_cast<FactId>(f));
   }
-  b.facts.ForEach(
-      [&](size_t f) { b.fact_list.push_back(static_cast<FactId>(f)); });
+  std::sort(b.fact_list.begin(), b.fact_list.end());
   return b;
 }
 
@@ -625,8 +633,10 @@ KeyedImprovementGraph ReferenceImprovementGraph(
     }
     return it->second;
   };
+  const DynamicBitset block =
+      testing_util::ListBits(b.fact_list, instance.num_facts());
   for (FactId f : instance.facts_of(b.rel)) {
-    if (!j.test(f) || !b.facts.test(f)) {
+    if (!j.test(f) || !block.test(f)) {
       continue;
     }
     const Fact fact = instance.fact(f);
@@ -637,7 +647,7 @@ KeyedImprovementGraph ReferenceImprovementGraph(
     g.graph.AddEdge(left, right);
   }
   for (FactId f_prime : instance.facts_of(b.rel)) {
-    if (j.test(f_prime) || !b.facts.test(f_prime)) {
+    if (j.test(f_prime) || !block.test(f_prime)) {
       continue;
     }
     const Fact fp = instance.fact(f_prime);
@@ -769,7 +779,9 @@ std::vector<DynamicBitset> BlockBatteryJs(const ProblemContext& ctx,
         static_cast<size_t>(rng.NextBounded(ctx.blocks().num_blocks())));
     std::vector<FactId> order = b.fact_list;
     rng.Shuffle(&order);
-    swapped_block = GreedyRepair(cg, generated - b.facts, order);
+    swapped_block = GreedyRepair(
+        cg, generated - testing_util::ListBits(b.fact_list, cg.num_facts()),
+        order);
   }
   out.push_back(swapped_block);
   return out;
@@ -943,7 +955,10 @@ TEST(RepairWalkWordBoundaryTest, RepairsMatchClosedForm) {
     for (size_t f = 0; f < facts; ++f) {
       universe.set(f, f % 3 != 0);
     }
-    EXPECT_EQ(AllRepairsWithin(cg, universe).size(), sizes[1] * sizes[2]);
+    std::vector<FactId> listed;
+    universe.ForEach(
+        [&](size_t f) { listed.push_back(static_cast<FactId>(f)); });
+    EXPECT_EQ(AllRepairsWithin(cg, listed).size(), sizes[1] * sizes[2]);
   }
 }
 
@@ -962,8 +977,6 @@ TEST(RepairWalkWordBoundaryTest, ExhaustiveSolverOnAFullWordBlock) {
   Block all;
   all.id = 0;
   all.rel = 0;
-  all.facts = DynamicBitset(63);
-  all.facts.set_all();
   for (size_t f = 0; f < 63; ++f) {
     all.fact_list.push_back(static_cast<FactId>(f));
   }
@@ -999,7 +1012,8 @@ TEST_P(InclusionProperty, OptimalityInclusionsHold) {
   ConflictGraph cg(*problem.instance);
   const PriorityRelation& pr = *problem.priority;
   for (const DynamicBitset& repair : AllRepairs(cg)) {
-    bool completion = CheckCompletionOptimal(cg, pr, repair).optimal;
+    bool completion =
+        CheckCompletionOptimal(cg, pr, repair, AllFactIds(cg)).optimal;
     bool global = ExhaustiveCheckGlobalOptimal(cg, pr, repair).optimal;
     bool pareto = CheckParetoOptimal(cg, pr, repair).optimal;
     EXPECT_TRUE(!completion || global) << "completion ⊆ global violated";
@@ -1018,7 +1032,7 @@ TEST_P(InclusionProperty, EveryInstanceHasACompletionOptimalRepair) {
   DynamicBitset greedy = ConstructGloballyOptimalRepair(
       cg, pr, {TieBreak::kRandom, GetParam().seed});
   EXPECT_TRUE(IsRepair(cg, greedy));
-  EXPECT_TRUE(CheckCompletionOptimal(cg, pr, greedy).optimal);
+  EXPECT_TRUE(CheckCompletionOptimal(cg, pr, greedy, AllFactIds(cg)).optimal);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, InclusionProperty,

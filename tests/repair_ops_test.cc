@@ -188,8 +188,10 @@ TEST(ExhaustiveTest, RestrictedUniverseEnumeration) {
   // Universe = the k-group only: two repairs {a1}, {a2} (as subsets of
   // the universe).
   DynamicBitset universe = Sub(inst, {"a1", "a2"});
+  const std::vector<FactId> listed = {inst.FindLabel("a1"),
+                                      inst.FindLabel("a2")};
   size_t count = 0;
-  ForEachRepairWithin(cg, universe, [&](const DynamicBitset& r) {
+  ForEachRepairWithin(cg, listed, [&](const DynamicBitset& r) {
     EXPECT_EQ(r.count(), 1u);
     EXPECT_TRUE(r.IsSubsetOf(universe));
     ++count;

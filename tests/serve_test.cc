@@ -126,7 +126,7 @@ void ExpectMemoMatchesRecompute(SessionContext& session,
           << note << ": cached categoricity bit diverged for block key "
           << key << " sem " << static_cast<int>(sem);
       if (entry->unique == Trilean::kTrue) {
-        EXPECT_EQ(entry->repair_local, CanonicalizeSubset(b, fresh.repair))
+        EXPECT_EQ(entry->repair_local, fresh.repair)
             << note << ": cached unique repair diverged for block key "
             << key;
       }
@@ -229,6 +229,35 @@ TEST(ServeSessionTest, OneFdWitnessSkipsDeletedFacts) {
   ExpectMatchesRebuild(*s, {}, "one-fd delete",
                        {"check global", "check pareto", "count global",
                         "construct"});
+}
+
+TEST(ServeSessionTest, ConstantAttrCheckSkipsDeletedFacts) {
+  // FD ∅ → 2 is a constant-attribute assignment and a > d joins two
+  // facts that do not conflict, so every block is checked by its
+  // consistent partitions (§7.2.2).  Once b is deleted its id stays in
+  // the relation's fact list as a tombstone; a partition holding it
+  // would make J ∪ {b} look like an improvement of J = {a, d}.
+  Result<PreferredRepairProblem> p = ParseProblemText(
+      "relation R 2\n"
+      "fd R: {} -> 2\n"
+      "fact a R(1, x)\n"
+      "fact b R(2, x)\n"
+      "fact d R(4, x)\n"
+      "fact c R(3, y)\n"
+      "prefer a > d\n"
+      "j a b d\n");
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  std::unique_ptr<SessionContext> s = MustCreate(*p);
+  EXPECT_EQ(MustExecute(*s, "check global").find("not optimal"),
+            std::string::npos);
+  MustExecute(*s, "delete b");
+  const std::string reply = MustExecute(*s, "check global");
+  EXPECT_EQ(reply.find("not optimal"), std::string::npos) << reply;
+  EXPECT_NE(MustExecute(*s, "count global").find("count global: 2"),
+            std::string::npos);
+  ExpectMatchesRebuild(*s, {}, "constant-attribute delete",
+                       {"check global", "count global",
+                        "cqa global Q(x) :- R(x, y)"});
 }
 
 TEST(ServeSessionTest, RevivalRestoresIdenticalFact) {

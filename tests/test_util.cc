@@ -39,6 +39,14 @@ DynamicBitset Sub(const Instance& instance,
   return instance.SubinstanceByLabels(labels);
 }
 
+DynamicBitset ListBits(const std::vector<FactId>& facts, size_t num_facts) {
+  DynamicBitset bits(num_facts);
+  for (FactId f : facts) {
+    bits.set(f);
+  }
+  return bits;
+}
+
 std::string VerifyWitness(const ConflictGraph& cg, const PriorityRelation& pr,
                           const DynamicBitset& j, const CheckResult& result) {
   if (result.optimal || !result.witness.has_value()) {

@@ -32,6 +32,10 @@ PreferredRepairProblem MakeProblem(const ProblemSpec& spec);
 DynamicBitset Sub(const Instance& instance,
                   const std::vector<std::string>& labels);
 
+/// The listed facts (a block's fact_list) as a whole-instance bitset of
+/// `num_facts` bits, for set algebra in definitional references.
+DynamicBitset ListBits(const std::vector<FactId>& facts, size_t num_facts);
+
 /// If `result` reports non-optimal with a witness, verifies that the
 /// witness really is a global improvement of `j`; returns a description
 /// of any violation (empty string = fine).
