@@ -97,8 +97,8 @@ BENCHMARK(BM_CqaCategoricalEnum)
     ->Unit(benchmark::kMicrosecond);
 
 // The near-miss pair stops at 9 cliques: the broken block's 2816
-// optimal block-repairs already cost seconds per request either way,
-// which is plenty to resolve an overhead ratio near 1.0.
+// optimal block-repairs already cost tens of milliseconds per request
+// either way, which is plenty to resolve an overhead ratio near 1.0.
 void BM_CqaNearMissFast(benchmark::State& state) {
   RunCqa(state, /*near_miss=*/true, /*force=*/false);
 }

@@ -13,6 +13,7 @@
 #include "reductions/hard_schemas.h"
 #include "repair/block_solver.h"
 #include "repair/checker.h"
+#include "repair/counting.h"
 #include "repair/exhaustive.h"
 #include "repair/global_one_fd.h"
 #include "repair/global_two_keys.h"
@@ -164,6 +165,29 @@ void BM_Hard_RepairCount(benchmark::State& state) {
   state.counters["repairs"] = static_cast<double>(repairs);
 }
 BENCHMARK(BM_Hard_RepairCount)->DenseRange(4, 20, 4);
+
+// Counting globally-optimal repairs on the hard side, serially: 16
+// distinct S1 blocks of (cliques, clique size) = the two arguments.
+// Each block is walked once and its block-repairs are filtered
+// pairwise (docs/algorithms.md); numbers are in EXPERIMENTS.md B23.
+void BM_Hard_OptimalCount(benchmark::State& state) {
+  PreferredRepairProblem problem = MakeHardShardedWorkload(
+      16, static_cast<size_t>(state.range(0)),
+      static_cast<size_t>(state.range(1)), /*distinct_blocks=*/true);
+  ProblemContext ctx(*problem.instance, *problem.priority);
+  ctx.set_parallelism(1);
+  ctx.Prime();
+  BoundedCount count;
+  for (auto _ : state) {
+    count = CountOptimalRepairsBounded(ctx, RepairSemantics::kGlobal);
+    benchmark::DoNotOptimize(count.lower_bound);
+  }
+  state.counters["optimal_repairs"] = static_cast<double>(count.lower_bound);
+}
+BENCHMARK(BM_Hard_OptimalCount)
+    ->Args({4, 4})
+    ->Args({5, 4})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace prefrep

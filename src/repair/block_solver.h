@@ -91,23 +91,28 @@ class BlockSolver {
   virtual CheckResult CheckBlock(const ProblemContext& ctx, const Block& b,
                                  const DynamicBitset& j) const = 0;
 
-  /// Materializes the optimal block-repairs of `b`, one word per
-  /// block-repair: a block mask, bit i = b.fact_list[i]
+  /// Materializes the optimal block-repairs of `b` in walk order, one
+  /// word per block-repair: a block mask, bit i = b.fact_list[i]
   /// (conflicts/blocks.h).  One word always suffices, because
   /// AdmitBlock refuses blocks of more than 63 facts even when the
-  /// governor is unarmed.  Default: filter the 2^{|b|} block-repair
-  /// enumeration through CheckBlock — for polynomial solvers that is
-  /// O(2^{|b|} · poly) instead of the O(4^{|b|}) pairwise filter.  The
-  /// enumeration checkpoints on ctx.governor(); when the budget fires
+  /// governor is unarmed.  Default: filter the block-repair walk
+  /// through CheckBlock — for polynomial solvers that is
+  /// O(repairs · poly).  The exhaustive solver instead lists the R
+  /// block-repairs of one walk and keeps those no listed block-repair
+  /// improves, testing them pairwise on words (O(R²) word tests, 2R
+  /// words of memory; docs/algorithms.md).  Either way the work
+  /// checkpoints on ctx.governor() — once per walk node and, in the
+  /// exhaustive filter, once per pair test — and when the budget fires
   /// the result is empty (a real block always has ≥ 1 optimal
   /// block-repair, so empty unambiguously means "abandoned").
   virtual std::vector<uint64_t> OptimalBlockRepairs(const ProblemContext& ctx,
                                                     const Block& b) const;
 
-  /// Counts the optimal block-repairs.  Default: enumerate and count
-  /// without materializing, checkpointing on ctx.governor(); when the
-  /// budget fires mid-count the returned value is a lower bound (check
-  /// ctx.governor().exhausted(), or use CountOptimalRepairsBounded).
+  /// Counts the optimal block-repairs, on the same walk or filter as
+  /// OptimalBlockRepairs and at the same checkpoints, without
+  /// materializing the result; when the budget fires mid-count the
+  /// returned value is a lower bound (check ctx.governor().exhausted(),
+  /// or use CountOptimalRepairsBounded).
   virtual uint64_t CountBlock(const ProblemContext& ctx, const Block& b) const;
 };
 

@@ -167,8 +167,10 @@ namespace {
 
 // Keeps the entries of `repairs` that no other entry improves under the
 // given semantics.  `repairs` must be improvement-closed: all repairs of
-// `facts` (the whole instance, or one block).  The quadratic scan
-// checkpoints on `governor`; when it fires the returned vector is
+// `facts` (the whole instance, or one block).  The scan charges
+// `governor` one checkpoint per pair test (global, Pareto), stopping
+// each entry's scan at its first improver, and one per entry for the
+// completion check; when the budget fires the returned vector is
 // partial and the caller must discard it.
 std::vector<DynamicBitset> FilterOptimal(
     const ConflictGraph& cg, const PriorityRelation& pr,
@@ -176,30 +178,24 @@ std::vector<DynamicBitset> FilterOptimal(
     const std::vector<FactId>& facts, ResourceGovernor& governor) {
   std::vector<DynamicBitset> out;
   for (const DynamicBitset& j : repairs) {
-    if (!governor.Checkpoint()) {
-      return out;
-    }
     bool optimal = true;
-    switch (semantics) {
-      case RepairSemantics::kGlobal:
-        for (const DynamicBitset& other : repairs) {
-          if (IsGlobalImprovement(cg, pr, j, other)) {
-            optimal = false;
-            break;
-          }
+    if (semantics == RepairSemantics::kCompletion) {
+      if (!governor.Checkpoint()) {
+        return out;
+      }
+      optimal = CheckCompletionOptimal(cg, pr, j, facts).optimal;
+    } else {
+      for (const DynamicBitset& other : repairs) {
+        if (!governor.Checkpoint()) {
+          return out;
         }
-        break;
-      case RepairSemantics::kPareto:
-        for (const DynamicBitset& other : repairs) {
-          if (IsParetoImprovement(cg, pr, j, other)) {
-            optimal = false;
-            break;
-          }
+        if (semantics == RepairSemantics::kPareto
+                ? IsParetoImprovement(cg, pr, j, other)
+                : IsGlobalImprovement(cg, pr, j, other)) {
+          optimal = false;
+          break;
         }
-        break;
-      case RepairSemantics::kCompletion:
-        optimal = CheckCompletionOptimal(cg, pr, j, facts).optimal;
-        break;
+      }
     }
     if (optimal) {
       out.push_back(j);

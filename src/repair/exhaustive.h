@@ -130,8 +130,11 @@ std::vector<DynamicBitset> OptimalRepairsWithin(
     const ConflictGraph& cg, const PriorityRelation& pr,
     const std::vector<FactId>& facts, RepairSemantics semantics);
 
-/// Budget-governed variant: both the block-repair enumeration and the
-/// quadratic optimality filter checkpoint on `governor`.  When
+/// Budget-governed variant: the block-repair enumeration checkpoints
+/// once per search-tree node, and the quadratic optimality filter once
+/// per pair test (global, Pareto: one repair tested against another,
+/// each repair's scan stopping at its first improver) or once per
+/// repair (completion), so `max_nodes` bounds the filter too.  When
 /// `governor.exhausted()` afterwards the returned vector is partial and
 /// MUST be discarded (a subset of the optimal block-repairs is not a
 /// usable under-approximation for cross-products).

@@ -430,6 +430,59 @@ TEST(GovernorTest, CrossBlockFallbacksSpendTheContextBudget) {
   }
 }
 
+TEST(GovernorTest, CrossBlockFilterChargesEveryPairTest) {
+  // Six independent conflicting pairs and one priority edge between two
+  // of them: the edge is cross-block, so enumeration falls back to the
+  // whole-instance filter, and every one of the 2^6 repairs is optimal
+  // (a0 and a1 do not conflict, so nothing improves a repair).  The
+  // filter tests each repair against every repair: 64 × 64 pair tests.
+  ProblemSpec spec;
+  spec.arity = 2;
+  spec.fds = {"1 -> 2"};
+  for (int i = 0; i < 6; ++i) {
+    spec.facts.push_back("a" + std::to_string(i) + ": k" +
+                         std::to_string(i) + ", 1");
+    spec.facts.push_back("b" + std::to_string(i) + ": k" +
+                         std::to_string(i) + ", 2");
+  }
+  spec.priorities = {"a0 > a1"};
+  PreferredRepairProblem p = testing_util::MakeProblem(spec);
+  ConflictGraph cg(*p.instance);
+  const std::vector<DynamicBitset> expected =
+      AllOptimalRepairs(cg, *p.priority, RepairSemantics::kGlobal);
+  ASSERT_EQ(expected.size(), 64u);
+  // The walk's own nodes, counted by a governor that never fires.
+  ResourceBudget counting;
+  counting.max_nodes = uint64_t{1} << 40;
+  ResourceGovernor walk_governor(counting);
+  ForEachRepairWithin(cg, AllFactIds(cg), walk_governor,
+                      [](const DynamicBitset&) { return true; });
+  const uint64_t walk_nodes = walk_governor.nodes_spent();
+  const auto enumerate = [&](ResourceGovernor& g) {
+    ProblemContext ctx(cg, *p.priority);
+    EXPECT_FALSE(ctx.priority_block_local());
+    ctx.set_governor(&g);
+    return AllOptimalRepairs(ctx, RepairSemantics::kGlobal);
+  };
+  {
+    // The walk plus one node per repair no longer pays for the filter.
+    ResourceBudget budget;
+    budget.max_nodes = walk_nodes + 64;
+    ResourceGovernor g(budget);
+    EXPECT_TRUE(enumerate(g).empty());
+    EXPECT_TRUE(g.exhausted());
+  }
+  {
+    // The walk plus every pair test does.
+    ResourceBudget budget;
+    budget.max_nodes = walk_nodes + 64 * 64;
+    ResourceGovernor g(budget);
+    EXPECT_EQ(enumerate(g), expected);
+    EXPECT_FALSE(g.exhausted());
+    EXPECT_EQ(g.nodes_spent(), budget.max_nodes);
+  }
+}
+
 TEST(GovernorTest, CountProductSaturatesAtSixtyFourDoublingBlocks) {
   // 64 independent unordered conflict pairs: every repair is globally
   // optimal, so the per-block product is 2^64 — one past uint64.  With
