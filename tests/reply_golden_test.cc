@@ -31,6 +31,7 @@
 
 #include "base/string_util.h"
 #include "cache/block_cache.h"
+#include "classify/categoricity.h"
 #include "conflicts/blocks.h"
 #include "gen/edit_script.h"
 #include "gen/hard_workloads.h"
@@ -136,6 +137,26 @@ const char* SemanticsName(RepairSemantics semantics) {
       return "completion";
   }
   return "?";
+}
+
+// Checks a categoricity verdict against an unbudgeted, uncached context:
+// a categorical verdict names the one optimal repair AllOptimalRepairs
+// lists, and an ambiguous verdict needs at least two optimal repairs.
+// Those are counted, not listed: a twenty-shard script's optimal repairs
+// are a product of per-block choices too large to materialize.
+void ExpectAgreesWithEnumeration(const PreferredRepairProblem& problem,
+                                 const CategoricityResult& result) {
+  const ProblemContext fresh(*problem.instance, *problem.priority);
+  if (result.verdict == Categoricity::kAmbiguous) {
+    EXPECT_GE(
+        CountOptimalRepairsBounded(fresh, RepairSemantics::kGlobal).lower_bound,
+        2u);
+  } else if (result.verdict == Categoricity::kCategorical) {
+    const std::vector<DynamicBitset> all =
+        AllOptimalRepairs(fresh, RepairSemantics::kGlobal);
+    ASSERT_EQ(all.size(), 1u);
+    EXPECT_EQ(all.front(), result.repair);
+  }
 }
 
 // The library-level transcript of one problem under one budget: every
@@ -260,13 +281,15 @@ void AppendLibraryTranscript(const PreferredRepairProblem& problem,
     });
     return;
   }
-  with_context("unique global", [&](const ProblemContext& ctx) {
-    const std::optional<DynamicBitset> unique =
-        UniqueGloballyOptimalRepair(ctx);
-    *out << "  "
-         << (unique.has_value() ? instance.SubinstanceToString(*unique)
-                                : std::string("none"))
-         << "\n";
+  with_context("categoricity global", [&](const ProblemContext& ctx) {
+    const CategoricityResult result =
+        DecideCategoricity(ctx, RepairSemantics::kGlobal);
+    *out << "  verdict: " << CategoricityName(result.verdict) << "\n";
+    if (result.verdict == Categoricity::kCategorical) {
+      *out << "  repair: " << instance.SubinstanceToString(result.repair)
+           << "\n";
+    }
+    ExpectAgreesWithEnumeration(problem, result);
   });
   if (conflict_bounded) {
     with_context("construct", [&](const ProblemContext& ctx) {
