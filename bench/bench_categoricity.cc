@@ -73,8 +73,7 @@ void RunCqa(benchmark::State& state, bool near_miss, bool force) {
     ProblemContext ctx(*problem.instance, *problem.priority);
     ctx.set_parallelism(1);
     auto answers = ConsistentAnswersBounded(ctx, query,
-                                            AnswerSemantics::kGlobal,
-                                            nullptr, options);
+                                            AnswerSemantics::kGlobal, options);
     PREFREP_CHECK(answers.ok());
     benchmark::DoNotOptimize(answers->size());
   }

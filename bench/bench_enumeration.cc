@@ -6,6 +6,7 @@
 
 #include "bench_util.h"
 #include "conflicts/conflicts.h"
+#include "repair/block_solver.h"
 #include "repair/exhaustive.h"
 
 namespace prefrep {
@@ -68,7 +69,9 @@ void BM_Enumeration_AllOptimal(benchmark::State& state) {
                                  : RepairSemantics::kCompletion);
   size_t count = 0;
   for (auto _ : state) {
-    count = AllOptimalRepairs(cg, *problem.priority, semantics).size();
+    ProblemContext ctx(cg, *problem.priority);
+    ctx.set_parallelism(1);
+    count = AllOptimalRepairs(ctx, semantics).size();
     benchmark::DoNotOptimize(count);
   }
   state.SetLabel(state.range(0) == 0   ? "global"

@@ -59,12 +59,13 @@ BENCHMARK(BM_Completion_Check)->RangeMultiplier(2)->Range(16, 2048)
 void BM_Completion_GreedyRepair(benchmark::State& state) {
   PreferredRepairProblem problem = bench::SizedProblem(
       S4(), state.range(0), JPolicy::kRandomRepair);
-  ConflictGraph cg(*problem.instance);
+  ProblemContext ctx(*problem.instance, *problem.priority);
+  ctx.set_parallelism(1);
   uint64_t seed = 1;
   for (auto _ : state) {
-    DynamicBitset repair = ConstructGloballyOptimalRepair(
-        cg, *problem.priority, {TieBreak::kRandom, seed++});
-    benchmark::DoNotOptimize(repair.count());
+    Result<DynamicBitset> repair = TryConstructGloballyOptimalRepair(
+        ctx, {TieBreak::kRandom, seed++});
+    benchmark::DoNotOptimize(repair->count());
   }
 }
 BENCHMARK(BM_Completion_GreedyRepair)->RangeMultiplier(2)->Range(16, 1024);

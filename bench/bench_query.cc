@@ -35,8 +35,9 @@ void BM_Query_ConsistentAnswers(benchmark::State& state) {
   auto q = ConjunctiveQuery::Parse("Q(x) :- R4(x, y, z)");
   PREFREP_CHECK(q.ok());
   for (auto _ : state) {
-    auto answers = ConsistentAnswers(cg, *problem.priority, *q,
-                                     AnswerSemantics::kAllRepairs);
+    const ProblemContext ctx(cg, *problem.priority);
+    auto answers =
+        ConsistentAnswers(ctx, *q, AnswerSemantics::kAllRepairs);
     benchmark::DoNotOptimize(answers.size());
   }
   state.SetComplexityN(state.range(0));
@@ -54,8 +55,8 @@ void BM_Query_PreferredAnswersPruneFaster(benchmark::State& state) {
   auto q = ConjunctiveQuery::Parse("Q(x) :- R4(x, y, z)");
   PREFREP_CHECK(q.ok());
   for (auto _ : state) {
-    auto answers = ConsistentAnswers(cg, *problem.priority, *q,
-                                     AnswerSemantics::kGlobal);
+    const ProblemContext ctx(cg, *problem.priority);
+    auto answers = ConsistentAnswers(ctx, *q, AnswerSemantics::kGlobal);
     benchmark::DoNotOptimize(answers.size());
   }
 }
@@ -71,8 +72,8 @@ void BM_Query_CertainlyTrueEarlyExit(benchmark::State& state) {
   auto q = ConjunctiveQuery::Parse("Q() :- R4(x, \"m0_lo\", z)");
   PREFREP_CHECK(q.ok());
   for (auto _ : state) {
-    bool certain = CertainlyTrue(cg, *problem.priority, *q,
-                                 AnswerSemantics::kAllRepairs);
+    const ProblemContext ctx(cg, *problem.priority);
+    bool certain = CertainlyTrue(ctx, *q, AnswerSemantics::kAllRepairs);
     benchmark::DoNotOptimize(certain);
   }
 }

@@ -50,42 +50,37 @@ int main() {
   problem.InitPriority();
   PREFREP_CHECK(problem.priority->AddByLabels("sysA:p1", "sysB:p1").ok());
 
-  ConflictGraph cg(inst);
+  const ProblemContext ctx(inst, *problem.priority);
   std::printf("facts: %zu, conflicts: %zu\n\n", inst.num_facts(),
-              cg.num_edges());
+              ctx.conflict_graph().num_edges());
 
   auto ward_query = ConjunctiveQuery::Parse("Q(id, ward) :- Patient(id, ward)");
   PREFREP_CHECK(ward_query.ok());
   PrintAnswers("classical consistent answers (all repairs)",
-               ConsistentAnswers(cg, *problem.priority, *ward_query,
+               ConsistentAnswers(ctx, *ward_query,
                                  AnswerSemantics::kAllRepairs));
   PrintAnswers("\nglobally-optimal repair answers",
-               ConsistentAnswers(cg, *problem.priority, *ward_query,
-                                 AnswerSemantics::kGlobal));
+               ConsistentAnswers(ctx, *ward_query, AnswerSemantics::kGlobal));
 
   // A join: which allergies matter on each ward?
   auto join = ConjunctiveQuery::Parse(
       "Q(ward, drug) :- Patient(id, ward), Allergy(id, drug)");
   PREFREP_CHECK(join.ok());
   PrintAnswers("\nward-level allergy list (classical)",
-               ConsistentAnswers(cg, *problem.priority, *join,
-                                 AnswerSemantics::kAllRepairs));
+               ConsistentAnswers(ctx, *join, AnswerSemantics::kAllRepairs));
   PrintAnswers("ward-level allergy list (globally-optimal)",
-               ConsistentAnswers(cg, *problem.priority, *join,
-                                 AnswerSemantics::kGlobal));
+               ConsistentAnswers(ctx, *join, AnswerSemantics::kGlobal));
 
   // Boolean certainty.
   auto boolean = ConjunctiveQuery::Parse(
       "Q() :- Patient(\"p1\", \"cardiology\")");
   PREFREP_CHECK(boolean.ok());
   std::printf("\n'p1 in cardiology' certainly true classically: %s\n",
-              CertainlyTrue(cg, *problem.priority, *boolean,
-                            AnswerSemantics::kAllRepairs)
+              CertainlyTrue(ctx, *boolean, AnswerSemantics::kAllRepairs)
                   ? "yes"
                   : "no");
   std::printf("'p1 in cardiology' certainly true under preferences: %s\n",
-              CertainlyTrue(cg, *problem.priority, *boolean,
-                            AnswerSemantics::kGlobal)
+              CertainlyTrue(ctx, *boolean, AnswerSemantics::kGlobal)
                   ? "yes"
                   : "no");
   return 0;

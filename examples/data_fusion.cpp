@@ -18,8 +18,8 @@
 
 #include "conflicts/conflicts.h"
 #include "model/problem.h"
+#include "repair/block_solver.h"
 #include "repair/checker.h"
-#include "repair/exhaustive.h"
 
 using namespace prefrep;
 
@@ -107,8 +107,8 @@ int main() {
   // With a single key per relation, priorities define a unique optimal
   // fusion exactly when every conflict set has a top element; enumerate
   // to confirm.
-  std::vector<DynamicBitset> optimal = AllOptimalRepairs(
-      checker.conflict_graph(), *problem.priority, RepairSemantics::kGlobal);
+  std::vector<DynamicBitset> optimal =
+      AllOptimalRepairs(checker.context(), RepairSemantics::kGlobal);
   std::printf("\n%zu globally-optimal fusion(s):\n", optimal.size());
   for (const DynamicBitset& j : optimal) {
     std::printf("  %s\n", inst.SubinstanceToString(j).c_str());

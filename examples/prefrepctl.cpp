@@ -287,8 +287,7 @@ int CmdAnswers(const PreferredRepairProblem& p, SessionContext& session,
   cqa_options.memo = &session.categoricity_memo();
   cqa_options.path = &path;
   if (query->IsBoolean()) {
-    Trilean certain = CertainlyTrueBounded(ctx, *query, sem, nullptr,
-                                           cqa_options);
+    Trilean certain = CertainlyTrueBounded(ctx, *query, sem, cqa_options);
     ctx.set_governor(nullptr);
     std::printf("certainly true: %s\n",
                 certain == Trilean::kTrue
@@ -303,8 +302,7 @@ int CmdAnswers(const PreferredRepairProblem& p, SessionContext& session,
     }
     return certain == Trilean::kTrue ? 0 : 1;
   }
-  auto bounded = ConsistentAnswersBounded(ctx, *query, sem, nullptr,
-                                          cqa_options);
+  auto bounded = ConsistentAnswersBounded(ctx, *query, sem, cqa_options);
   ctx.set_governor(nullptr);
   if (!bounded.ok()) {
     std::printf("answers unknown: %s\n", bounded.status().ToString().c_str());

@@ -13,8 +13,8 @@
 
 #include "classify/dichotomy.h"
 #include "gen/running_example.h"
+#include "repair/block_solver.h"
 #include "repair/checker.h"
-#include "repair/exhaustive.h"
 
 using namespace prefrep;
 
@@ -64,18 +64,13 @@ int main() {
   }
 
   // 4. Count the repairs under each preferred-repair semantics.
-  const ConflictGraph& cg = checker.conflict_graph();
+  const ProblemContext& ctx = checker.context();
   std::printf("\nrepairs: %llu total, %zu globally-optimal, %zu "
               "Pareto-optimal, %zu completion-optimal\n",
-              static_cast<unsigned long long>(CountRepairs(cg)),
-              AllOptimalRepairs(cg, *problem.priority,
-                                RepairSemantics::kGlobal)
-                  .size(),
-              AllOptimalRepairs(cg, *problem.priority,
-                                RepairSemantics::kPareto)
-                  .size(),
-              AllOptimalRepairs(cg, *problem.priority,
-                                RepairSemantics::kCompletion)
-                  .size());
+              static_cast<unsigned long long>(
+                  CountRepairs(ctx.conflict_graph())),
+              AllOptimalRepairs(ctx, RepairSemantics::kGlobal).size(),
+              AllOptimalRepairs(ctx, RepairSemantics::kPareto).size(),
+              AllOptimalRepairs(ctx, RepairSemantics::kCompletion).size());
   return 0;
 }

@@ -21,8 +21,8 @@
 #include "conflicts/conflicts.h"
 #include "repair/subinstance_ops.h"
 #include "model/problem.h"
+#include "repair/block_solver.h"
 #include "repair/checker.h"
-#include "repair/exhaustive.h"
 
 using namespace prefrep;
 
@@ -126,7 +126,7 @@ int main() {
 
   std::printf("\nall globally-optimal cleanings:\n");
   for (const DynamicBitset& j :
-       AllOptimalRepairs(cg, *problem.priority, RepairSemantics::kGlobal)) {
+       AllOptimalRepairs(checker.context(), RepairSemantics::kGlobal)) {
     std::printf("  %s\n", inst.SubinstanceToString(j).c_str());
   }
   return 0;

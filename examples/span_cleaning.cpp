@@ -18,10 +18,10 @@
 #include <string>
 #include <vector>
 
+#include "classify/categoricity.h"
 #include "conflicts/conflicts.h"
 #include "model/problem.h"
 #include "repair/checker.h"
-#include "repair/counting.h"
 
 using namespace prefrep;
 
@@ -77,19 +77,19 @@ int main() {
               inst.num_facts(), checker.conflict_graph().num_edges());
 
   // The policy induces a total priority on every contradiction here, so
-  // the cleaning is unambiguous — the polynomial uniqueness condition
-  // applies.
-  auto unique = UniqueOptimalIfTotalPriority(checker.conflict_graph(),
-                                             *problem.priority);
-  if (unique.has_value()) {
+  // the cleaning is unambiguous: categoricity decides every block in
+  // polynomial time.
+  const CategoricityResult unique =
+      DecideCategoricity(checker.context(), RepairSemantics::kGlobal);
+  if (unique.verdict == Categoricity::kCategorical) {
     std::printf("policy gives an unambiguous cleaning:\n  %s\n",
-                inst.SubinstanceToString(*unique).c_str());
-    auto outcome = checker.CheckGloballyOptimal(*unique);
+                inst.SubinstanceToString(unique.repair).c_str());
+    auto outcome = checker.CheckGloballyOptimal(unique.repair);
     std::printf("checker confirms optimality: %s\n",
                 outcome.ok() && outcome->result.optimal ? "yes" : "no");
   } else {
-    std::printf("policy leaves ambiguity (priority not total on "
-                "contradictions)\n");
+    std::printf("policy leaves ambiguity (categoricity: %s)\n",
+                CategoricityName(unique.verdict));
   }
 
   // An ad-hoc cleaning that keeps the *first* annotation per position —

@@ -212,10 +212,6 @@ class DynamicBitset {
   std::vector<uint64_t> words_;
 };
 
-struct DynamicBitsetHash {
-  size_t operator()(const DynamicBitset& b) const { return b.HashValue(); }
-};
-
 }  // namespace prefrep
 
 #endif  // PREFREP_BASE_DYNAMIC_BITSET_H_

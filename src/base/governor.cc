@@ -59,7 +59,7 @@ bool ResourceGovernor::CheckpointSlow() {
     Exhaust(ExhaustCause::kCancelled);
     return false;
   }
-  const uint64_t n = nodes_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const uint64_t n = ++nodes_;
   if (fault_at_ != 0 && n >= fault_at_) {
     Exhaust(ExhaustCause::kFaultInjection);
     return false;
@@ -88,7 +88,7 @@ bool ResourceGovernor::AdmitBlock(size_t block_facts) {
   // away.
   if (this != &Unlimited() &&
       (block_facts > kMaxExhaustiveBlockFacts || !exhausted())) {
-    blocks_refused_.fetch_add(1, std::memory_order_relaxed);
+    ++blocks_refused_;
   }
   return false;
 }
@@ -182,7 +182,7 @@ bool ResourceGovernor::TryReplay(uint64_t nodes, bool nodes_valid) {
     // the budget fires at exactly the same checkpoint.
     return false;
   }
-  nodes_.fetch_add(nodes, std::memory_order_relaxed);
+  nodes_ += nodes;
   return true;
 }
 

@@ -16,13 +16,14 @@
 //
 // The governor is single-call state: create one per solving call (or
 // per request), install it on the ProblemContext, and read the
-// degradation report afterwards.  Its counters are atomic, so sharing
-// one governor across threads is memory-safe; node counts under truly
-// concurrent checkpointing are then approximate.  The parallel solver
-// (repair/parallel_solver.h) avoids even that: workers run against
-// private governors and the merge replays their consumption onto the
-// shared one in serial block order, which is what keeps parallel
-// verdicts byte-identical to serial ones.
+// degradation report afterwards.  One thread owns it at a time, so its
+// counters are plain fields.  The parallel solver
+// (repair/parallel_solver.h) gives every worker a private governor and
+// replays the workers' consumption onto the caller's governor, on the
+// caller's thread and in serial block order, which is what keeps
+// parallel verdicts byte-identical to serial ones.  The workers share
+// only the session's cancellation bound, an atomic their governors read
+// (ArmCancellation), and the Unlimited() governor, which nothing writes.
 
 #ifndef PREFREP_BASE_GOVERNOR_H_
 #define PREFREP_BASE_GOVERNOR_H_
@@ -163,20 +164,14 @@ class ResourceGovernor {
   /// one refused block.  A degraded call's "unknown" parts are real.
   bool degraded() const { return exhausted() || blocks_refused() > 0; }
 
-  ExhaustCause cause() const {
-    return cause_.load(std::memory_order_relaxed);
-  }
+  ExhaustCause cause() const { return cause_; }
 
   /// Checkpoints passed so far (0 on the unarmed fast path, which does
   /// not count).
-  uint64_t nodes_spent() const {
-    return nodes_.load(std::memory_order_relaxed);
-  }
+  uint64_t nodes_spent() const { return nodes_; }
 
   /// Number of blocks AdmitBlock refused.
-  uint64_t blocks_refused() const {
-    return blocks_refused_.load(std::memory_order_relaxed);
-  }
+  uint64_t blocks_refused() const { return blocks_refused_; }
 
   /// Human-readable description of what fired ("deadline of 50 ms
   /// exceeded after 12345 nodes", ...).  "within budget" when nothing
@@ -234,30 +229,27 @@ class ResourceGovernor {
   std::chrono::steady_clock::time_point start() const { return start_; }
 
  private:
-  // Concurrency contract (TSAN-verified; see also the tsa preset):
-  // the atomic counters below are the only fields written after a
-  // governor becomes visible to other threads — they are shared
-  // headroom state and need no lock.  Everything else (budget_, armed_,
-  // fault_at_, cancel_bound_, cancel_position_, start_) is
-  // configuration written by the single owner before the governor is
-  // shared (construction, ArmCancellation, the *ForTesting hook) and
-  // read-only afterwards, which is why no PREFREP_GUARDED_BY appears
-  // here: there is no lock, by design — the unarmed Checkpoint() fast
-  // path must stay write-free and fence-free.
+  // Concurrency contract (TSAN-verified): a governor is owned by one
+  // thread, the caller's or one parallel worker's, and only that thread
+  // writes it, so no field needs a lock or an atomic.  The one value
+  // another thread writes is *cancel_bound_, which is atomic.  The
+  // shared Unlimited() governor is never written — unarmed checkpoints
+  // and TryReplay return before any write, and AdmitBlock records no
+  // refusal on it — so every thread may read it; the unarmed
+  // Checkpoint() fast path stays write-free and fence-free.
   bool CheckpointSlow();
   void Exhaust(ExhaustCause cause) {
-    // First cause wins; a racing second exhaustion keeps the original
-    // diagnosis (both still return false from their checkpoint).
-    ExhaustCause expected = ExhaustCause::kNone;
-    cause_.compare_exchange_strong(expected, cause,
-                                   std::memory_order_relaxed);
+    // First cause wins: a later exhaustion keeps the original diagnosis.
+    if (cause_ == ExhaustCause::kNone) {
+      cause_ = cause;
+    }
   }
 
   ResourceBudget budget_;
   bool armed_ = false;
-  std::atomic<ExhaustCause> cause_{ExhaustCause::kNone};
-  std::atomic<uint64_t> nodes_{0};
-  std::atomic<uint64_t> blocks_refused_{0};
+  ExhaustCause cause_ = ExhaustCause::kNone;
+  uint64_t nodes_ = 0;
+  uint64_t blocks_refused_ = 0;
   uint64_t fault_at_ = 0;
   const std::atomic<uint64_t>* cancel_bound_ = nullptr;
   uint64_t cancel_position_ = 0;

@@ -354,11 +354,7 @@ void CategoricityVerdictImpl(const ProblemContext& ctx,
     return;
   }
   const BlockDecomposition& blocks = ctx.blocks();
-  size_t live_facts = blocks.free_facts().count();
-  for (const Block& b : blocks.blocks()) {
-    live_facts += b.size();
-  }
-  if (live_facts > kMaxWholeInstance) {
+  if (blocks.CoveredFacts().count() > kMaxWholeInstance) {
     return;
   }
   // Definitional optimal-repair set over the context's own universe

@@ -169,6 +169,16 @@ BlockDecomposition::BlockDecomposition(std::vector<Block> blocks,
 #endif
 }
 
+DynamicBitset BlockDecomposition::CoveredFacts() const {
+  DynamicBitset covered = free_facts_;
+  for (const Block& b : blocks_) {
+    for (FactId f : b.fact_list) {
+      covered.set(f);
+    }
+  }
+  return covered;
+}
+
 bool PriorityIsBlockLocal(const BlockDecomposition& blocks,
                           const PriorityRelation& priority) {
   for (const auto& [higher, lower] : priority.edges()) {

@@ -129,6 +129,11 @@ class BlockDecomposition {
   /// Facts with no conflicts; members of every repair.
   const DynamicBitset& free_facts() const { return free_facts_; }
 
+  /// The facts the decomposition covers, free or in a block: every fact
+  /// of a graph-built decomposition, and the live facts of an assembled
+  /// one, whose tombstoned ids are neither.
+  DynamicBitset CoveredFacts() const;
+
   /// Block id of a fact, or kNoBlock if the fact is free.
   size_t block_of(FactId f) const {
     PREFREP_CHECK_MSG(f < block_of_.size(), "fact id out of range");

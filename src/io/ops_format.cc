@@ -11,16 +11,6 @@ namespace prefrep {
 
 namespace {
 
-std::string_view Trim(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
 std::vector<std::string> SplitWords(std::string_view s) {
   std::vector<std::string> out;
   size_t i = 0;
@@ -78,13 +68,13 @@ Status ParseFactTerm(std::string_view term, SessionOp* op) {
     return Status::InvalidArgument("expected <Rel>(<c1>, ...), got '" +
                                    std::string(term) + "'");
   }
-  op->relation = std::string(Trim(term.substr(0, open)));
+  op->relation = std::string(StripAsciiWhitespace(term.substr(0, open)));
   if (op->relation.empty()) {
     return Status::InvalidArgument("missing relation name");
   }
   std::string_view inner = term.substr(open + 1,
                                        term.size() - open - 2);
-  inner = Trim(inner);
+  inner = StripAsciiWhitespace(inner);
   op->constants.clear();
   if (inner.empty()) {
     return Status::InvalidArgument("facts need at least one constant");
@@ -94,7 +84,7 @@ Status ParseFactTerm(std::string_view term, SessionOp* op) {
     std::string_view piece = comma == std::string_view::npos
                                  ? inner
                                  : inner.substr(0, comma);
-    piece = Trim(piece);
+    piece = StripAsciiWhitespace(piece);
     if (piece.empty()) {
       return Status::InvalidArgument("empty constant in fact term");
     }
@@ -124,12 +114,13 @@ const char* SemanticsName(AnswerSemantics s) {
 }
 
 Result<SessionOp> ParseSessionOp(std::string_view line) {
-  std::string_view rest = Trim(line);
+  std::string_view rest = StripAsciiWhitespace(line);
   size_t space = rest.find_first_of(" \t");
   std::string_view verb =
       space == std::string_view::npos ? rest : rest.substr(0, space);
-  rest = space == std::string_view::npos ? std::string_view{}
-                                         : Trim(rest.substr(space + 1));
+  rest = space == std::string_view::npos
+             ? std::string_view{}
+             : StripAsciiWhitespace(rest.substr(space + 1));
   SessionOp op;
   if (verb == "insert") {
     op.kind = SessionOp::Kind::kInsert;
@@ -139,7 +130,8 @@ Result<SessionOp> ParseSessionOp(std::string_view line) {
           "insert needs a label and a fact term");
     }
     op.label = std::string(rest.substr(0, label_end));
-    Status s = ParseFactTerm(Trim(rest.substr(label_end + 1)), &op);
+    Status s =
+        ParseFactTerm(StripAsciiWhitespace(rest.substr(label_end + 1)), &op);
     if (!s.ok()) {
       return s;
     }
@@ -160,7 +152,7 @@ Result<SessionOp> ParseSessionOp(std::string_view line) {
       size_t gt = rest.find('>');
       std::string_view piece =
           gt == std::string_view::npos ? rest : rest.substr(0, gt);
-      piece = Trim(piece);
+      piece = StripAsciiWhitespace(piece);
       if (piece.empty() ||
           piece.find_first_of(" \t") != std::string_view::npos) {
         return Status::InvalidArgument("bad prefer chain");
@@ -255,7 +247,7 @@ Result<SessionOp> ParseSessionOp(std::string_view line) {
     if (!s.ok()) {
       return s;
     }
-    op.query = std::string(Trim(rest.substr(sem_end + 1)));
+    op.query = std::string(StripAsciiWhitespace(rest.substr(sem_end + 1)));
     if (op.query.empty()) {
       return Status::InvalidArgument("cqa needs a query");
     }
@@ -291,7 +283,7 @@ Result<std::vector<SessionOp>> ParseSessionScript(std::string_view text) {
     if (hash != std::string_view::npos) {
       line = line.substr(0, hash);
     }
-    line = Trim(line);
+    line = StripAsciiWhitespace(line);
     if (line.empty()) {
       continue;
     }

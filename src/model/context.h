@@ -43,9 +43,8 @@ class ProblemContext {
   ProblemContext(const Instance& instance, const PriorityRelation& priority);
 
   /// Adopts an externally-built conflict graph instead of building one
-  /// (for callers that already paid for it, e.g. the legacy
-  /// (ConflictGraph, PriorityRelation) entry points).  `graph` must
-  /// outlive the context and belong to the same instance as `priority`.
+  /// (for callers that already paid for it).  `graph` must outlive the
+  /// context and belong to the same instance as `priority`.
   ProblemContext(const ConflictGraph& graph, const PriorityRelation& priority);
 
   /// A fully-external artifact set for a *resident* context: the serve

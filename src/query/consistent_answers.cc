@@ -59,21 +59,16 @@ std::optional<std::vector<DynamicBitset>> CategoricalRepairSet(
   return std::vector<DynamicBitset>{std::move(result.repair)};
 }
 
-// Streams the classical repairs — of `universe` when given, else of the
-// whole instance — to `fn` until it returns false or the budget fires.
-// Every streamed repair is complete, so answers found before the budget
-// fires stand.
+// Streams the classical repairs of the context's universe (its free and
+// block facts, ascending) to `fn` until it returns false or the budget
+// fires.  Every streamed repair is complete, so answers found before the
+// budget fires stand.
 void StreamAllRepairs(const ProblemContext& ctx,
-                      const DynamicBitset* universe,
                       const std::function<bool(const DynamicBitset&)>& fn) {
-  if (universe != nullptr) {
-    std::vector<FactId> facts;
-    universe->ForEach(
-        [&](size_t f) { facts.push_back(static_cast<FactId>(f)); });
-    ForEachRepairWithin(ctx.conflict_graph(), facts, ctx.governor(), fn);
-  } else {
-    ForEachRepair(ctx.conflict_graph(), ctx.governor(), fn);
-  }
+  std::vector<FactId> facts;
+  ctx.blocks().CoveredFacts().ForEach(
+      [&](size_t f) { facts.push_back(static_cast<FactId>(f)); });
+  ForEachRepairWithin(ctx.conflict_graph(), facts, ctx.governor(), fn);
 }
 
 // The σ-repair set to intersect over, or nullopt when the governed
@@ -83,15 +78,14 @@ void StreamAllRepairs(const ProblemContext& ctx,
 // the Trilean entry points, which can still refute/confirm early.
 std::optional<std::vector<DynamicBitset>> RepairsForBounded(
     const ProblemContext& ctx, AnswerSemantics semantics,
-    const DynamicBitset* all_repairs_universe = nullptr,
-    const CqaOptions& options = {}) {
+    const CqaOptions& options) {
   if (options.path != nullptr) {
     *options.path = CqaPath::kEnumeration;
   }
   ResourceGovernor& governor = ctx.governor();
   if (semantics == AnswerSemantics::kAllRepairs) {
     std::vector<DynamicBitset> out;
-    StreamAllRepairs(ctx, all_repairs_universe, [&](const DynamicBitset& r) {
+    StreamAllRepairs(ctx, [&](const DynamicBitset& r) {
       out.push_back(r);
       return true;
     });
@@ -127,26 +121,23 @@ std::optional<std::vector<DynamicBitset>> RepairsForBounded(
 Trilean SomeRepairAnswers(const ProblemContext& ctx,
                           const ConjunctiveQuery& query,
                           AnswerSemantics semantics,
-                          const DynamicBitset* all_repairs_universe,
                           const CqaOptions& options, bool target) {
   if (semantics == AnswerSemantics::kAllRepairs) {
     if (options.path != nullptr) {
       *options.path = CqaPath::kEnumeration;
     }
     bool found = false;
-    StreamAllRepairs(ctx, all_repairs_universe,
-                     [&](const DynamicBitset& repair) {
-                       found = query.EvaluateBoolean(ctx.instance(), repair) ==
-                               target;
-                       return !found;
-                     });
+    StreamAllRepairs(ctx, [&](const DynamicBitset& repair) {
+      found = query.EvaluateBoolean(ctx.instance(), repair) == target;
+      return !found;
+    });
     if (found) {
       return Trilean::kTrue;
     }
     return ctx.governor().exhausted() ? Trilean::kUnknown : Trilean::kFalse;
   }
   std::optional<std::vector<DynamicBitset>> repairs =
-      RepairsForBounded(ctx, semantics, nullptr, options);
+      RepairsForBounded(ctx, semantics, options);
   if (!repairs.has_value()) {
     return Trilean::kUnknown;
   }
@@ -193,10 +184,9 @@ bool PossiblyTrue(const ProblemContext& ctx, const ConjunctiveQuery& query,
 
 Result<std::vector<ConjunctiveQuery::AnswerTuple>> ConsistentAnswersBounded(
     const ProblemContext& ctx, const ConjunctiveQuery& query,
-    AnswerSemantics semantics, const DynamicBitset* all_repairs_universe,
-    const CqaOptions& options) {
+    AnswerSemantics semantics, const CqaOptions& options) {
   std::optional<std::vector<DynamicBitset>> repairs =
-      RepairsForBounded(ctx, semantics, all_repairs_universe, options);
+      RepairsForBounded(ctx, semantics, options);
   if (!repairs.has_value()) {
     return CqaUnknownStatus(ctx.governor());
   }
@@ -217,11 +207,10 @@ Result<std::vector<ConjunctiveQuery::AnswerTuple>> ConsistentAnswersBounded(
 Trilean CertainlyTrueBounded(const ProblemContext& ctx,
                              const ConjunctiveQuery& query,
                              AnswerSemantics semantics,
-                             const DynamicBitset* all_repairs_universe,
                              const CqaOptions& options) {
   // Q is certain iff no repair falsifies it.
-  switch (SomeRepairAnswers(ctx, query, semantics, all_repairs_universe,
-                            options, /*target=*/false)) {
+  switch (SomeRepairAnswers(ctx, query, semantics, options,
+                            /*target=*/false)) {
     case Trilean::kTrue:
       return Trilean::kFalse;
     case Trilean::kFalse:
@@ -235,10 +224,8 @@ Trilean CertainlyTrueBounded(const ProblemContext& ctx,
 Trilean PossiblyTrueBounded(const ProblemContext& ctx,
                             const ConjunctiveQuery& query,
                             AnswerSemantics semantics,
-                            const DynamicBitset* all_repairs_universe,
                             const CqaOptions& options) {
-  return SomeRepairAnswers(ctx, query, semantics, all_repairs_universe,
-                           options, /*target=*/true);
+  return SomeRepairAnswers(ctx, query, semantics, options, /*target=*/true);
 }
 
 Status CqaUnknownStatus(const ResourceGovernor& governor) {
@@ -246,26 +233,6 @@ Status CqaUnknownStatus(const ResourceGovernor& governor) {
   return status.ok() ? Status::ResourceExhausted(
                            "repair enumeration abandoned (oversized block)")
                      : status;
-}
-
-std::vector<ConjunctiveQuery::AnswerTuple> ConsistentAnswers(
-    const ConflictGraph& cg, const PriorityRelation& priority,
-    const ConjunctiveQuery& query, AnswerSemantics semantics) {
-  ProblemContext ctx(cg, priority);
-  return ConsistentAnswers(ctx, query, semantics);
-}
-
-bool CertainlyTrue(const ConflictGraph& cg, const PriorityRelation& priority,
-                   const ConjunctiveQuery& query,
-                   AnswerSemantics semantics) {
-  ProblemContext ctx(cg, priority);
-  return CertainlyTrue(ctx, query, semantics);
-}
-
-bool PossiblyTrue(const ConflictGraph& cg, const PriorityRelation& priority,
-                  const ConjunctiveQuery& query, AnswerSemantics semantics) {
-  ProblemContext ctx(cg, priority);
-  return PossiblyTrue(ctx, query, semantics);
 }
 
 }  // namespace prefrep

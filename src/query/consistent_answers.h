@@ -66,32 +66,21 @@ struct CqaOptions {
   bool force_enumeration = false;
 };
 
-/// Computes the consistent answers of `query` on (I, ≻) under the given
-/// semantics.  Exponential in general (repair enumeration); intended
-/// for small instances and experimentation.
-std::vector<ConjunctiveQuery::AnswerTuple> ConsistentAnswers(
-    const ConflictGraph& cg, const PriorityRelation& priority,
-    const ConjunctiveQuery& query, AnswerSemantics semantics);
-
-/// Boolean-query variant: true iff Q holds in *every* σ-optimal repair.
-bool CertainlyTrue(const ConflictGraph& cg, const PriorityRelation& priority,
-                   const ConjunctiveQuery& query, AnswerSemantics semantics);
-
-/// True iff Q holds in *some* σ-optimal repair (possible answers).
-bool PossiblyTrue(const ConflictGraph& cg, const PriorityRelation& priority,
-                  const ConjunctiveQuery& query, AnswerSemantics semantics);
-
-/// ProblemContext overloads: share one context (conflict graph, block
-/// decomposition, classifications) across repeated queries on the same
-/// prioritizing instance; optimal-repair enumeration goes through the
-/// per-block product of repair/block_solver.h.  Each is its *Bounded
-/// form below, CHECK-fatal when that form cannot decide (a bool cannot
-/// say "unknown").
+/// The consistent answers of `query` on the context's prioritizing
+/// instance under the given semantics.  Exponential in general (repair
+/// enumeration); intended for small instances and experimentation.  One
+/// context shares its conflict graph, block decomposition and
+/// classifications across repeated queries, and optimal-repair
+/// enumeration goes through the per-block product of
+/// repair/block_solver.h.  Each is its *Bounded form below, CHECK-fatal
+/// when that form cannot decide (a bool cannot say "unknown").
 std::vector<ConjunctiveQuery::AnswerTuple> ConsistentAnswers(
     const ProblemContext& ctx, const ConjunctiveQuery& query,
     AnswerSemantics semantics);
+/// Boolean-query variant: true iff Q holds in *every* σ-optimal repair.
 bool CertainlyTrue(const ProblemContext& ctx, const ConjunctiveQuery& query,
                    AnswerSemantics semantics);
+/// True iff Q holds in *some* σ-optimal repair (possible answers).
 bool PossiblyTrue(const ProblemContext& ctx, const ConjunctiveQuery& query,
                   AnswerSemantics semantics);
 
@@ -106,13 +95,11 @@ bool PossiblyTrue(const ProblemContext& ctx, const ConjunctiveQuery& query,
 /// complete, so a definite refutation (CertainlyTrue → kFalse) or
 /// confirmation (PossiblyTrue → kTrue) found before exhaustion stands.
 ///
-/// `all_repairs_universe` (optional) restricts the kAllRepairs
-/// enumeration to the maximal consistent subsets of that fact set
-/// instead of the whole id range.  Resident sessions (src/serve) pass
-/// their live-fact mask here: their instances carry tombstoned ids that
-/// must not be enumerated as repair members.  Ignored under the
-/// optimal-repair semantics, whose per-block product already ranges
-/// over blocks ∪ free facts only.
+/// Under kAllRepairs the repairs range over the context's own
+/// universe, its free and block facts: every fact of a one-shot
+/// context, and only the live facts of a resident session's, whose
+/// tombstoned ids belong to no block.  The optimal-repair semantics'
+/// per-block product ranges over the same facts.
 ///
 /// Under the optimal-repair semantics every Bounded entry point first
 /// runs the categoricity pre-pass (see CqaOptions): a certified unique
@@ -127,20 +114,14 @@ bool PossiblyTrue(const ProblemContext& ctx, const ConjunctiveQuery& query,
 /// categoricity_test.cc, BlockStarvationDegradesNoWorse).
 Result<std::vector<ConjunctiveQuery::AnswerTuple>> ConsistentAnswersBounded(
     const ProblemContext& ctx, const ConjunctiveQuery& query,
-    AnswerSemantics semantics,
-    const DynamicBitset* all_repairs_universe = nullptr,
-    const CqaOptions& options = {});
+    AnswerSemantics semantics, const CqaOptions& options = {});
 Trilean CertainlyTrueBounded(const ProblemContext& ctx,
                              const ConjunctiveQuery& query,
                              AnswerSemantics semantics,
-                             const DynamicBitset* all_repairs_universe =
-                                 nullptr,
                              const CqaOptions& options = {});
 Trilean PossiblyTrueBounded(const ProblemContext& ctx,
                             const ConjunctiveQuery& query,
                             AnswerSemantics semantics,
-                            const DynamicBitset* all_repairs_universe =
-                                nullptr,
                             const CqaOptions& options = {});
 
 /// Why a *Bounded call that ran under `governor` answered unknown: the

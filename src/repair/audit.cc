@@ -289,8 +289,8 @@ void ParetoWitnessImpl(const ConflictGraph& cg, const PriorityRelation& pr,
 
 void ConstructedRepairImpl(const ConflictGraph& cg, const PriorityRelation& pr,
                            const DynamicBitset& repair, const char* origin,
-                           const DynamicBitset* universe) {
-  if (universe != nullptr && !repair.IsSubsetOf(*universe)) {
+                           const DynamicBitset& universe) {
+  if (!repair.IsSubsetOf(universe)) {
     Fail(cg.instance(), &pr, &repair,
          std::string(origin) +
              " produced a repair with facts outside its universe");
@@ -300,81 +300,55 @@ void ConstructedRepairImpl(const ConflictGraph& cg, const PriorityRelation& pr,
          std::string(origin) + " produced an inconsistent subinstance "
                                "(dumped as J)");
   }
-  if (universe == nullptr) {
-    if (std::optional<FactId> f = FindExtension(cg, repair)) {
-      Fail(cg.instance(), &pr, &repair,
-           std::string(origin) + " produced a non-maximal repair: " +
-               cg.instance().FactToString(*f) +
-               " can be added without conflict");
+  FactId missing = kInvalidFactId;
+  (universe - repair).ForEach([&](size_t f) {
+    if (missing != kInvalidFactId) {
+      return;
     }
-  } else {
-    FactId missing = kInvalidFactId;
-    (*universe - repair).ForEach([&](size_t f) {
-      if (missing != kInvalidFactId) {
+    for (FactId u : cg.neighbors(static_cast<FactId>(f))) {
+      if (repair.test(u)) {
         return;
       }
-      for (FactId u : cg.neighbors(static_cast<FactId>(f))) {
-        if (repair.test(u)) {
-          return;
-        }
-      }
-      missing = static_cast<FactId>(f);
-    });
-    if (missing != kInvalidFactId) {
-      Fail(cg.instance(), &pr, &repair,
-           std::string(origin) + " produced a non-maximal repair: " +
-               cg.instance().FactToString(missing) +
-               " can be added without conflict");
     }
+    missing = static_cast<FactId>(f);
+  });
+  if (missing != kInvalidFactId) {
+    Fail(cg.instance(), &pr, &repair,
+         std::string(origin) + " produced a non-maximal repair: " +
+             cg.instance().FactToString(missing) +
+             " can be added without conflict");
   }
-  const size_t scope = universe != nullptr ? universe->count()
-                                           : cg.num_facts();
-  if (scope > kMaxWholeInstance) {
+  if (universe.count() > kMaxWholeInstance) {
     return;
   }
   // Greedy outputs are completion-optimal, hence globally- and
-  // Pareto-optimal [SCM]; verify both against enumeration.
-  if (universe != nullptr) {
-    // Universe-restricted baseline: optimal iff no repair of the
-    // universe improves the output (optimality quantifies over repairs,
-    // which are maximal, so enumerating them is complete).
-    bool global_ok = true;
-    bool pareto_ok = true;
-    std::vector<FactId> facts;
-    universe->ForEach(
-        [&](size_t f) { facts.push_back(static_cast<FactId>(f)); });
-    ForEachRepairWithin(cg, facts, [&](const DynamicBitset& r) {
-      if (IsGlobalImprovement(cg, pr, repair, r)) {
-        global_ok = false;
-      }
-      if (IsParetoImprovement(cg, pr, repair, r)) {
-        pareto_ok = false;
-      }
-      return global_ok && pareto_ok;
-    });
-    if (!global_ok) {
-      Fail(cg.instance(), &pr, &repair,
-           std::string(origin) +
-               " produced a repair that is not globally-optimal "
-               "within its universe");
+  // Pareto-optimal [SCM].  Optimal iff no repair of the universe
+  // improves the output (optimality quantifies over repairs, which are
+  // maximal, so enumerating them is complete).
+  bool global_ok = true;
+  bool pareto_ok = true;
+  std::vector<FactId> facts;
+  universe.ForEach([&](size_t f) { facts.push_back(static_cast<FactId>(f)); });
+  ForEachRepairWithin(cg, facts, [&](const DynamicBitset& r) {
+    if (IsGlobalImprovement(cg, pr, repair, r)) {
+      global_ok = false;
     }
-    if (!pareto_ok) {
-      Fail(cg.instance(), &pr, &repair,
-           std::string(origin) +
-               " produced a repair that is not Pareto-optimal "
-               "within its universe");
+    if (IsParetoImprovement(cg, pr, repair, r)) {
+      pareto_ok = false;
     }
-    return;
-  }
-  if (!ExhaustiveCheckGlobalOptimal(cg, pr, repair).optimal) {
+    return global_ok && pareto_ok;
+  });
+  if (!global_ok) {
     Fail(cg.instance(), &pr, &repair,
          std::string(origin) +
-             " produced a repair that is not globally-optimal");
+             " produced a repair that is not globally-optimal "
+             "within its universe");
   }
-  if (!ExhaustiveCheckParetoOptimal(cg, pr, repair).optimal) {
+  if (!pareto_ok) {
     Fail(cg.instance(), &pr, &repair,
          std::string(origin) +
-             " produced a repair that is not Pareto-optimal");
+             " produced a repair that is not Pareto-optimal "
+             "within its universe");
   }
 }
 

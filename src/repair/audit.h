@@ -70,7 +70,7 @@ void ParetoWitnessImpl(const ConflictGraph& cg, const PriorityRelation& pr,
                        const DynamicBitset& j, const CheckResult& result);
 void ConstructedRepairImpl(const ConflictGraph& cg, const PriorityRelation& pr,
                            const DynamicBitset& repair, const char* origin,
-                           const DynamicBitset* universe);
+                           const DynamicBitset& universe);
 void ConstructedBlockRepairImpl(const ConflictGraph& cg,
                                 const PriorityRelation& pr,
                                 const std::vector<FactId>& facts,
@@ -172,17 +172,17 @@ inline void CheckParetoWitness(const ConflictGraph& cg,
 #endif
 }
 
-/// Postcondition for constructed repairs: consistent, ⊆-maximal, and on
-/// small instances globally-optimal (the completion ⊆ global inclusion
-/// the construction relies on).  A non-null `universe` restricts every
-/// check to those facts: a resident session's instance may carry
-/// tombstoned facts outside the solving universe (serve/session.h),
-/// which are neither addable nor allowed to appear in the repair.
+/// Postcondition for constructed repairs of the facts in `universe`:
+/// consistent, ⊆-maximal within `universe`, and on small universes
+/// globally- and Pareto-optimal (the completion ⊆ global inclusion the
+/// construction relies on).  A resident session's instance may carry
+/// tombstoned facts outside its universe (serve/session.h), which are
+/// neither addable nor allowed to appear in the repair.
 inline void CheckConstructedRepair(const ConflictGraph& cg,
                                    const PriorityRelation& pr,
                                    const DynamicBitset& repair,
                                    const char* origin,
-                                   const DynamicBitset* universe = nullptr) {
+                                   const DynamicBitset& universe) {
 #if PREFREP_AUDIT_ENABLED
   internal::ConstructedRepairImpl(cg, pr, repair, origin, universe);
 #else

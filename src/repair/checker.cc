@@ -28,18 +28,12 @@ RepairChecker::RepairChecker(const Instance& instance,
       ctx_(owned_ctx_.get()),
       options_(options) {
   ValidateForMode(*ctx_, options_);
-  if (options_.governor != nullptr) {
-    owned_ctx_->set_governor(options_.governor);
-  }
   ctx_->Prime();
 }
 
 RepairChecker::RepairChecker(const ProblemContext& context,
                              CheckerOptions options)
     : ctx_(&context), options_(options) {
-  PREFREP_CHECK_MSG(options_.governor == nullptr,
-                    "a borrowed context is shared state: install the "
-                    "governor on the context, not in CheckerOptions");
   ValidateForMode(*ctx_, options_);
   ctx_->Prime();
 }
@@ -68,17 +62,10 @@ Result<CheckOutcome> RepairChecker::CheckConflictOnly(
   const Instance& instance = ctx_->instance();
   const BlockDecomposition& blocks = ctx_->blocks();
   const size_t num_relations = instance.schema().num_relations();
-  const auto refused = [&](RelId rel) {
-    return ctx_->classification().relations[rel].kind ==
-               TractableKind::kHard &&
-           !options_.allow_exponential;
-  };
   // Proposition 3.5 + block locality: check block by block, in an order
-  // grouped by relation to match the route lines.  Blocks of a relation
-  // the exponential fallback switch refuses — and of every relation
-  // after it — are never reached, so they stay out of the fold.
+  // grouped by relation to match the route lines.
   std::vector<size_t> order;
-  for (RelId rel = 0; rel < num_relations && !refused(rel); ++rel) {
+  for (RelId rel = 0; rel < num_relations; ++rel) {
     const std::vector<size_t>& rel_blocks = blocks.blocks_of_relation(rel);
     order.insert(order.end(), rel_blocks.begin(), rel_blocks.end());
   }
@@ -119,12 +106,6 @@ Result<CheckOutcome> RepairChecker::CheckConflictOnly(
                 rc.key2.ToString() + ")";
         break;
       case TractableKind::kHard:
-        if (refused(rel)) {
-          return Status::FailedPrecondition(
-              "relation '" + name +
-              "' is on the coNP-complete side of Theorem 3.1 and the "
-              "exponential fallback is disabled");
-        }
         route = name + ": exhaustive fallback";
         break;
     }
@@ -198,11 +179,6 @@ Result<CheckOutcome> RepairChecker::CheckCrossConflict(
                                 "ccp constant-attribute algorithm");
     }
     return outcome;
-  }
-  if (!options_.allow_exponential) {
-    return Status::FailedPrecondition(
-        "schema is on the coNP-complete side of Theorem 7.1 and the "
-        "exponential fallback is disabled");
   }
   if (block_local) {
     run_by_blocks("exhaustive fallback");

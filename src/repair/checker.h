@@ -32,18 +32,6 @@ namespace prefrep {
 struct CheckerOptions {
   /// Which priority relations the problem admits; selects the dichotomy.
   PriorityMode mode = PriorityMode::kConflictOnly;
-  /// Permit the exponential exact fallback on hard (coNP-complete)
-  /// schemas.  When false, checks on hard schemas fail with
-  /// FailedPrecondition instead of potentially running forever.
-  bool allow_exponential = true;
-  /// Per-call resource budget for the exponential fallbacks (not
-  /// owned; must outlive the checker).  Installed on the checker's own
-  /// ProblemContext; when borrowing a context, install the governor on
-  /// that context instead (the checker refuses to overwrite shared
-  /// state behind other consumers' backs).  With a governor the checks
-  /// may return a kUnknown verdict instead of running forever — see
-  /// docs/robustness.md.
-  ResourceGovernor* governor = nullptr;
 };
 
 /// Outcome of a dispatched check: the answer plus the route taken.
@@ -69,7 +57,10 @@ class RepairChecker {
                 CheckerOptions options = {});
 
   /// Borrows an existing context (must outlive the checker), sharing its
-  /// cached artifacts with other consumers of the same problem.
+  /// cached artifacts with other consumers of the same problem.  Checks
+  /// run under the context's governor, where a budget turns the
+  /// exponential fallbacks' answers into kUnknown instead of letting
+  /// them run forever (docs/robustness.md).
   explicit RepairChecker(const ProblemContext& context,
                          CheckerOptions options = {});
 

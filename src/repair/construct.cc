@@ -1,7 +1,6 @@
 #include "repair/construct.h"
 
 #include <optional>
-#include <unordered_set>
 
 #include "base/random.h"
 #include "repair/audit.h"
@@ -120,19 +119,6 @@ std::optional<DynamicBitset> CachedGreedyBlock(
 
 }  // namespace
 
-DynamicBitset ConstructGloballyOptimalRepair(
-    const ConflictGraph& cg, const PriorityRelation& pr,
-    const ConstructOptions& options) {
-  PREFREP_CHECK_MSG(pr.IsConflictBounded(),
-                    "construction relies on completion semantics, which "
-                    "require conflict-bounded priorities (§2.3)");
-  DynamicBitset out = *GreedyWithin(cg, pr, AllFactIds(cg), options,
-                                    ResourceGovernor::Unlimited());
-  audit::CheckConstructedRepair(cg, pr, out,
-                                "ConstructGloballyOptimalRepair");
-  return out;
-}
-
 Result<DynamicBitset> TryConstructGloballyOptimalRepair(
     const ProblemContext& ctx, const ConstructOptions& options) {
   const ConflictGraph& cg = ctx.conflict_graph();
@@ -163,33 +149,12 @@ Result<DynamicBitset> TryConstructGloballyOptimalRepair(
   }
   if (audit::Enabled()) {
     // A resident context's instance may carry tombstoned facts outside
-    // the solving universe (free facts ∪ blocks); audit within it.
-    DynamicBitset universe = ctx.blocks().free_facts();
-    for (const Block& b : ctx.blocks().blocks()) {
-      for (FactId f : b.fact_list) {
-        universe.set(f);
-      }
-    }
-    audit::CheckConstructedRepair(
-        cg, pr, out, "TryConstructGloballyOptimalRepair (per-block)",
-        &universe);
+    // the solving universe; audit within it.
+    audit::CheckConstructedRepair(cg, pr, out,
+                                  "TryConstructGloballyOptimalRepair",
+                                  ctx.blocks().CoveredFacts());
   }
   return out;
-}
-
-void SampleOptimalRepairs(
-    const ConflictGraph& cg, const PriorityRelation& pr, size_t attempts,
-    const std::function<bool(const DynamicBitset&)>& fn) {
-  std::unordered_set<DynamicBitset, DynamicBitsetHash> seen;
-  for (size_t attempt = 0; attempt < attempts; ++attempt) {
-    ConstructOptions options;
-    options.tie_break = TieBreak::kRandom;
-    options.seed = attempt * 0x9e3779b97f4a7c15ULL + 1;
-    DynamicBitset repair = ConstructGloballyOptimalRepair(cg, pr, options);
-    if (seen.insert(repair).second && !fn(repair)) {
-      return;
-    }
-  }
 }
 
 }  // namespace prefrep

@@ -16,7 +16,6 @@
 #ifndef PREFREP_REPAIR_CONSTRUCT_H_
 #define PREFREP_REPAIR_CONSTRUCT_H_
 
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -37,7 +36,7 @@ enum class TieBreak {
   kMostDominating,
 };
 
-/// Options for ConstructGloballyOptimalRepair.
+/// Options for TryConstructGloballyOptimalRepair and GreedyWithin.
 struct ConstructOptions {
   TieBreak tie_break = TieBreak::kFirstFact;
   uint64_t seed = 1;  ///< used by TieBreak::kRandom
@@ -61,36 +60,20 @@ std::optional<DynamicBitset> GreedyWithin(const ConflictGraph& cg,
 
 /// Builds a repair of (I, ≻) that is completion-optimal — hence
 /// globally-optimal and Pareto-optimal — in O(n²) time, for any schema.
-/// Requires a validated conflict-bounded priority.
-DynamicBitset ConstructGloballyOptimalRepair(
-    const ConflictGraph& cg, const PriorityRelation& pr,
-    const ConstructOptions& options = {});
-
-/// Same, sharing the cached artifacts of an existing ProblemContext: the
-/// conflict-free facts are kept outright and the greedy runs block by
-/// block through FoldBlocks — in parallel when ctx.parallelism() allows
-/// (greedy picks never cross a block, so for the deterministic
-/// tie-breaks the result coincides with the whole-instance greedy;
-/// kRandom derives each block's draw stream from (seed, block id), so it
-/// may sample a different — equally optimal — repair than the (cg, pr)
-/// overload for the same seed, but is itself deterministic at every
-/// thread count).  Checkpoints on ctx.governor() once per greedy pick
-/// and returns kDeadlineExceeded/kResourceExhausted instead of a repair
-/// when the budget fires mid-pass; under an ungoverned context it always
-/// succeeds.  Construction is polynomial (O(n²)), so the budget only
-/// matters for huge instances or very tight budgets shared with
-/// preceding exponential work; a cancelled pass never returns a torn
-/// (partially built, non-maximal) bitset.
+/// Requires a conflict-bounded priority (checked).  The conflict-free
+/// facts are kept outright and the greedy runs block by block through
+/// FoldBlocks, in parallel when ctx.parallelism() allows.  Greedy picks
+/// never cross a block, so kFirstFact and kMostDominating build the
+/// repair one whole-instance pass would; kRandom derives each block's
+/// draw stream from (seed, block id), so its repair is the same at every
+/// thread count.  Checkpoints on ctx.governor() once per greedy pick and
+/// returns kDeadlineExceeded/kResourceExhausted instead of a repair when
+/// the budget fires mid-pass; under an ungoverned context it always
+/// succeeds.  The budget only matters for huge instances or very tight
+/// budgets shared with preceding exponential work; a cancelled pass
+/// never returns a torn (partially built, non-maximal) bitset.
 Result<DynamicBitset> TryConstructGloballyOptimalRepair(
     const ProblemContext& ctx, const ConstructOptions& options = {});
-
-/// Enumerates distinct completion-optimal repairs by running the greedy
-/// under `attempts` different random tie-breaks, invoking `fn` for each
-/// distinct result; stops early when `fn` returns false.  A sampling
-/// tool, not an exhaustive enumeration (which is exponential).
-void SampleOptimalRepairs(const ConflictGraph& cg,
-                          const PriorityRelation& pr, size_t attempts,
-                          const std::function<bool(const DynamicBitset&)>& fn);
 
 }  // namespace prefrep
 

@@ -1,10 +1,12 @@
+// Counting σ-optimal repairs (§8): with a block-local priority they
+// factor as {free facts} × ∏ per-block optimal block-repairs, so the
+// count is the product of per-block counts.
 #include "repair/counting.h"
 
 #include <algorithm>
 
 #include "repair/audit.h"
 #include "repair/block_solver.h"
-#include "repair/construct.h"
 
 namespace prefrep {
 
@@ -63,62 +65,6 @@ BoundedCount CountOptimalRepairsBounded(const ProblemContext& ctx,
       });
   out.unknown_blocks = fold.report.blocks_abandoned;
   out.exact = out.unknown_blocks == 0 && !out.saturated;
-  return out;
-}
-
-std::optional<DynamicBitset> UniqueGloballyOptimalRepair(
-    const ProblemContext& ctx) {
-  if (!ctx.priority_block_local()) {
-    std::vector<DynamicBitset> optimal =
-        AllOptimalRepairs(ctx, RepairSemantics::kGlobal);
-    if (optimal.size() == 1) {
-      return optimal.front();
-    }
-    return std::nullopt;
-  }
-  DynamicBitset out = ctx.blocks().free_facts();
-  const FoldOutcome fold = FoldBlocks(
-      ctx, nullptr,
-      [&](const ProblemContext& cx, const Block& b) {
-        return CachedOptimalBlockRepairs(
-            SolverForSemantics(ctx, b, RepairSemantics::kGlobal), cx, b);
-      },
-      [](const std::vector<uint64_t>& v) { return !v.empty(); }, nullptr,
-      [&](const Block& b, std::vector<uint64_t>& optimal, bool) {
-        if (optimal.size() != 1) {
-          return FoldStep::Stop();
-        }
-        OrBlockMask(b, optimal.front(), &out);
-        return FoldStep::Exact();
-      });
-  if (fold.stopped()) {
-    return std::nullopt;
-  }
-  return out;
-}
-
-bool IsPriorityTotalOnConflicts(const ConflictGraph& cg,
-                                const PriorityRelation& pr) {
-  for (const auto& [f, g] : cg.edges()) {
-    if (!pr.Prefers(f, g) && !pr.Prefers(g, f)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::optional<DynamicBitset> UniqueOptimalIfTotalPriority(
-    const ConflictGraph& cg, const PriorityRelation& pr) {
-  if (!IsPriorityTotalOnConflicts(cg, pr)) {
-    return std::nullopt;
-  }
-  // With a total priority the greedy output does not depend on the
-  // tie-break seed, and it is the unique optimal repair under all three
-  // semantics [SCM].
-  DynamicBitset out = *GreedyWithin(cg, pr, AllFactIds(cg),
-                                    ConstructOptions{TieBreak::kRandom, 1},
-                                    ResourceGovernor::Unlimited());
-  audit::CheckConstructedRepair(cg, pr, out, "UniqueOptimalIfTotalPriority");
   return out;
 }
 

@@ -1,19 +1,18 @@
 // Copyright (c) prefrep contributors.
 // Counting and uniqueness of preferred repairs — the second direction
-// named by the paper's concluding remarks: "to determine the number of
-// globally-optimal repairs, and in particular, to characterize when
-// precisely one such repair exists", the interesting case because a
-// unique repair means the constraints and priorities define an
-// unambiguous cleaning.
+// named by the paper's concluding remarks (§8): "to determine the
+// number of globally-optimal repairs, and in particular, to
+// characterize when precisely one such repair exists", the interesting
+// case because a unique repair means the constraints and priorities
+// define an unambiguous cleaning.
 //
-// Counting is by enumeration (exact, exponential in general); a
-// polynomial sufficient condition for uniqueness (total priority) is
-// also provided.  Each question has one ProblemContext entry point.
+// Counting is by enumeration (exact, exponential in general).  Whether
+// exactly one exists is categoricity (classify/categoricity.h):
+// DecideCategoricity answers it per block, polynomially where a block's
+// priority is total on its conflicts.
 
 #ifndef PREFREP_REPAIR_COUNTING_H_
 #define PREFREP_REPAIR_COUNTING_H_
-
-#include <optional>
 
 #include "model/context.h"
 #include "repair/block_solver.h"
@@ -47,29 +46,6 @@ struct BoundedCount {
 /// block-repair), and whether the product saturated uint64.
 BoundedCount CountOptimalRepairsBounded(const ProblemContext& ctx,
                                         RepairSemantics semantics);
-
-/// If exactly one globally-optimal repair exists, returns it; nullopt
-/// when there are several.  With a block-local priority the repair is
-/// unique iff every block has exactly one optimal block-repair, so the
-/// fold stops at the first block with two and never materializes the
-/// cross-product.  Under a governed context a nullopt may also mean the
-/// budget fired before uniqueness was decided — check
-/// ctx.governor().degraded() afterwards.
-std::optional<DynamicBitset> UniqueGloballyOptimalRepair(
-    const ProblemContext& ctx);
-
-/// True iff ≻ orders every conflicting pair (a "total" priority in the
-/// sense of [SCM] completions).
-bool IsPriorityTotalOnConflicts(const ConflictGraph& cg,
-                                const PriorityRelation& pr);
-
-/// Polynomial *sufficient* condition for uniqueness: when the priority
-/// is total on conflicts, completion/global/Pareto optimality coincide
-/// and the single optimal repair is the greedy one — returned here.
-/// nullopt when the condition does not apply (the optimal repair may
-/// still happen to be unique; use UniqueGloballyOptimalRepair to know).
-std::optional<DynamicBitset> UniqueOptimalIfTotalPriority(
-    const ConflictGraph& cg, const PriorityRelation& pr);
 
 }  // namespace prefrep
 

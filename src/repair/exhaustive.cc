@@ -229,33 +229,4 @@ std::vector<DynamicBitset> OptimalRepairsWithin(
   return FilterOptimal(cg, pr, repairs, semantics, facts, governor);
 }
 
-std::vector<DynamicBitset> AllOptimalRepairs(const ConflictGraph& cg,
-                                             const PriorityRelation& pr,
-                                             RepairSemantics semantics) {
-  BlockDecomposition blocks(cg);
-  if (!PriorityIsBlockLocal(blocks, pr)) {
-    // A cross-block priority couples blocks; fall back to the
-    // whole-instance baseline.
-    return FilterOptimal(cg, pr, AllRepairs(cg), semantics, AllFactIds(cg),
-                         ResourceGovernor::Unlimited());
-  }
-  // Optimal repairs factor: {free facts} × ∏_b optimal repairs of b.
-  std::vector<DynamicBitset> out{blocks.free_facts()};
-  for (const Block& block : blocks.blocks()) {
-    std::vector<DynamicBitset> optimal =
-        OptimalRepairsWithin(cg, pr, block.fact_list, semantics);
-    PREFREP_CHECK_MSG(!optimal.empty(),
-                      "every block admits an optimal block-repair");
-    std::vector<DynamicBitset> next;
-    next.reserve(out.size() * optimal.size());
-    for (const DynamicBitset& prefix : out) {
-      for (const DynamicBitset& choice : optimal) {
-        next.push_back(prefix | choice);
-      }
-    }
-    out = std::move(next);
-  }
-  return out;
-}
-
 }  // namespace prefrep

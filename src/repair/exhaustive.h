@@ -105,20 +105,6 @@ enum class RepairSemantics {
   kCompletion,
 };
 
-/// Materializes all repairs optimal under the given semantics.  Useful
-/// for counting preferred repairs — the paper's concluding remarks
-/// single out counting globally-optimal repairs as an open direction.
-///
-/// When the priority is block-local (always, for conflict-bounded
-/// priorities) the optimal repairs factor as {free facts} × ∏ per-block
-/// optimal block-repairs, so enumeration and the quadratic optimality
-/// filter run per block; otherwise the whole-instance baseline is used.
-/// Output size is inherent (it *is* the answer), but the filtering cost
-/// drops from quadratic in ∏ counts to quadratic in max per-block count.
-std::vector<DynamicBitset> AllOptimalRepairs(const ConflictGraph& cg,
-                                             const PriorityRelation& pr,
-                                             RepairSemantics semantics);
-
 /// The block-repairs of `facts` (one conflict block's fact_list, or
 /// AllFactIds(cg) for the whole instance) that are optimal *within the
 /// list* under the given semantics, as whole-instance bitsets.  Never

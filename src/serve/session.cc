@@ -56,38 +56,16 @@ SessionContext::SessionContext(const PreferredRepairProblem& problem,
   }
   graph_ = std::make_unique<ConflictGraph>(facts_.instance());
   const size_t n = facts_.universe_size();
-  free_ = DynamicBitset(n);
   block_key_of_.assign(n, kInvalidFactId);
   for (FactId f = 0; f < n; ++f) {
     // The graph constructor already found all edges; the index just
     // needs every initial fact in its buckets.
     conflict_index_.InsertAndCollect(f);
   }
-  std::vector<bool> visited(n, false);
-  for (FactId f = 0; f < n; ++f) {
-    if (visited[f]) {
-      continue;
-    }
-    visited[f] = true;
-    if (graph_->neighbors(f).empty()) {
-      free_.set(f);
-      continue;
-    }
-    std::vector<FactId> component{f};
-    std::vector<FactId> stack{f};
-    while (!stack.empty()) {
-      FactId u = stack.back();
-      stack.pop_back();
-      for (FactId v : graph_->neighbors(u)) {
-        if (!visited[v]) {
-          visited[v] = true;
-          component.push_back(v);
-          stack.push_back(v);
-        }
-      }
-    }
-    std::sort(component.begin(), component.end());
-    InstallBlock(std::move(component));
+  const BlockDecomposition initial(*graph_);
+  free_ = initial.free_facts();
+  for (const Block& b : initial.blocks()) {
+    InstallBlock(b.fact_list);
   }
   if (problem.j.size() > 0) {
     problem.j.ForEach([&](size_t f) { j_.insert(static_cast<FactId>(f)); });
@@ -563,12 +541,6 @@ Result<std::string> SessionContext::RunCqa(AnswerSemantics semantics,
   if (!query.ok()) {
     return query.status();
   }
-  // Tombstoned ids must not be enumerated as repair members under the
-  // kAllRepairs semantics (the optimal semantics range over blocks ∪
-  // free facts only, which already excludes them).
-  const DynamicBitset* universe = semantics == AnswerSemantics::kAllRepairs
-                                      ? &facts_.live()
-                                      : nullptr;
   ResourceGovernor governor(budget_);
   if (!budget_.Unlimited()) {
     ctx_->set_governor(&governor);
@@ -584,15 +556,14 @@ Result<std::string> SessionContext::RunCqa(AnswerSemantics semantics,
   std::string out = std::string("cqa ") + SemanticsName(semantics) + ": ";
   if (query->IsBoolean()) {
     const Trilean certain =
-        CertainlyTrueBounded(*ctx_, *query, semantics, universe, cqa_options);
+        CertainlyTrueBounded(*ctx_, *query, semantics, cqa_options);
     out += TrileanName(certain);
     if (certain == Trilean::kUnknown) {
       out += " (" + CqaUnknownStatus(governor).message() + ")";
     }
   } else {
     Result<std::vector<ConjunctiveQuery::AnswerTuple>> answers =
-        ConsistentAnswersBounded(*ctx_, *query, semantics, universe,
-                                 cqa_options);
+        ConsistentAnswersBounded(*ctx_, *query, semantics, cqa_options);
     if (!answers.ok()) {
       out += "unknown (" + answers.status().message() + ")";
     } else {

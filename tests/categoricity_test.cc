@@ -104,7 +104,7 @@ void ExpectPathsAgree(const PreferredRepairProblem& p,
       }
       CqaOptions options;
       options.force_enumeration = force;
-      return ConsistentAnswersBounded(ctx, query, sem, nullptr, options);
+      return ConsistentAnswersBounded(ctx, query, sem, options);
     };
     auto fast = run(false);
     auto slow = run(true);
@@ -130,8 +130,8 @@ void ExpectPathsAgree(const PreferredRepairProblem& p,
       CqaOptions options;
       options.force_enumeration = force;
       return certain
-                 ? CertainlyTrueBounded(ctx, query, sem, nullptr, options)
-                 : PossiblyTrueBounded(ctx, query, sem, nullptr, options);
+                 ? CertainlyTrueBounded(ctx, query, sem, options)
+                 : PossiblyTrueBounded(ctx, query, sem, options);
     };
     EXPECT_EQ(run_bool(false, true), run_bool(true, true)) << label;
     EXPECT_EQ(run_bool(false, false), run_bool(true, false)) << label;
@@ -315,7 +315,7 @@ TEST(CategoricityDifferentialTest, StarvedBudgetNeverDegradesWorse) {
       ProblemContext ctx(*p.instance, *p.priority);
       CqaOptions options;
       options.force_enumeration = true;
-      return ConsistentAnswersBounded(ctx, *query, sem, nullptr, options);
+      return ConsistentAnswersBounded(ctx, *query, sem, options);
     }();
     ASSERT_TRUE(truth.ok());
     for (uint64_t max_nodes : {uint64_t{1}, uint64_t{5}, uint64_t{25}}) {
@@ -327,7 +327,7 @@ TEST(CategoricityDifferentialTest, StarvedBudgetNeverDegradesWorse) {
         ctx.set_governor(&governor);
         CqaOptions options;
         options.force_enumeration = force;
-        return ConsistentAnswersBounded(ctx, *query, sem, nullptr, options);
+        return ConsistentAnswersBounded(ctx, *query, sem, options);
       };
       auto fast = run(false);
       auto slow = run(true);
@@ -371,7 +371,7 @@ TEST(CategoricityDifferentialTest, BlockStarvationDegradesNoWorse) {
     CqaOptions options;
     options.force_enumeration = force;
     return ConsistentAnswersBounded(ctx, *query, AnswerSemantics::kGlobal,
-                                    nullptr, options);
+                                    options);
   };
   auto truth = run(/*force=*/true, /*governed=*/false);
   ASSERT_TRUE(truth.ok());
@@ -393,24 +393,22 @@ TEST(CategoricityPathTest, PathReportsWhichRouteRan) {
   CqaPath path = CqaPath::kEnumeration;
   CqaOptions options;
   options.path = &path;
-  (void)CertainlyTrueBounded(ctx, *query, AnswerSemantics::kGlobal, nullptr,
-                             options);
+  (void)CertainlyTrueBounded(ctx, *query, AnswerSemantics::kGlobal, options);
   EXPECT_EQ(path, CqaPath::kCategorical);
   options.force_enumeration = true;
-  (void)CertainlyTrueBounded(ctx, *query, AnswerSemantics::kGlobal, nullptr,
-                             options);
+  (void)CertainlyTrueBounded(ctx, *query, AnswerSemantics::kGlobal, options);
   EXPECT_EQ(path, CqaPath::kEnumeration);
   options.force_enumeration = false;
   // kAllRepairs never takes the pre-pass.
   (void)CertainlyTrueBounded(ctx, *query, AnswerSemantics::kAllRepairs,
-                             nullptr, options);
+                             options);
   EXPECT_EQ(path, CqaPath::kEnumeration);
   // Near-miss: ambiguous, so the fast route declines.
   opts.near_miss = true;
   PreferredRepairProblem miss = MakeCategoricalWorkload(opts);
   ProblemContext miss_ctx(*miss.instance, *miss.priority);
   (void)CertainlyTrueBounded(miss_ctx, *query, AnswerSemantics::kGlobal,
-                             nullptr, options);
+                             options);
   EXPECT_EQ(path, CqaPath::kEnumeration);
   EXPECT_STREQ(CqaPathName(CqaPath::kCategorical), "categorical");
   EXPECT_STREQ(CqaPathName(CqaPath::kEnumeration), "enumeration");

@@ -1,6 +1,6 @@
 // Tests for the unified dispatching RepairChecker: routing decisions,
-// the allow_exponential guard, rejection of invalid inputs, and
-// Proposition 3.5-style per-relation behaviour.
+// the exhaustive fallback on hard schemas, rejection of invalid inputs,
+// and Proposition 3.5-style per-relation behaviour.
 
 #include <gtest/gtest.h>
 
@@ -23,19 +23,19 @@ TEST(CheckerTest, RouteNamesAlgorithms) {
   EXPECT_NE(outcome->route[1].find("GRepCheck2Keys"), std::string::npos);
 }
 
-TEST(CheckerTest, HardSchemaWithExponentialDisabledFails) {
+TEST(CheckerTest, HardSchemaTakesTheExhaustiveFallback) {
   Schema schema = Schema::SingleRelation(
       "R", 3, {FD(AttrSet{1}, AttrSet{2}), FD(AttrSet{2}, AttrSet{3})});
   PreferredRepairProblem problem(std::move(schema));
   problem.instance->MustAddFact("R", {"a", "b", "c"});
   problem.InitPriority();
-  CheckerOptions opts;
-  opts.allow_exponential = false;
-  RepairChecker checker(*problem.instance, *problem.priority, opts);
+  RepairChecker checker(*problem.instance, *problem.priority);
   EXPECT_FALSE(checker.SchemaIsTractable());
   auto outcome = checker.CheckGloballyOptimal(problem.instance->AllFacts());
-  EXPECT_FALSE(outcome.ok());
-  EXPECT_EQ(outcome.status().code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_TRUE(outcome->result.optimal);
+  ASSERT_EQ(outcome->route.size(), 1u);
+  EXPECT_NE(outcome->route[0].find("exhaustive fallback"), std::string::npos);
 }
 
 TEST(CheckerTest, InconsistentJRejectedBeforeDispatch) {

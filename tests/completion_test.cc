@@ -58,10 +58,12 @@ std::set<std::vector<size_t>> CompletionOptimalByBruteForce(
     }
     // The greedy repair of a total-on-conflicts priority is unique; any
     // seed gives the same result.
-    DynamicBitset repair = ConstructGloballyOptimalRepair(
-        cg, completed, {TieBreak::kRandom, 1});
-    DynamicBitset check = ConstructGloballyOptimalRepair(
-        cg, completed, {TieBreak::kRandom, 2});
+    const DynamicBitset repair =
+        *GreedyWithin(cg, completed, AllFactIds(cg), {TieBreak::kRandom, 1},
+                      ResourceGovernor::Unlimited());
+    const DynamicBitset check =
+        *GreedyWithin(cg, completed, AllFactIds(cg), {TieBreak::kRandom, 2},
+                      ResourceGovernor::Unlimited());
     EXPECT_EQ(repair, check) << "total completion must be deterministic";
     result.insert(repair.ToVector());
   }
@@ -239,8 +241,8 @@ TEST(CompletionTest, GreedyRepairAlwaysCompletionOptimal) {
     opts.seed = seed;
     PreferredRepairProblem problem = GenerateRandomProblem(schema, opts);
     ConflictGraph cg(*problem.instance);
-    DynamicBitset greedy = ConstructGloballyOptimalRepair(
-        cg, *problem.priority, {TieBreak::kRandom, seed * 3});
+    const DynamicBitset greedy = *TryConstructGloballyOptimalRepair(
+        ProblemContext(cg, *problem.priority), {TieBreak::kRandom, seed * 3});
     EXPECT_TRUE(IsRepair(cg, greedy));
     EXPECT_TRUE(CheckCompletionOptimal(cg, *problem.priority, greedy,
                                        AllFactIds(cg))

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "gen/hard_workloads.h"
 #include "gen/random_instance.h"
 #include "reductions/hard_schemas.h"
@@ -30,7 +33,8 @@ TEST(ConstructTest, OutputIsOptimalOnHardSchemasToo) {
       PreferredRepairProblem p =
           GenerateRandomProblem(HardSchema(index), opts);
       ConflictGraph cg(*p.instance);
-      DynamicBitset repair = ConstructGloballyOptimalRepair(cg, *p.priority);
+      const ProblemContext ctx(cg, *p.priority);
+      const DynamicBitset repair = *TryConstructGloballyOptimalRepair(ctx);
       EXPECT_TRUE(IsRepair(cg, repair)) << "S" << index;
       EXPECT_TRUE(
           CheckCompletionOptimal(cg, *p.priority, repair, AllFactIds(cg))
@@ -54,13 +58,14 @@ TEST(ConstructTest, TieBreaksAreAllOptimal) {
   PreferredRepairProblem p =
       GenerateRandomProblem(HardSchemaS4(), opts);
   ConflictGraph cg(*p.instance);
+  const ProblemContext ctx(cg, *p.priority);
   for (TieBreak tb :
        {TieBreak::kFirstFact, TieBreak::kRandom, TieBreak::kMostDominating}) {
     ConstructOptions options;
     options.tie_break = tb;
     options.seed = 5;
-    DynamicBitset repair =
-        ConstructGloballyOptimalRepair(cg, *p.priority, options);
+    const DynamicBitset repair =
+        *TryConstructGloballyOptimalRepair(ctx, options);
     EXPECT_TRUE(
         ExhaustiveCheckGlobalOptimal(cg, *p.priority, repair).optimal);
   }
@@ -69,47 +74,34 @@ TEST(ConstructTest, TieBreaksAreAllOptimal) {
 TEST(ConstructTest, FirstFactTieBreakIsDeterministic) {
   PreferredRepairProblem p =
       MakeHardChoiceWorkload(1, 6, HardJ::kAllDispreferred);
-  ConflictGraph cg(*p.instance);
-  DynamicBitset a = ConstructGloballyOptimalRepair(cg, *p.priority);
-  DynamicBitset b = ConstructGloballyOptimalRepair(cg, *p.priority);
+  const ProblemContext ctx(*p.instance, *p.priority);
+  const DynamicBitset a = *TryConstructGloballyOptimalRepair(ctx);
+  const DynamicBitset b = *TryConstructGloballyOptimalRepair(ctx);
   EXPECT_EQ(a, b);
   // On the gadget workload the constructed repair is the all-preferred
   // one — every "hi" fact is undominated.
   EXPECT_EQ(a, MakeHardChoiceWorkload(1, 6, HardJ::kAllPreferred).j);
 }
 
-TEST(ConstructTest, SamplingFindsMultipleOptimaWhenTheyExist) {
+TEST(ConstructTest, RandomTieBreaksFindEveryOptimumWhenThereAreSeveral) {
   // Two incomparable facts per group: several completion-optimal
-  // repairs; sampling should find more than one.
+  // repairs; different kRandom seeds should reach every one of them.
   testing_util::ProblemSpec spec;
   spec.arity = 2;
   spec.fds = {"1 -> 2"};
   spec.facts = {"a1: k, 1", "a2: k, 2", "b1: m, 1", "b2: m, 2"};
   PreferredRepairProblem p = testing_util::MakeProblem(spec);
   ConflictGraph cg(*p.instance);
-  size_t distinct = 0;
-  SampleOptimalRepairs(cg, *p.priority, 64, [&](const DynamicBitset& r) {
+  const ProblemContext ctx(cg, *p.priority);
+  std::set<std::vector<size_t>> distinct;
+  for (uint64_t seed = 1; seed <= 64; ++seed) {
+    const DynamicBitset repair =
+        *TryConstructGloballyOptimalRepair(ctx, {TieBreak::kRandom, seed});
     EXPECT_TRUE(
-        ExhaustiveCheckGlobalOptimal(cg, *p.priority, r).optimal);
-    ++distinct;
-    return true;
-  });
-  EXPECT_EQ(distinct, 4u);  // 2 × 2 incomparable choices
-}
-
-TEST(ConstructTest, SamplingStopsOnFalse) {
-  testing_util::ProblemSpec spec;
-  spec.arity = 2;
-  spec.fds = {"1 -> 2"};
-  spec.facts = {"a1: k, 1", "a2: k, 2"};
-  PreferredRepairProblem p = testing_util::MakeProblem(spec);
-  ConflictGraph cg(*p.instance);
-  size_t seen = 0;
-  SampleOptimalRepairs(cg, *p.priority, 64, [&](const DynamicBitset&) {
-    ++seen;
-    return false;
-  });
-  EXPECT_EQ(seen, 1u);
+        ExhaustiveCheckGlobalOptimal(cg, *p.priority, repair).optimal);
+    distinct.insert(repair.ToVector());
+  }
+  EXPECT_EQ(distinct.size(), 4u);  // 2 × 2 incomparable choices
 }
 
 }  // namespace

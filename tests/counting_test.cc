@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "classify/categoricity.h"
 #include "gen/hard_workloads.h"
 #include "gen/random_instance.h"
 #include "repair/counting.h"
@@ -54,15 +55,18 @@ TEST(CountingTest, GadgetWorkloadHasUniqueOptimal) {
       CountOptimalRepairsBounded(ctx, RepairSemantics::kGlobal);
   EXPECT_TRUE(count.exact);
   EXPECT_EQ(count.lower_bound, 1u);
-  auto unique = UniqueGloballyOptimalRepair(ctx);
-  ASSERT_TRUE(unique.has_value());
-  EXPECT_EQ(*unique, p.j);
+  const CategoricityResult unique =
+      DecideCategoricity(ctx, RepairSemantics::kGlobal);
+  ASSERT_EQ(unique.verdict, Categoricity::kCategorical);
+  EXPECT_EQ(unique.repair, p.j);
   // The priority orders every conflicting pair here, so the polynomial
-  // sufficient condition applies and agrees.
-  EXPECT_TRUE(IsPriorityTotalOnConflicts(cg, *p.priority));
-  auto fast = UniqueOptimalIfTotalPriority(cg, *p.priority);
-  ASSERT_TRUE(fast.has_value());
-  EXPECT_EQ(*fast, *unique);
+  // total-priority tier decides every block and agrees.
+  for (const Block& b : ctx.blocks().blocks()) {
+    const BlockCategoricity block =
+        DecideBlockCategoricity(ctx, b, RepairSemantics::kGlobal);
+    EXPECT_EQ(block.unique, Trilean::kTrue);
+    EXPECT_FALSE(block.exponential);
+  }
 }
 
 TEST(CountingTest, IncomparableChoicesGiveMultipleOptima) {
@@ -78,9 +82,12 @@ TEST(CountingTest, IncomparableChoicesGiveMultipleOptima) {
       CountOptimalRepairsBounded(ctx, RepairSemantics::kGlobal);
   EXPECT_TRUE(count.exact);
   EXPECT_EQ(count.lower_bound, 2u);
-  EXPECT_FALSE(UniqueGloballyOptimalRepair(ctx).has_value());
-  EXPECT_FALSE(IsPriorityTotalOnConflicts(cg, *p.priority));
-  EXPECT_FALSE(UniqueOptimalIfTotalPriority(cg, *p.priority).has_value());
+  EXPECT_EQ(DecideCategoricity(ctx, RepairSemantics::kGlobal).verdict,
+            Categoricity::kAmbiguous);
+  // Unordered conflicts: the total-priority tier does not answer.
+  const BlockCategoricity block = DecideBlockCategoricity(
+      ctx, ctx.blocks().block(0), RepairSemantics::kGlobal);
+  EXPECT_EQ(block.unique, Trilean::kFalse);
 }
 
 TEST(CountingTest, TotalityIsSufficientButNotNecessary) {
@@ -94,13 +101,18 @@ TEST(CountingTest, TotalityIsSufficientButNotNecessary) {
   spec.facts = {"top: k, 1", "l1: k, 2", "l2: k, 3"};
   spec.priorities = {"top > l1", "top > l2"};
   PreferredRepairProblem p = testing_util::MakeProblem(spec);
-  ConflictGraph cg(*p.instance);
-  EXPECT_FALSE(IsPriorityTotalOnConflicts(cg, *p.priority));  // l1 vs l2
-  EXPECT_FALSE(UniqueOptimalIfTotalPriority(cg, *p.priority).has_value());
-  ProblemContext ctx(cg, *p.priority);
-  auto unique = UniqueGloballyOptimalRepair(ctx);
-  ASSERT_TRUE(unique.has_value());
-  EXPECT_EQ(*unique, testing_util::Sub(*p.instance, {"top"}));
+  ProblemContext ctx(*p.instance, *p.priority);
+  // l1 vs l2 is unordered, so the total-priority tier does not answer
+  // and the exact tier decides.
+  ASSERT_EQ(ctx.blocks().num_blocks(), 1u);
+  const BlockCategoricity block = DecideBlockCategoricity(
+      ctx, ctx.blocks().block(0), RepairSemantics::kGlobal);
+  EXPECT_TRUE(block.exponential);
+  EXPECT_EQ(block.unique, Trilean::kTrue);
+  const CategoricityResult unique =
+      DecideCategoricity(ctx, RepairSemantics::kGlobal);
+  ASSERT_EQ(unique.verdict, Categoricity::kCategorical);
+  EXPECT_EQ(unique.repair, testing_util::Sub(*p.instance, {"top"}));
 }
 
 TEST(CountingTest, CountsAgreeWithSemanticsInclusion) {

@@ -59,7 +59,10 @@ TEST(InvariantDeathTest, CompletionRequiresConflictBoundedPriority) {
       },
       "conflict-bounded");
   EXPECT_DEATH(
-      { (void)ConstructGloballyOptimalRepair(cg, *p.priority); },
+      {
+        (void)TryConstructGloballyOptimalRepair(
+            ProblemContext(cg, *p.priority));
+      },
       "conflict-bounded");
 }
 

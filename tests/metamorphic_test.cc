@@ -174,7 +174,7 @@ struct SemanticFingerprint {
   uint64_t count = 0;
   bool count_exact = false;
   std::vector<std::vector<FactId>> optimal_repairs;
-  bool has_unique = false;
+  Categoricity categoricity = Categoricity::kUnknown;
   std::vector<FactId> unique;
 };
 
@@ -201,10 +201,12 @@ SemanticFingerprint Fingerprint(const PreferredRepairProblem& problem,
   fp.count_exact = count.exact;
   fp.optimal_repairs =
       Canonical(AllOptimalRepairs(ctx, RepairSemantics::kGlobal), map);
-  auto unique = UniqueGloballyOptimalRepair(ctx);
-  fp.has_unique = unique.has_value();
-  if (unique.has_value()) {
-    unique->ForEach([&](size_t f) { fp.unique.push_back(map[f]); });
+  const CategoricityResult categoricity =
+      DecideCategoricity(ctx, RepairSemantics::kGlobal);
+  fp.categoricity = categoricity.verdict;
+  if (categoricity.verdict == Categoricity::kCategorical) {
+    categoricity.repair.ForEach(
+        [&](size_t f) { fp.unique.push_back(map[f]); });
     std::sort(fp.unique.begin(), fp.unique.end());
   }
   return fp;
@@ -219,7 +221,7 @@ void ExpectEqualFingerprints(const SemanticFingerprint& a,
   EXPECT_EQ(a.count, b.count) << what;
   EXPECT_EQ(a.count_exact, b.count_exact) << what;
   EXPECT_EQ(a.optimal_repairs, b.optimal_repairs) << what;
-  EXPECT_EQ(a.has_unique, b.has_unique) << what;
+  EXPECT_EQ(a.categoricity, b.categoricity) << what;
   EXPECT_EQ(a.unique, b.unique) << what;
 }
 
@@ -322,9 +324,8 @@ std::string CategoricityFingerprint(const PreferredRepairProblem& problem,
   CqaPath path = CqaPath::kEnumeration;
   CqaOptions options;
   options.path = &path;
-  Trilean certain = CertainlyTrueBounded(ctx, *query,
-                                         AnswerSemantics::kGlobal, nullptr,
-                                         options);
+  Trilean certain =
+      CertainlyTrueBounded(ctx, *query, AnswerSemantics::kGlobal, options);
   out += std::string(CqaPathName(path)) + "/" +
          std::to_string(static_cast<int>(certain));
   return out;

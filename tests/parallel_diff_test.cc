@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "classify/categoricity.h"
 #include "gen/random_instance.h"
 #include "repair/checker.h"
 #include "repair/construct.h"
@@ -157,15 +158,21 @@ std::string RunBattery(const PreferredRepairProblem& problem, size_t threads,
     AppendGovernor(governor, &out);
   }
   {
-    out << "unique:\n";
+    out << "categoricity:\n";
     ResourceGovernor governor(budget);
     ProblemContext ctx(instance, *problem.priority);
     prepare(&ctx, &governor);
-    auto unique = UniqueGloballyOptimalRepair(ctx);
-    out << "  "
-        << (unique.has_value() ? instance.SubinstanceToString(*unique)
-                               : std::string("none"))
-        << "\n";
+    const CategoricityResult result =
+        DecideCategoricity(ctx, RepairSemantics::kGlobal);
+    out << "  " << CategoricityName(result.verdict);
+    if (result.verdict == Categoricity::kCategorical) {
+      out << " " << instance.SubinstanceToString(result.repair);
+    } else if (result.verdict == Categoricity::kAmbiguous) {
+      out << " at block " << result.ambiguous_block;
+    } else {
+      out << " (" << result.unknown_reason << ")";
+    }
+    out << "\n";
     AppendGovernor(governor, &out);
   }
   {

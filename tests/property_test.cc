@@ -1116,8 +1116,8 @@ TEST_P(InclusionProperty, EveryInstanceHasACompletionOptimalRepair) {
   ConflictGraph cg(*problem.instance);
   const PriorityRelation& pr = *problem.priority;
   // The greedy procedure always yields one, and the checker accepts it.
-  DynamicBitset greedy = ConstructGloballyOptimalRepair(
-      cg, pr, {TieBreak::kRandom, GetParam().seed});
+  const DynamicBitset greedy = *TryConstructGloballyOptimalRepair(
+      ProblemContext(cg, pr), {TieBreak::kRandom, GetParam().seed});
   EXPECT_TRUE(IsRepair(cg, greedy));
   EXPECT_TRUE(CheckCompletionOptimal(cg, pr, greedy, AllFactIds(cg)).optimal);
 }

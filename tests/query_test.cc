@@ -90,20 +90,18 @@ TEST(ConsistentAnswersTest, PreferencesSharpenAnswers) {
   spec.facts = {"new: k, v2", "old: k, v1", "other: m, w"};
   spec.priorities = {"new > old"};
   PreferredRepairProblem p = testing_util::MakeProblem(spec);
-  ConflictGraph cg(*p.instance);
+  const ProblemContext ctx(*p.instance, *p.priority);
   auto q = ConjunctiveQuery::Parse("Q(y) :- R(\"k\", y)");
   ASSERT_TRUE(q.ok());
 
   // All repairs: {new, other} and {old, other} — no certain answer.
-  EXPECT_TRUE(ConsistentAnswers(cg, *p.priority, *q,
-                                AnswerSemantics::kAllRepairs)
-                  .empty());
+  EXPECT_TRUE(
+      ConsistentAnswers(ctx, *q, AnswerSemantics::kAllRepairs).empty());
   // Globally-optimal repairs: only {new, other}.
-  EXPECT_EQ(ConsistentAnswers(cg, *p.priority, *q, AnswerSemantics::kGlobal),
+  EXPECT_EQ(ConsistentAnswers(ctx, *q, AnswerSemantics::kGlobal),
             (std::vector<ConjunctiveQuery::AnswerTuple>{{"v2"}}));
-  EXPECT_EQ(
-      ConsistentAnswers(cg, *p.priority, *q, AnswerSemantics::kCompletion),
-      (std::vector<ConjunctiveQuery::AnswerTuple>{{"v2"}}));
+  EXPECT_EQ(ConsistentAnswers(ctx, *q, AnswerSemantics::kCompletion),
+            (std::vector<ConjunctiveQuery::AnswerTuple>{{"v2"}}));
 
   // The unconflicted fact is a certain answer under every semantics.
   auto all_q = ConjunctiveQuery::Parse("Q(x, y) :- R(x, y)");
@@ -111,7 +109,7 @@ TEST(ConsistentAnswersTest, PreferencesSharpenAnswers) {
   for (AnswerSemantics sem :
        {AnswerSemantics::kAllRepairs, AnswerSemantics::kGlobal,
         AnswerSemantics::kPareto, AnswerSemantics::kCompletion}) {
-    auto answers = ConsistentAnswers(cg, *p.priority, *all_q, sem);
+    auto answers = ConsistentAnswers(ctx, *all_q, sem);
     EXPECT_NE(std::find(answers.begin(), answers.end(),
                         ConjunctiveQuery::AnswerTuple{"m", "w"}),
               answers.end());
@@ -124,17 +122,14 @@ TEST(ConsistentAnswersTest, CertainAndPossible) {
   spec.fds = {"1 -> 2"};
   spec.facts = {"a: k, v1", "b: k, v2"};
   PreferredRepairProblem p = testing_util::MakeProblem(spec);
-  ConflictGraph cg(*p.instance);
+  const ProblemContext ctx(*p.instance, *p.priority);
   auto has_v1 = ConjunctiveQuery::Parse("Q() :- R(x, \"v1\")");
   ASSERT_TRUE(has_v1.ok());
-  EXPECT_FALSE(CertainlyTrue(cg, *p.priority, *has_v1,
-                             AnswerSemantics::kAllRepairs));
-  EXPECT_TRUE(
-      PossiblyTrue(cg, *p.priority, *has_v1, AnswerSemantics::kAllRepairs));
+  EXPECT_FALSE(CertainlyTrue(ctx, *has_v1, AnswerSemantics::kAllRepairs));
+  EXPECT_TRUE(PossiblyTrue(ctx, *has_v1, AnswerSemantics::kAllRepairs));
   auto has_k = ConjunctiveQuery::Parse("Q() :- R(\"k\", y)");
   ASSERT_TRUE(has_k.ok());
-  EXPECT_TRUE(
-      CertainlyTrue(cg, *p.priority, *has_k, AnswerSemantics::kAllRepairs));
+  EXPECT_TRUE(CertainlyTrue(ctx, *has_k, AnswerSemantics::kAllRepairs));
 }
 
 // Monotonicity across semantics: since completion-optimal ⊆ global ⊆
@@ -142,18 +137,14 @@ TEST(ConsistentAnswersTest, CertainAndPossible) {
 // shrinks.
 TEST(ConsistentAnswersTest, AnswerMonotonicityAcrossSemantics) {
   PreferredRepairProblem problem = RunningExampleProblem();
-  ConflictGraph cg(*problem.instance);
+  const ProblemContext ctx(*problem.instance, *problem.priority);
   auto q = ConjunctiveQuery::Parse(
       "Q(lib, loc) :- LibLoc(lib, loc)");
   ASSERT_TRUE(q.ok());
-  auto all = ConsistentAnswers(cg, *problem.priority, *q,
-                               AnswerSemantics::kAllRepairs);
-  auto pareto = ConsistentAnswers(cg, *problem.priority, *q,
-                                  AnswerSemantics::kPareto);
-  auto global = ConsistentAnswers(cg, *problem.priority, *q,
-                                  AnswerSemantics::kGlobal);
-  auto completion = ConsistentAnswers(cg, *problem.priority, *q,
-                                      AnswerSemantics::kCompletion);
+  auto all = ConsistentAnswers(ctx, *q, AnswerSemantics::kAllRepairs);
+  auto pareto = ConsistentAnswers(ctx, *q, AnswerSemantics::kPareto);
+  auto global = ConsistentAnswers(ctx, *q, AnswerSemantics::kGlobal);
+  auto completion = ConsistentAnswers(ctx, *q, AnswerSemantics::kCompletion);
   auto subset_of = [](const auto& small, const auto& big) {
     for (const auto& t : small) {
       if (std::find(big.begin(), big.end(), t) == big.end()) {
@@ -171,13 +162,12 @@ TEST(ConsistentAnswersTest, AnswerMonotonicityAcrossSemantics) {
 // certain under globally-optimal repairs?
 TEST(ConsistentAnswersTest, RunningExampleJoinQuery) {
   PreferredRepairProblem problem = RunningExampleProblem();
-  ConflictGraph cg(*problem.instance);
+  const ProblemContext ctx(*problem.instance, *problem.priority);
   // Books whose library is in a known location.
   auto q = ConjunctiveQuery::Parse(
       "Q(isbn, loc) :- BookLoc(isbn, genre, lib), LibLoc(lib, loc)");
   ASSERT_TRUE(q.ok());
-  auto global = ConsistentAnswers(cg, *problem.priority, *q,
-                                  AnswerSemantics::kGlobal);
+  auto global = ConsistentAnswers(ctx, *q, AnswerSemantics::kGlobal);
   // The three globally-optimal repairs are J2, J4 and
   // {g1f1, g1f2, f2p1, h3h2, d1a, e3b} (where both lib2 facts are
   // blocked).  The only certain placement is (b1, almaden): b1 sits in
@@ -188,8 +178,7 @@ TEST(ConsistentAnswersTest, RunningExampleJoinQuery) {
                         {"b1", "almaden"}}));
   // Under classical CQA (all 16 repairs) even that is lost: the repair
   // {.., f1d3, ..} drops b1 from fiction libraries entirely.
-  auto classical = ConsistentAnswers(cg, *problem.priority, *q,
-                                     AnswerSemantics::kAllRepairs);
+  auto classical = ConsistentAnswers(ctx, *q, AnswerSemantics::kAllRepairs);
   EXPECT_TRUE(classical.empty());
 }
 

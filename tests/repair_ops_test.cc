@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "repair/block_solver.h"
 #include "repair/exhaustive.h"
 #include "repair/pareto.h"
 #include "repair/subinstance_ops.h"
@@ -230,7 +231,7 @@ TEST(ExhaustiveTest, AllOptimalRepairsOnTwoGroups) {
        {RepairSemantics::kGlobal, RepairSemantics::kPareto,
         RepairSemantics::kCompletion}) {
     std::vector<DynamicBitset> optimal =
-        AllOptimalRepairs(cg, *p.priority, sem);
+        AllOptimalRepairs(ProblemContext(cg, *p.priority), sem);
     ASSERT_EQ(optimal.size(), 1u);
     EXPECT_EQ(optimal[0], Sub(inst, {"a1", "b1"}));
   }

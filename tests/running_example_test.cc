@@ -10,6 +10,7 @@
 
 #include "classify/dichotomy.h"
 #include "gen/running_example.h"
+#include "repair/block_solver.h"
 #include "repair/checker.h"
 #include "repair/exhaustive.h"
 #include "repair/global_one_fd.h"
@@ -239,12 +240,13 @@ TEST_F(RunningExampleTest, RepairCountsAndOptimalCounts) {
   // conflict-free) × 8 LibLoc repairs (6 lib→loc matchings covering all
   // three libraries plus 2 where both lib2 facts are blocked) = 16.
   EXPECT_EQ(CountRepairs(cg_), 16u);
+  const ProblemContext ctx(cg_, pr_);
   std::vector<DynamicBitset> global =
-      AllOptimalRepairs(cg_, pr_, RepairSemantics::kGlobal);
+      AllOptimalRepairs(ctx, RepairSemantics::kGlobal);
   std::vector<DynamicBitset> pareto =
-      AllOptimalRepairs(cg_, pr_, RepairSemantics::kPareto);
+      AllOptimalRepairs(ctx, RepairSemantics::kPareto);
   std::vector<DynamicBitset> completion =
-      AllOptimalRepairs(cg_, pr_, RepairSemantics::kCompletion);
+      AllOptimalRepairs(ctx, RepairSemantics::kCompletion);
   // Completion ⊆ global ⊆ Pareto.
   EXPECT_LE(completion.size(), global.size());
   EXPECT_LE(global.size(), pareto.size());

@@ -40,6 +40,9 @@ tracks:
                            1.0 (WARNING above 1.25x).
     decide_us            — the bare DecideCategoricity cost, the
                            serving layer's price for a memo miss.
+    Sampled like hotpath (run_sampled, below): the near-miss pair at 9
+    cliques is one ~30 ms request per repetition, and a single 0.2 s
+    run read its overhead anywhere from 0.80x to 1.37x.
 
   hotpath (BENCH_hotpath.json, B18):
     conflict_build       — per shard count: flat columnar join vs the
@@ -55,10 +58,10 @@ tracks:
                            full 12-column agreement; early_exit_gain =
                            full/early must stay well above 1.0 or the
                            short-circuit has been lost.
-    The suite runs in HOTPATH_PROCESSES processes, each on its own CPU,
-    of HOTPATH_REPETITIONS repetitions of every kernel shuffled
+    The suite runs in SAMPLE_PROCESSES processes, each on its own CPU,
+    of SAMPLE_REPETITIONS repetitions of every kernel shuffled
     together, and each kernel keeps its fastest repetition
-    (run_hotpath): every ratio is a best over passes, so neither a slow
+    (run_sampled): every ratio is a best over passes, so neither a slow
     spell of the host nor a slow CPU sets one side of a ratio alone.
     tools/perf_gate.py measures the same way and compares these ratios,
     not absolute times, against the committed baseline.  A ratio is
@@ -93,33 +96,35 @@ def run_bench(bench: Path,
     return json.loads(proc.stdout)
 
 
-# The hotpath suite is gated on ratios of kernels that run for 2 ns to
-# 1 ms on hosts that share their cores.  Three effects move one side of
-# a ratio alone (EXPERIMENTS.md B22):
-#   * slow spells of the host, lasting seconds: a kernel timed once, one
-#     kernel after another, can be timed inside one;
+# The hotpath and categoricity suites are read as ratios of benchmarks
+# that run for 2 ns to 30 ms on hosts that share their cores.  Three
+# effects move one side of a ratio alone (EXPERIMENTS.md B22):
+#   * slow spells of the host, lasting seconds: a benchmark timed once,
+#     one benchmark after another, can be timed inside one;
 #   * CPUs of different speed: a process that moves between them mid-run
-#     can time every repetition of one kernel on the slow one;
-#   * a process that stays on a slow CPU slows its kernels by different
-#     factors (the flat join by up to 1.5x, the reference join by less).
-# So the suite runs in HOTPATH_PROCESSES processes, each pinned to its
-# own CPU (round robin over the CPUs this process may use), each
-# repeating every kernel HOTPATH_REPETITIONS times with the repetitions
-# of all kernels shuffled together; by_name keeps each kernel's fastest
-# repetition over all of them, so every ratio is a best over passes.
-HOTPATH_PROCESSES = 4
-HOTPATH_REPETITIONS = 25
-HOTPATH_FLAGS = ("--benchmark_min_time=0.01",
-                 f"--benchmark_repetitions={HOTPATH_REPETITIONS}",
-                 "--benchmark_enable_random_interleaving=true")
+#     can time every repetition of one benchmark on the slow one;
+#   * a process that stays on a slow CPU slows its benchmarks by
+#     different factors (the flat join by up to 1.5x, the reference join
+#     by less).
+# So run_sampled runs a suite in SAMPLE_PROCESSES processes, each pinned
+# to its own CPU (round robin over the CPUs this process may use), each
+# repeating every benchmark SAMPLE_REPETITIONS times with the
+# repetitions of all benchmarks shuffled together; by_name keeps each
+# benchmark's fastest repetition over all of them, so every ratio is a
+# best over passes.
+SAMPLE_PROCESSES = 4
+SAMPLE_REPETITIONS = 25
+SAMPLE_FLAGS = ("--benchmark_min_time=0.01",
+                f"--benchmark_repetitions={SAMPLE_REPETITIONS}",
+                "--benchmark_enable_random_interleaving=true")
 
 
-def run_hotpath(bench: Path) -> dict:
+def run_sampled(bench: Path) -> dict:
     cpus = sorted(os.sched_getaffinity(0)) \
         if hasattr(os, "sched_getaffinity") else [None]
     raw: dict = {"benchmarks": []}
-    for i in range(HOTPATH_PROCESSES):
-        dump = run_bench(bench, HOTPATH_FLAGS, cpus[i % len(cpus)])
+    for i in range(SAMPLE_PROCESSES):
+        dump = run_bench(bench, SAMPLE_FLAGS, cpus[i % len(cpus)])
         raw.setdefault("context", dump.get("context", {}))
         raw["benchmarks"].extend(dump.get("benchmarks", []))
     return raw
@@ -273,6 +278,9 @@ def distill_categoricity(raw: dict) -> dict:
     out: dict = {
         "benchmark": "bench_categoricity",
         "context": context_of(raw),
+        "method": f"each benchmark at its fastest of {SAMPLE_PROCESSES} "
+                  f"CPU-pinned processes x {SAMPLE_REPETITIONS} shuffled "
+                  f"repetitions (tools/bench_to_json.py run_sampled)",
         "speedup": {},
         "fallback_overhead": {},
         "decide_us": {},
@@ -301,6 +309,9 @@ def distill_categoricity(raw: dict) -> dict:
         elif name.startswith("BM_DecideCategoricity/"):
             cliques = name.split("/")[1]
             out["decide_us"][cliques] = time_ns(bench) / 1e3
+    # Shuffled repetitions reach by_name in any order; list by cliques.
+    for key in ("speedup", "fallback_overhead", "decide_us"):
+        out[key] = dict(sorted(out[key].items(), key=lambda kv: int(kv[0])))
     return out
 
 
@@ -410,14 +421,14 @@ SUITES = {
     "categoricity": {
         "bench": "build/bench/bench_categoricity",
         "out": "BENCH_categoricity.json",
-        "run": run_bench,
+        "run": run_sampled,
         "distill": distill_categoricity,
         "report": report_categoricity,
     },
     "hotpath": {
         "bench": "build/bench/bench_hotpath",
         "out": "BENCH_hotpath.json",
-        "run": run_hotpath,
+        "run": run_sampled,
         "distill": distill_hotpath,
         "report": report_hotpath,
     },

@@ -13,7 +13,7 @@ join, the FactsAgreeOn early-exit gain, the scalar-fallback penalty —
 each of two kernels timed in the same run, never absolute microseconds.
 
 The run is the one `bench_to_json.py --suite hotpath` records a baseline
-with (run_hotpath): four processes, each pinned to its own CPU and
+with (run_sampled): four processes, each pinned to its own CPU and
 repeating every kernel 25 times with the repetitions of all kernels
 shuffled together, and each kernel kept at its fastest repetition.  So
 neither a slow spell of the host nor a slow CPU sets one side of a ratio
@@ -62,7 +62,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_to_json import distill_hotpath, run_hotpath  # noqa: E402
+from bench_to_json import distill_hotpath, run_sampled  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -261,7 +261,7 @@ def main() -> int:
             print(f"perf_gate: no binary at {bench} — build bench_hotpath "
                   f"first", file=sys.stderr)
             return 1
-        current = distill_hotpath(run_hotpath(bench))
+        current = distill_hotpath(run_sampled(bench))
     for line in report(baseline, current):
         print(f"perf_gate: {line}")
     failures = check(baseline, current)
