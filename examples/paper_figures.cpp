@@ -10,6 +10,7 @@
 // Render with: dot -Tsvg figure3_g21.dot > figure3_g21.svg
 //
 // Usage: ./build/examples/paper_figures [output-dir]
+// Exits 1 when any figure could not be written.
 
 #include <cstdio>
 #include <fstream>
@@ -39,13 +40,14 @@ bool WriteFile(const std::string& path, const std::string& content) {
 
 int main(int argc, char** argv) {
   std::string dir = argc > 1 ? argv[1] : ".";
+  bool all_written = true;
 
   // Figure 1: the running-example instance, J2 highlighted.
   PreferredRepairProblem running = RunningExampleProblem();
   ConflictGraph cg(*running.instance);
   DynamicBitset j2 = RunningExampleJ(*running.instance, 2);
-  WriteFile(dir + "/figure1_instance.dot",
-            ConflictGraphToDot(cg, *running.priority, j2));
+  all_written &= WriteFile(dir + "/figure1_instance.dot",
+                           ConflictGraphToDot(cg, *running.priority, j2));
 
   // Figure 3: G12_J and G21_J for J = {d1a, f2b, f3c} on LibLoc.
   RelId lib_loc = running.instance->schema().FindRelation("LibLoc");
@@ -57,16 +59,19 @@ int main(int argc, char** argv) {
   KeyedImprovementGraph g21 = BuildImprovementGraph(
       *running.instance, *running.priority, lib_loc, AttrSet{2}, AttrSet{1},
       j);
-  WriteFile(dir + "/figure3_g12.dot", ImprovementGraphToDot(g12, "G12"));
-  WriteFile(dir + "/figure3_g21.dot", ImprovementGraphToDot(g21, "G21"));
+  all_written &= WriteFile(dir + "/figure3_g12.dot",
+                           ImprovementGraphToDot(g12, "G12"));
+  all_written &= WriteFile(dir + "/figure3_g21.dot",
+                           ImprovementGraphToDot(g21, "G21"));
 
   // Figure 5: the reduction instance for K2.
   UndirectedGraph k2(2);
   k2.AddEdge(0, 1);
   PreferredRepairProblem reduced = ReduceHamiltonianCycleToS1(k2);
   ConflictGraph reduced_cg(*reduced.instance);
-  WriteFile(dir + "/figure5_reduction.dot",
-            ConflictGraphToDot(reduced_cg, *reduced.priority, reduced.j));
+  all_written &=
+      WriteFile(dir + "/figure5_reduction.dot",
+                ConflictGraphToDot(reduced_cg, *reduced.priority, reduced.j));
 
   // Figure 6: the ccp graph of Example 7.2.
   Schema schema = Schema::SingleRelation("R", 2, {FD(AttrSet{1}, AttrSet{2})});
@@ -83,8 +88,9 @@ int main(int argc, char** argv) {
   PREFREP_CHECK(ccp.priority->AddByLabels("f13", "f02").ok());
   PREFREP_CHECK(ccp.priority->AddByLabels("f02", "f01").ok());
   ConflictGraph ccp_cg(inst);
-  WriteFile(dir + "/figure6_ccp.dot",
-            CcpGraphToDot(ccp_cg, *ccp.priority,
-                          inst.SubinstanceByLabels({"f02", "f1b"})));
-  return 0;
+  all_written &= WriteFile(dir + "/figure6_ccp.dot",
+                           CcpGraphToDot(ccp_cg, *ccp.priority,
+                                         inst.SubinstanceByLabels(
+                                             {"f02", "f1b"})));
+  return all_written ? 0 : 1;
 }

@@ -59,54 +59,6 @@ void BlockSolveCache::Store(const BlockFingerprint& key, Entry entry) {
   entries_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void BlockSolveCache::Store(const BlockFingerprint& base,
-                            const BlockFingerprint& key, Entry entry) {
-  {
-    MutexLock lock(derived_mu_);
-    std::vector<BlockFingerprint>& keys = derived_[base];
-    if (std::find(keys.begin(), keys.end(), key) == keys.end() &&
-        keys.size() < kMaxDerivedPerBase) {
-      keys.push_back(key);
-    }
-  }
-  Store(key, std::move(entry));
-}
-
-bool BlockSolveCache::Erase(const BlockFingerprint& key) {
-  Shard& shard = shard_of(key);
-  MutexLock lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    return false;
-  }
-  bytes_.fetch_sub(EntryBytes(it->second->second),
-                   std::memory_order_relaxed);
-  entries_.fetch_sub(1, std::memory_order_relaxed);
-  shard.lru.erase(it->second);
-  shard.index.erase(it);
-  return true;
-}
-
-size_t BlockSolveCache::EraseDerivedFrom(const BlockFingerprint& base) {
-  std::vector<BlockFingerprint> keys;
-  {
-    MutexLock lock(derived_mu_);
-    auto it = derived_.find(base);
-    if (it == derived_.end()) {
-      return 0;
-    }
-    keys = std::move(it->second);
-    derived_.erase(it);
-  }
-  size_t erased = 0;
-  for (const BlockFingerprint& key : keys) {
-    if (Erase(key)) {
-      ++erased;
-    }
-  }
-  return erased;
-}
-
 BlockCacheStats BlockSolveCache::stats() const {
   BlockCacheStats s;
   s.hits = hits_.load(std::memory_order_relaxed);
@@ -128,8 +80,6 @@ void BlockSolveCache::Clear() {
     shard.index.clear();
     shard.lru.clear();
   }
-  MutexLock lock(derived_mu_);
-  derived_.clear();
 }
 
 }  // namespace prefrep

@@ -32,6 +32,13 @@
 // (repair/block_solver.h), decides when serving is governor-correct and
 // calls NoteHit/NoteMiss accordingly, so the counters reflect served
 // results, not raw probes.
+//
+// Nothing but the LRU removes an entry.  A block's answers depend on
+// the block alone (FKK, Proposition 3.5), so an edited block hashes to
+// a new fingerprint and can never hit an entry of its old shape: stale
+// entries simply age out under capacity pressure.  Until they do, a
+// block that an edit brings back to an old shape (a resident session's
+// delete and revival, or a twin elsewhere) hits them.
 
 #ifndef PREFREP_CACHE_BLOCK_CACHE_H_
 #define PREFREP_CACHE_BLOCK_CACHE_H_
@@ -111,28 +118,6 @@ class BlockSolveCache {
   /// wins, keeping racing stores idempotent.
   void Store(const BlockFingerprint& key, Entry entry);
 
-  /// Like Store(key, entry), and additionally records `key` as derived
-  /// from the base (pre-salt) block fingerprint `base`, so the serve
-  /// layer can drop a retired block's entries with EraseDerivedFrom.
-  /// At most kMaxDerivedPerBase keys are recorded per base (verdict
-  /// keys are salted by the candidate J, so a base can derive
-  /// unboundedly many); overflowing keys simply stay until evicted —
-  /// fingerprint keying already guarantees an edited block can never
-  /// *hit* a stale entry, so targeted erasure is purely a memory/
-  /// hygiene optimization and may be incomplete.
-  void Store(const BlockFingerprint& base, const BlockFingerprint& key,
-             Entry entry);
-
-  /// Removes `key` if present; true when an entry was dropped.
-  bool Erase(const BlockFingerprint& key);
-
-  /// Drops every entry recorded as derived from `base`, plus the
-  /// derivation record; returns how many entries were removed.  Entries
-  /// already evicted are skipped silently.
-  size_t EraseDerivedFrom(const BlockFingerprint& base);
-
-  static constexpr size_t kMaxDerivedPerBase = 64;
-
   void NoteHit() { hits_.fetch_add(1, std::memory_order_relaxed); }
   void NoteMiss() { misses_.fetch_add(1, std::memory_order_relaxed); }
 
@@ -163,15 +148,6 @@ class BlockSolveCache {
   const size_t capacity_;
   const size_t shard_capacity_;
   Shard shards_[kNumShards];
-  // base fingerprint → derived keys stored under it.  Global (not
-  // per-shard): DeriveOpKey rehashes, so one base's keys land in
-  // different shards.  Guarded by its own mutex; always acquired
-  // without any shard lock held (and vice versa), so no lock-order
-  // cycle is possible.
-  Mutex derived_mu_;
-  std::unordered_map<BlockFingerprint, std::vector<BlockFingerprint>,
-                     BlockFingerprintHash>
-      derived_ PREFREP_GUARDED_BY(derived_mu_);
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> stores_{0};

@@ -49,7 +49,7 @@ void CategoricityMemo::Invalidate(FactId key) {
 namespace {
 
 // A block's memo key: its smallest fact id — the same key the serve
-// layer files block state (and fingerprint invalidation) under.
+// layer files block state under.
 FactId BlockKey(const Block& b) { return b.fact_list.front(); }
 
 // Whether the priority totally orders every conflicting pair of `b`.
@@ -99,23 +99,20 @@ void MaybeCorruptForTesting(BlockCategoricity* result) {
   }
 }
 
-// The per-block decision with the conflict-boundedness of the whole
-// priority precomputed (it is O(priority edges) to test, so
-// DecideCategoricity pays for it once, not per block).
-BlockCategoricity DecideBlockImpl(const ProblemContext& ctx, const Block& b,
-                                  RepairSemantics semantics,
-                                  bool conflict_bounded) {
+}  // namespace
+
+BlockCategoricity DecideBlockCategoricity(const ProblemContext& ctx,
+                                          const Block& b,
+                                          RepairSemantics semantics) {
   BlockCategoricity out;
-  if (conflict_bounded &&
-      BlockPriorityTotalOnConflicts(ctx.conflict_graph(), ctx.priority(), b)) {
+  const ConflictGraph& cg = ctx.conflict_graph();
+  const PriorityRelation& pr = ctx.priority();
+  // The greedy block construction relies on completion semantics, which
+  // require a conflict-bounded priority.
+  if (pr.IsConflictBounded() && BlockPriorityTotalOnConflicts(cg, pr, b)) {
     // Fast tier: a total priority admits exactly one optimal
     // block-repair, identical under all three semantics ([SCM]), and
     // the greedy block construction produces it in polynomial time.
-    const ConflictGraph& cg = ctx.conflict_graph();
-    const PriorityRelation& pr = ctx.priority();
-    PREFREP_CHECK_MSG(pr.IsConflictBounded(),
-                      "greedy block construction relies on completion "
-                      "semantics, which require conflict-bounded priorities");
     out.unique = Trilean::kTrue;
     out.repair = *GreedyWithin(cg, pr, b.fact_list, ConstructOptions{},
                                ResourceGovernor::Unlimited());
@@ -124,7 +121,7 @@ BlockCategoricity DecideBlockImpl(const ProblemContext& ctx, const Block& b,
     MaybeCorruptForTesting(&out);
     return out;
   }
-  if (b.fact_list.size() >= 2 && BlockPriorityEmpty(ctx.priority(), b)) {
+  if (b.fact_list.size() >= 2 && BlockPriorityEmpty(pr, b)) {
     // Ambiguity tier: conflicts with no preferences means every
     // block-repair is optimal, and there are at least two.  Keeps the
     // pre-pass polynomial on near-miss instances, where the broken
@@ -159,6 +156,8 @@ BlockCategoricity DecideBlockImpl(const ProblemContext& ctx, const Block& b,
   return out;
 }
 
+namespace {
+
 // One block's payload on the fold: its decision, whether the memo
 // served it, and the checkpoints it spent after the block's head
 // checkpoint.
@@ -174,7 +173,7 @@ struct FoldedBlock {
 // fresh decision would record is recorded by one — or decides it fresh.
 // Workers run this too; they only read the memo.
 FoldedBlock SolveBlock(const ProblemContext& ctx, const Block& b,
-                       RepairSemantics semantics, bool conflict_bounded,
+                       RepairSemantics semantics,
                        const CategoricityMemo* memo) {
   FoldedBlock out;
   ResourceGovernor& governor = ctx.governor();
@@ -193,7 +192,7 @@ FoldedBlock SolveBlock(const ProblemContext& ctx, const Block& b,
     out.result.exponential = entry->exponential;
     out.result.repair = entry->repair_local;
   } else {
-    out.result = DecideBlockImpl(ctx, b, semantics, conflict_bounded);
+    out.result = DecideBlockCategoricity(ctx, b, semantics);
   }
   out.nodes = governor.nodes_spent() - before;
   return out;
@@ -212,13 +211,6 @@ CategoricityMemo::Entry MemoEntry(const FoldedBlock& f, bool nodes_valid) {
 
 }  // namespace
 
-BlockCategoricity DecideBlockCategoricity(const ProblemContext& ctx,
-                                          const Block& b,
-                                          RepairSemantics semantics) {
-  return DecideBlockImpl(ctx, b, semantics,
-                         ctx.priority().IsConflictBounded());
-}
-
 CategoricityResult DecideCategoricity(const ProblemContext& ctx,
                                       RepairSemantics semantics,
                                       CategoricityMemo* memo) {
@@ -232,7 +224,6 @@ CategoricityResult DecideCategoricity(const ProblemContext& ctx,
         "does not apply";
     return result;
   }
-  const bool conflict_bounded = ctx.priority().IsConflictBounded();
   // Node costs are meaningful only when the caller's governor counts;
   // a worker's count is not stored otherwise.
   const bool nodes_valid = !ctx.governor().unlimited();
@@ -242,9 +233,8 @@ CategoricityResult DecideCategoricity(const ProblemContext& ctx,
   std::vector<std::pair<FactId, CategoricityMemo::Entry>> fresh;
   FoldOutcome outcome = FoldBlocks(
       ctx, nullptr,
-      [semantics, conflict_bounded, memo](const ProblemContext& cx,
-                                          const Block& b) {
-        return SolveBlock(cx, b, semantics, conflict_bounded, memo);
+      [semantics, memo](const ProblemContext& cx, const Block& b) {
+        return SolveBlock(cx, b, semantics, memo);
       },
       [](const FoldedBlock& f) {
         return f.result.unique != Trilean::kUnknown;

@@ -37,10 +37,10 @@
 // non-categorical or unknown verdict falls back to the enumeration path
 // with the caller's governor untouched — byte-identical to never having
 // asked.  The serving layer (serve/session.h) memoizes per-block
-// verdicts in a CategoricityMemo and invalidates them under
-// insert/delete/prefer alongside its fingerprint invalidation; the memo
-// follows the block-solve cache's serve discipline (docs/caching.md),
-// so memoization changes cost, never outcome.
+// verdicts in a CategoricityMemo and retires a block's verdicts under
+// each insert/delete/prefer that touches the block; the memo follows
+// the block-solve cache's serve discipline (docs/caching.md), so
+// memoization changes cost, never outcome.
 
 #ifndef PREFREP_CLASSIFY_CATEGORICITY_H_
 #define PREFREP_CLASSIFY_CATEGORICITY_H_
@@ -99,11 +99,13 @@ struct CategoricityResult {
 /// Session-resident memo of per-block categoricity verdicts, keyed by
 /// (block key, semantics) where the block key is the block's smallest
 /// fact id — the same key the serve layer files block state under, so
-/// its insert/delete/prefer invalidation can retire memo entries
-/// alongside fingerprints.  Not locked: the workers of
-/// DecideCategoricity's fold only Lookup, and every write happens on
-/// the calling thread — the hit/miss counters, which no worker reads,
-/// during the fold, and Store once the fold has joined its workers.
+/// its insert/delete/prefer handling can retire a block's entries.  A
+/// block key, unlike a fingerprint, survives an edit of its block, so
+/// this retirement is required for correctness.  Not locked: the
+/// workers of DecideCategoricity's fold only Lookup, and every write
+/// happens on the calling thread — the hit/miss counters, which no
+/// worker reads, during the fold, and Store once the fold has joined
+/// its workers.
 ///
 /// Serving follows the block-solve cache's discipline so the memo can
 /// only change cost, never outcome: only complete (known) verdicts are

@@ -190,22 +190,6 @@ bool PriorityIsBlockLocal(const BlockDecomposition& blocks,
   return true;
 }
 
-bool PriorityStaysInBlock(const Block& b, const PriorityRelation& priority) {
-  for (FactId f : b.fact_list) {
-    for (FactId g : priority.Dominates(f)) {
-      if (PositionIn(b.fact_list, g) == SIZE_MAX) {
-        return false;
-      }
-    }
-    for (FactId g : priority.DominatedBy(f)) {
-      if (PositionIn(b.fact_list, g) == SIZE_MAX) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 std::vector<FactId> AllFactIds(const ConflictGraph& cg) {
   std::vector<FactId> all(cg.num_facts());
   std::iota(all.begin(), all.end(), FactId{0});

@@ -166,10 +166,6 @@ class BlockDecomposition {
 bool PriorityIsBlockLocal(const BlockDecomposition& blocks,
                           const PriorityRelation& priority);
 
-/// True iff every priority edge at a fact of `b` joins two facts of `b`:
-/// PriorityIsBlockLocal restricted to one block.
-bool PriorityStaysInBlock(const Block& b, const PriorityRelation& priority);
-
 }  // namespace prefrep
 
 #endif  // PREFREP_CONFLICTS_BLOCKS_H_

@@ -272,14 +272,16 @@ std::vector<std::pair<FactId, FactId>> AllConflictPairsFlat(
 ConflictGraph::ConflictGraph(const Instance& instance)
     : instance_(&instance) {
   const size_t n = instance.num_facts();
-  edges_ = AllConflictPairsFlat(instance);
+  const std::vector<std::pair<FactId, FactId>> edges =
+      AllConflictPairsFlat(instance);
+  num_edges_ = edges.size();
 
   // Derive adjacency from the sorted unique edge list.  Processing
   // lexicographically sorted (f, g) pairs appends to each adjacency
   // row in ascending order: row x first receives the f's of pairs
   // (f, x) — ascending, all below x — then the g's of pairs (x, g).
   std::vector<uint32_t> degree(n, 0);
-  for (const auto& [f, g] : edges_) {
+  for (const auto& [f, g] : edges) {
     ++degree[f];
     ++degree[g];
   }
@@ -287,10 +289,23 @@ ConflictGraph::ConflictGraph(const Instance& instance)
   for (FactId f = 0; f < n; ++f) {
     adjacency_[f].reserve(degree[f]);
   }
-  for (const auto& [f, g] : edges_) {
+  for (const auto& [f, g] : edges) {
     adjacency_[f].push_back(g);
     adjacency_[g].push_back(f);
   }
+}
+
+std::vector<std::pair<FactId, FactId>> ConflictGraph::edges() const {
+  std::vector<std::pair<FactId, FactId>> out;
+  out.reserve(num_edges_);
+  for (FactId f = 0; f < adjacency_.size(); ++f) {
+    for (FactId g : adjacency_[f]) {
+      if (g > f) {
+        out.emplace_back(f, g);
+      }
+    }
+  }
+  return out;
 }
 
 void ConflictGraph::ResizeUniverse(size_t num_facts) {
@@ -312,9 +327,7 @@ void ConflictGraph::AddConflictEdges(FactId f,
     adj_f.insert(pos_f, g);
     std::vector<FactId>& adj_g = adjacency_[g];
     adj_g.insert(std::lower_bound(adj_g.begin(), adj_g.end(), f), f);
-    std::pair<FactId, FactId> edge{std::min(f, g), std::max(f, g)};
-    edges_.insert(std::lower_bound(edges_.begin(), edges_.end(), edge),
-                  edge);
+    ++num_edges_;
   }
 }
 
@@ -324,20 +337,8 @@ void ConflictGraph::RemoveIncidentEdges(FactId f) {
     std::vector<FactId>& adj_g = adjacency_[g];
     adj_g.erase(std::remove(adj_g.begin(), adj_g.end(), f), adj_g.end());
   }
+  num_edges_ -= adjacency_[f].size();
   adjacency_[f].clear();
-  edges_.erase(std::remove_if(edges_.begin(), edges_.end(),
-                              [f](const std::pair<FactId, FactId>& e) {
-                                return e.first == f || e.second == f;
-                              }),
-               edges_.end());
-}
-
-DynamicBitset ConflictGraph::NeighborSet(FactId f) const {
-  DynamicBitset out(adjacency_.size());
-  for (FactId g : neighbors(f)) {
-    out.set(g);
-  }
-  return out;
 }
 
 bool ConflictGraph::ConflictsWithSet(FactId f,
@@ -348,17 +349,6 @@ bool ConflictGraph::ConflictsWithSet(FactId f,
     }
   }
   return false;
-}
-
-std::vector<FactId> ConflictGraph::ConflictsInSet(
-    FactId f, const DynamicBitset& sub) const {
-  std::vector<FactId> out;
-  for (FactId g : neighbors(f)) {
-    if (sub.test(g)) {
-      out.push_back(g);
-    }
-  }
-  return out;
 }
 
 }  // namespace prefrep

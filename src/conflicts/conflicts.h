@@ -53,7 +53,7 @@ std::vector<std::pair<FactId, FactId>> AllConflictPairsFlat(
     const Instance& instance);
 
 /// The materialized conflict graph of an instance: for each fact, the
-/// (sorted) list of facts it conflicts with, plus the edge list.
+/// (sorted) list of facts it conflicts with, and the number of edges.
 ///
 /// The graph can be quadratic in the number of facts (that is inherent);
 /// algorithms that only need point queries should use FactsConflict or the
@@ -67,7 +67,7 @@ class ConflictGraph {
   const Instance& instance() const { return *instance_; }
 
   size_t num_facts() const { return adjacency_.size(); }
-  size_t num_edges() const { return edges_.size(); }
+  size_t num_edges() const { return num_edges_; }
 
   /// Facts conflicting with `f`, sorted ascending, no duplicates.
   const std::vector<FactId>& neighbors(FactId f) const {
@@ -75,25 +75,18 @@ class ConflictGraph {
     return adjacency_[f];
   }
 
-  /// All conflicting pairs {f, g} with f < g.
-  const std::vector<std::pair<FactId, FactId>>& edges() const {
-    return edges_;
-  }
-
-  /// Bitset of neighbors of `f` (materialized lazily per call).
-  DynamicBitset NeighborSet(FactId f) const;
+  /// All conflicting pairs {f, g} with f < g, in lexicographic order,
+  /// derived from the adjacency on each call.
+  std::vector<std::pair<FactId, FactId>> edges() const;
 
   /// True if some fact of `sub` conflicts with `f`.
   bool ConflictsWithSet(FactId f, const DynamicBitset& sub) const;
 
-  /// Facts of `sub` that conflict with `f`.
-  std::vector<FactId> ConflictsInSet(FactId f, const DynamicBitset& sub) const;
-
   /// Serve-layer mutators (src/serve/session.cc): a resident session
   /// maintains the graph incrementally under fact edits instead of
   /// rebuilding it.  All three preserve the constructor's invariants —
-  /// sorted deduplicated adjacency, lexicographically sorted edge list —
-  /// so a mutated graph is indistinguishable from a rebuilt one.
+  /// sorted deduplicated adjacency, exact edge count — so a mutated
+  /// graph is indistinguishable from a rebuilt one.
 
   /// Grows the vertex set to `num_facts` (new vertices isolated).
   void ResizeUniverse(size_t num_facts);
@@ -110,7 +103,7 @@ class ConflictGraph {
  private:
   const Instance* instance_;
   std::vector<std::vector<FactId>> adjacency_;
-  std::vector<std::pair<FactId, FactId>> edges_;
+  size_t num_edges_ = 0;
 };
 
 }  // namespace prefrep

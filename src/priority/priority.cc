@@ -31,6 +31,9 @@ size_t PriorityRelation::RemoveEdgesTouching(FactId f) {
     }
     ++removed;
     UnindexEdge(EdgeKey(edge.first, edge.second));
+    if (!FactsConflict(*instance_, edge.first, edge.second)) {
+      --non_conflicting_edges_;
+    }
     // Unlink from the endpoint that survives; f's own lists are cleared
     // wholesale below.  std::remove keeps the survivors' order.
     if (edge.first == f) {
@@ -97,6 +100,9 @@ Status PriorityRelation::Add(FactId higher, FactId lower) {
   IndexNewEdge(EdgeKey(higher, lower));
   dominates_[higher].push_back(lower);
   dominated_by_[lower].push_back(higher);
+  if (!FactsConflict(*instance_, higher, lower)) {
+    ++non_conflicting_edges_;
+  }
   return Status::OK();
 }
 
@@ -150,15 +156,6 @@ bool PriorityRelation::IsAcyclic() const {
     }
   }
   return processed == n;
-}
-
-bool PriorityRelation::IsConflictBounded() const {
-  for (const auto& [higher, lower] : edges_) {
-    if (!FactsConflict(*instance_, higher, lower)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 Status PriorityRelation::Validate(PriorityMode mode) const {

@@ -97,8 +97,9 @@ class PriorityRelation {
   /// edge joins conflicting facts (which also forces same-relation edges).
   Status Validate(PriorityMode mode) const;
 
-  /// True iff every edge joins conflicting facts.
-  bool IsConflictBounded() const;
+  /// True iff every edge joins conflicting facts.  O(1): Add and
+  /// RemoveEdgesTouching count the edges that do not.
+  bool IsConflictBounded() const { return non_conflicting_edges_ == 0; }
 
  private:
   /// An edge packed into one index word: higher in the upper half.
@@ -136,20 +137,22 @@ class PriorityRelation {
   std::vector<uint64_t> edge_index_;
   std::vector<std::vector<FactId>> dominates_;
   std::vector<std::vector<FactId>> dominated_by_;
+  // The edges of edges_ that join non-conflicting facts.
+  size_t non_conflicting_edges_ = 0;
 };
 
 // Pins the data members above: every one is pointer-aligned, so no
 // padding can absorb a new member.  If this fires, decide whether
 // ComputeBlockFingerprint must absorb the member or show it is derived
 // (the fingerprint reads instance_ through the context; edge_index_,
-// dominates_ and dominated_by_ are views of edges_), then update the
-// sum.
+// dominates_, dominated_by_ and non_conflicting_edges_ are derived from
+// edges_), then update the sum.
 static_assert(
     sizeof(PriorityRelation) ==
         sizeof(const Instance*) +
             sizeof(std::vector<std::pair<FactId, FactId>>) +
             sizeof(std::vector<uint64_t>) +
-            2 * sizeof(std::vector<std::vector<FactId>>),
+            2 * sizeof(std::vector<std::vector<FactId>>) + sizeof(size_t),
     "PriorityRelation gained or lost a data member: decide whether "
     "ComputeBlockFingerprint (cache/block_fingerprint.cc) must absorb it");
 

@@ -88,13 +88,22 @@ DynamicBitset WithoutBlock(DynamicBitset j, const Block& b) {
 // rows (repair/repair_walk.h) and, per member, the masks of the block
 // members that dominate it and that it dominates.  AdmitBlock caps
 // exhaustive blocks at 63 facts, so every walk runs on one word and
-// every mask below is one word.
+// every mask below is one word.  The block must be closed under
+// conflicts (see BlockSolver), so the rows hold every conflict of a
+// member.
 struct ExhaustiveBlockTable {
   ExhaustiveBlockTable(const ProblemContext& ctx, const Block& b)
       : rows(ctx.conflict_graph(), b.fact_list),
         dominators(b.size(), 0),
         dominated(b.size(), 0) {
     PREFREP_DCHECK(rows.words() == 1);
+    PREFREP_DCHECK(std::all_of(
+        b.fact_list.begin(), b.fact_list.end(), [&](FactId f) {
+          const std::vector<FactId>& adj = ctx.conflict_graph().neighbors(f);
+          return std::all_of(adj.begin(), adj.end(), [&](FactId g) {
+            return PositionIn(b.fact_list, g) != SIZE_MAX;
+          });
+        }));
     const PriorityRelation& pr = ctx.priority();
     for (size_t i = 0; i < b.size(); ++i) {
       for (FactId g : pr.DominatedBy(b.fact_list[i])) {
@@ -124,32 +133,24 @@ struct ExhaustiveBlockTable {
 // Definition 2.4 on one block, in the table's words: for a block-repair
 // r, whether (J \ b) ∪ r globally improves J — exactly
 // IsGlobalImprovement(cg, pr, j, (j − b) ∪ r), for any J.  Outside the
-// block the candidate equals J, so it differs from J iff r ≠ J ∩ b; it
-// is consistent iff J \ b is and no member of r conflicts with a fact
-// of J \ b; and it removes (J ∩ b) \ r and adds r \ J, the latter
-// inside the block, so only block members can cover a removed fact.
+// block the candidate equals J, so it differs from J iff r ≠ J ∩ b; no
+// member conflicts with a fact outside the closed block, so it is
+// consistent iff J \ b is; and it removes (J ∩ b) \ r and adds r \ J,
+// the latter inside the block, so only block members can cover a
+// removed fact.
 struct ImprovementTest {
-  uint64_t j_in_block = 0;  // J ∩ b
-  uint64_t blocked = 0;     // members with a J-neighbour outside the block
+  uint64_t j_in_block = 0;      // J ∩ b
   bool rest_consistent = true;  // J \ b is consistent
 
   static ImprovementTest ForInstance(const ProblemContext& ctx,
                                      const Block& b, const DynamicBitset& j) {
-    const ConflictGraph& cg = ctx.conflict_graph();
-    const DynamicBitset rest = WithoutBlock(j, b);
-    ImprovementTest test;
-    test.j_in_block = ToBlockWord(b, j);
-    test.rest_consistent = IsConsistent(cg, rest);
-    for (size_t i = 0; i < b.size(); ++i) {
-      if (cg.ConflictsWithSet(b.fact_list[i], rest)) {
-        test.blocked |= uint64_t{1} << i;
-      }
-    }
-    return test;
+    return ImprovementTest{
+        ToBlockWord(b, j),
+        IsConsistent(ctx.conflict_graph(), WithoutBlock(j, b))};
   }
 
   bool Improves(uint64_t r, const std::vector<uint64_t>& dominators) const {
-    if (r == j_in_block || !rest_consistent || (r & blocked) != 0) {
+    if (r == j_in_block || !rest_consistent) {
       return false;
     }
     const uint64_t added = r & ~j_in_block;

@@ -56,7 +56,10 @@ namespace prefrep {
 ///
 /// All entry points require a block-local priority (the soundness
 /// precondition for per-block reasoning); the folds below enforce
-/// it before reaching a solver.
+/// it before reaching a solver.  They also require a block closed under
+/// conflicts: every fact a member conflicts with is a member.  Every
+/// block of a BlockDecomposition and of a resident session is one
+/// connected component of the conflict graph, so it is closed.
 class BlockSolver {
  public:
   virtual ~BlockSolver() = default;
@@ -216,9 +219,8 @@ auto CachedBlockSolve(const ProblemContext& ctx, const Block& b,
   if (admission && !governor.WouldAdmitBlock(b.size())) {
     return solve(ctx);  // records the refusal
   }
-  const BlockFingerprint base = ComputeBlockFingerprint(ctx, b);
-  const BlockFingerprint op_key =
-      DeriveOpKey(base, key.op, key.salt_a, key.salt_b);
+  const BlockFingerprint op_key = DeriveOpKey(
+      ComputeBlockFingerprint(ctx, b), key.op, key.salt_a, key.salt_b);
   if (std::optional<BlockSolveCache::Entry> entry = cache->Lookup(op_key);
       entry.has_value() &&
       governor.TryReplay(entry->nodes, entry->nodes_valid)) {
@@ -241,7 +243,7 @@ auto CachedBlockSolve(const ProblemContext& ctx, const Block& b,
   }
   stored.nodes = governor.nodes_spent() - nodes_before;
   stored.nodes_valid = !governor.unlimited();
-  cache->Store(base, op_key, std::move(stored));
+  cache->Store(op_key, std::move(stored));
   return result;
 }
 

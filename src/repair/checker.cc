@@ -155,16 +155,42 @@ Result<CheckOutcome> RepairChecker::CheckCrossConflict(
           " block(s) (budget)";
     }
   };
+  // A cross-block priority leaves the whole instance as one unit of
+  // work: report it as one "block" spanning every fact, solved exactly
+  // or abandoned, with the governor's totals read as FoldBlocks reads
+  // them.
+  auto run_whole_instance = [&](const std::string& route, auto&& solve) {
+    outcome.route.push_back(route);
+    ResourceGovernor& governor = ctx_->governor();
+    const uint64_t nodes_before = governor.nodes_spent();
+    outcome.result = solve();
+    DegradationReport& report = outcome.degradation;
+    report.blocks_total = 1;
+    report.nodes_spent = governor.nodes_spent();
+    report.cause = governor.degraded() ? governor.CauseString() : std::string();
+    if (outcome.result.known()) {
+      report.blocks_exact = 1;
+      return;
+    }
+    outcome.route.back() += "; abandoned (budget)";
+    report.blocks_abandoned = 1;
+    report.abandoned.push_back(BlockDegradation{
+        0, cg.num_facts(), governor.nodes_spent() - nodes_before,
+        outcome.result.unknown_reason});
+  };
   if (ctx_->ccp_classification().primary_key_assignment) {
     if (block_local) {
       run_by_blocks("ccp primary-key algorithm (G_{J,I\\J})");
     } else {
-      outcome.route.push_back(
+      run_whole_instance(
           "ccp primary-key algorithm (G_{J,I\\J}) (cross-block priority; "
-          "whole instance)");
-      outcome.result = CheckGlobalOptimalCcpPrimaryKey(cg, pr, j);
-      audit::CheckGlobalVerdict(cg, pr, j, outcome.result,
-                                "ccp primary-key algorithm");
+          "whole instance)",
+          [&] {
+            CheckResult result = CheckGlobalOptimalCcpPrimaryKey(cg, pr, j);
+            audit::CheckGlobalVerdict(cg, pr, j, result,
+                                      "ccp primary-key algorithm");
+            return result;
+          });
     }
     return outcome;
   }
@@ -172,33 +198,22 @@ Result<CheckOutcome> RepairChecker::CheckCrossConflict(
     if (block_local) {
       run_by_blocks("ccp constant-attribute algorithm (partition scan)");
     } else {
-      outcome.route.push_back(
-          "ccp constant-attribute algorithm (partition enumeration)");
-      outcome.result = CheckGlobalOptimalCcpConstantAttr(cg, pr, j);
-      audit::CheckGlobalVerdict(cg, pr, j, outcome.result,
-                                "ccp constant-attribute algorithm");
+      run_whole_instance(
+          "ccp constant-attribute algorithm (partition enumeration)", [&] {
+            CheckResult result = CheckGlobalOptimalCcpConstantAttr(cg, pr, j);
+            audit::CheckGlobalVerdict(cg, pr, j, result,
+                                      "ccp constant-attribute algorithm");
+            return result;
+          });
     }
     return outcome;
   }
   if (block_local) {
     run_by_blocks("exhaustive fallback");
   } else {
-    outcome.route.push_back("exhaustive fallback (whole instance)");
-    ResourceGovernor& governor = ctx_->governor();
-    const uint64_t nodes_before = governor.nodes_spent();
-    outcome.result = ExhaustiveCheckGlobalOptimal(cg, pr, j, governor);
-    if (!outcome.result.known()) {
-      outcome.route.back() += "; abandoned (budget)";
-      // The whole instance was one unit of work; report it as one
-      // abandoned "block" spanning every fact.
-      outcome.degradation.blocks_total = 1;
-      outcome.degradation.blocks_abandoned = 1;
-      outcome.degradation.nodes_spent = governor.nodes_spent();
-      outcome.degradation.cause = governor.CauseString();
-      outcome.degradation.abandoned.push_back(BlockDegradation{
-          0, cg.num_facts(), governor.nodes_spent() - nodes_before,
-          outcome.result.unknown_reason});
-    }
+    run_whole_instance("exhaustive fallback (whole instance)", [&] {
+      return ExhaustiveCheckGlobalOptimal(cg, pr, j, ctx_->governor());
+    });
   }
   return outcome;
 }

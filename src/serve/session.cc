@@ -5,7 +5,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "cache/block_fingerprint.h"
 #include "io/text_format.h"
 #include "query/conjunctive_query.h"
 #include "query/consistent_answers.h"
@@ -83,18 +82,12 @@ void SessionContext::InstallBlock(std::vector<FactId> members) {
   bm.fact_list = std::move(members);
   const bool inserted = block_members_.emplace(key, std::move(bm)).second;
   PREFREP_CHECK_MSG(inserted, "block key already resident");
-  if (cache_ != nullptr) {
-    changed_keys_.insert(key);
-  }
   view_dirty_ = true;
 }
 
 void SessionContext::RetireBlock(FactId key) {
-  invalidation_.Retire(key, cache_.get());
-  stats_.cache_entries_erased = invalidation_.entries_erased();
   categoricity_memo_.Invalidate(key);
   block_members_.erase(key);
-  changed_keys_.erase(key);
   ++stats_.blocks_retired;
   view_dirty_ = true;
 }
@@ -266,19 +259,13 @@ Result<std::string> SessionContext::Prefer(std::string_view higher_label,
   }
   priority_->MustAdd(*higher, *lower);
   ++stats_.edits;
-  // The block's fact set is unchanged (no view rebuild), but its solved
-  // state — and so its fingerprint-keyed cache entries and its memoized
-  // categoricity bit — is stale.  The memo exists with the cache off,
-  // so its invalidation is NOT gated on cache_.
+  // The block's fact set is unchanged (no view rebuild), but its
+  // memoized categoricity bit is stale.  Its cache entries need nothing:
+  // the new edge changes the block's fingerprint.
   const FactId key = block_key_of_[*higher];
   PREFREP_CHECK_MSG(key != kInvalidFactId && key == block_key_of_[*lower],
                     "conflicting facts share a block");
   categoricity_memo_.Invalidate(key);
-  if (cache_ != nullptr) {
-    invalidation_.Retire(key, cache_.get());
-    stats_.cache_entries_erased = invalidation_.entries_erased();
-    changed_keys_.insert(key);
-  }
   return "ok " + std::string(higher_label) + " > " +
          std::string(lower_label);
 }
@@ -337,26 +324,6 @@ void SessionContext::EnsureFresh() {
 #if PREFREP_AUDIT_ENABLED
     AuditAgainstRebuild();
 #endif
-  }
-  if (cache_ != nullptr && !changed_keys_.empty()) {
-    // A fingerprint canonicalizes block-local priority edges only, so a
-    // block with an edge across its boundary gets none yet: its key
-    // stays pending until an edit makes its edges local again.  A
-    // missing registration only forgoes invalidation, an optimization.
-    for (auto it = changed_keys_.begin(); it != changed_keys_.end();) {
-      const FactId key = *it;
-      if (block_members_.count(key) == 0) {
-        it = changed_keys_.erase(it);
-        continue;
-      }
-      const Block& block = blocks_view_->block(blocks_view_->block_of(key));
-      if (!PriorityStaysInBlock(block, *priority_)) {
-        ++it;
-        continue;
-      }
-      invalidation_.Install(key, ComputeBlockFingerprint(*ctx_, block));
-      it = changed_keys_.erase(it);
-    }
   }
 }
 
@@ -597,8 +564,6 @@ std::string SessionContext::RenderStats() {
          " edits=" + std::to_string(stats_.edits) +
          " queries=" + std::to_string(stats_.queries) +
          " blocks-retired=" + std::to_string(stats_.blocks_retired) +
-         " cache-entries-erased=" +
-         std::to_string(stats_.cache_entries_erased) +
          " query-micros=" + std::to_string(stats_.query_micros) +
          " cache-capacity=" + std::to_string(options_.cache_capacity) +
          " categoricity-memo=" + std::to_string(categoricity_memo_.size()) +

@@ -16,9 +16,12 @@
 //   prefer    — a new edge between conflicting facts; the block is
 //               unchanged as a fact set but its solved state is stale.
 //
-// Only the affected blocks' cache entries are invalidated (refcounted
-// via BlockInvalidationIndex — isomorphic twins keep their entries);
-// every untouched block's verdicts, counts and constructions survive.
+// Nothing is erased from the block-solve cache on an edit.  Entries
+// are keyed by canonical block fingerprint, so an edited block can
+// never hit a stale entry; stale entries age out through the cache's
+// LRU, and a block that an edit re-forms (a delete and a revival)
+// hits its old entries.  Every untouched block's verdicts, counts and
+// constructions survive.
 //
 // Correctness contract (enforced by tests/serve_test.cc and the
 // PREFREP_AUDIT hook): after ANY edit sequence, every rendered answer
@@ -44,7 +47,6 @@
 #include <vector>
 
 #include "cache/block_cache.h"
-#include "cache/invalidation.h"
 #include "classify/categoricity.h"
 #include "conflicts/delta.h"
 #include "io/ops_format.h"
@@ -69,6 +71,8 @@ struct SessionStats {
   uint64_t edits = 0;
   uint64_t queries = 0;
   uint64_t blocks_retired = 0;
+  /// Always 0: edits erase no cache entry (see the file comment).  Kept
+  /// because the end-to-end benchmark (e2ebench/) still reads it.
   uint64_t cache_entries_erased = 0;
   /// Wall time spent answering queries (check/count/construct/cqa).
   /// `prefrepctl session --crossover` divides a rebuild-and-replay
@@ -119,9 +123,7 @@ class SessionContext {
   /// The resident ProblemContext (re-materialized lazily after edits).
   /// Valid until the next edit.  Shared by every existing prefrepctl
   /// subcommand so one CLI run pays for conflicts/blocks once.  Mutable
-  /// so such callers can install per-call governors; do not install a
-  /// different block cache — the session's invalidation index only
-  /// tracks its own.
+  /// so such callers can install per-call governors.
   ProblemContext& context();
 
   const Instance& instance() const { return facts_.instance(); }
@@ -142,9 +144,9 @@ class SessionContext {
 
   /// Per-block categoricity verdicts resident across requests; entries
   /// are retired whenever their block's membership or internal priority
-  /// edges change (insert-merge, delete-split, prefer), alongside the
-  /// fingerprint invalidation.  Exposed so tests can cross-check every
-  /// cached bit against a from-scratch recomputation after each edit.
+  /// edges change (insert-merge, delete-split, prefer).  Exposed so
+  /// tests can cross-check every cached bit against a from-scratch
+  /// recomputation after each edit.
   CategoricityMemo& categoricity_memo() { return categoricity_memo_; }
 
   /// Replaces the per-request budget (budget op).
@@ -159,11 +161,10 @@ class SessionContext {
                  SessionOptions options);
 
   // Re-materializes the BlockDecomposition view + ProblemContext after
-  // edits and registers changed blocks' fingerprints with the
-  // invalidation index.  Cheap when nothing changed.
+  // edits.  Cheap when nothing changed.
   void EnsureFresh();
 
-  // Retires block `key`: drops its cache entries (refcounted) and its
+  // Retires block `key`: drops its categoricity verdicts and its
   // membership record.  block_key_of_ entries are overwritten by the
   // caller (merge/split install or free/tombstone marking).
   void RetireBlock(FactId key);
@@ -218,11 +219,7 @@ class SessionContext {
   CcpSchemaClassification ccp_classification_;
 
   std::unique_ptr<BlockSolveCache> cache_;
-  BlockInvalidationIndex invalidation_;
   CategoricityMemo categoricity_memo_;
-  // Keys whose fingerprints are to be (re-)registered; a block with a
-  // priority edge across its boundary waits here until the edge goes.
-  std::set<FactId> changed_keys_;
 
   std::set<FactId> j_;  // ordered: renders deterministically
   SessionOptions options_;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "gen/running_example.h"
+#include "io/text_format.h"
 #include "repair/checker.h"
 #include "repair/exhaustive.h"
 #include "test_util.h"
@@ -120,6 +121,65 @@ TEST(CheckerTest, CcpModeRejectsConflictOnlyViolations) {
   EXPECT_DEATH(
       { RepairChecker bad(inst, *problem.priority, CheckerOptions{}); },
       "invalid");
+}
+
+// A cross-block priority sends a ccp check to one of three
+// whole-instance branches.  Each reports the instance as one "block",
+// solved exactly or abandoned, and the governor's node count beside it.
+TEST(CheckerTest, WholeInstanceCheckReportsWhatItSpent) {
+  struct Case {
+    const char* text;
+    const char* route;
+    uint64_t max_nodes;
+    bool exact;
+  };
+  const char* const kPrimaryKey =
+      "relation R 2\nfd R: 1 -> 2\n"
+      "fact f01 R(0, 1)\nfact f02 R(0, 2)\nfact f0c R(0, c)\n"
+      "fact f1a R(1, a)\nfact f1b R(1, b)\nfact f13 R(1, 3)\n"
+      "prefer f0c > f1b\nprefer f13 > f02 > f01\nj f02 f1b\n";
+  const char* const kConstantAttr =
+      "relation R 2\nfd R: {} -> 1\nrelation S 2\nfd S: {} -> 1\n"
+      "fact a1 R(a, 1)\nfact a2 R(a, 2)\nfact b1 R(b, 1)\n"
+      "fact s1 S(x, 1)\nfact s2 S(y, 1)\n"
+      "prefer b1 > a1\nprefer b1 > a2\nprefer s1 > b1\nj b1 s1\n";
+  const char* const kHard =
+      "relation R 3\nfd R: 1 -> 2\nfd R: 2 -> 3\n"
+      "fact r1 R(a, 1, x)\nfact r2 R(a, 2, x)\n"
+      "fact r3 R(b, 3, y)\nfact r4 R(b, 4, y)\n"
+      "prefer r3 > r1\nj r1 r3\n";
+  const std::vector<Case> cases = {
+      {kPrimaryKey, "ccp primary-key algorithm", 1000, true},
+      {kConstantAttr, "ccp constant-attribute algorithm", 1000, true},
+      {kHard, "exhaustive fallback (whole instance)", 1000, true},
+      {kHard, "exhaustive fallback (whole instance); abandoned", 1, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.route) +
+                 ", max_nodes=" + std::to_string(c.max_nodes));
+    Result<PreferredRepairProblem> problem = ParseProblemText(c.text);
+    ASSERT_TRUE(problem.ok()) << problem.status().ToString();
+    ProblemContext ctx(*problem->instance, *problem->priority);
+    ASSERT_FALSE(ctx.priority_block_local());
+    ResourceBudget budget;
+    budget.max_nodes = c.max_nodes;
+    ResourceGovernor governor(budget);
+    ctx.set_governor(&governor);
+    CheckerOptions options;
+    options.mode = PriorityMode::kCrossConflict;
+    Result<CheckOutcome> outcome =
+        RepairChecker(ctx, options).CheckGloballyOptimal(problem->j);
+    ASSERT_TRUE(outcome.ok());
+    ASSERT_EQ(outcome->route.size(), 1u);
+    EXPECT_EQ(outcome->route[0].find(c.route), 0u) << outcome->route[0];
+    const DegradationReport& report = outcome->degradation;
+    EXPECT_EQ(report.nodes_spent, governor.nodes_spent());
+    EXPECT_EQ(report.blocks_total, 1u);
+    EXPECT_EQ(report.blocks_exact, c.exact ? 1u : 0u);
+    EXPECT_EQ(report.blocks_abandoned, c.exact ? 0u : 1u);
+    EXPECT_EQ(report.abandoned.size(), c.exact ? 0u : 1u);
+    EXPECT_EQ(outcome->result.known(), c.exact);
+  }
 }
 
 }  // namespace

@@ -576,14 +576,28 @@ void ExpectSolverMatchesReference(const ConflictGraph& cg,
   }
 }
 
-// A block over an arbitrary fact subset: its members may conflict with
-// facts outside it, which exercises the J-neighbour mask.
-Block SubsetBlock(const ConflictGraph& cg, size_t size, Rng& rng) {
+// A union of whole conflict components (blocks and free facts), drawn
+// in random order while they fit in `size` facts: closed under
+// conflicts, as a BlockSolver requires, but not connected, so it is a
+// shape BlockDecomposition never builds.
+Block ComponentUnionBlock(const BlockDecomposition& blocks, size_t size,
+                          Rng& rng) {
+  std::vector<std::vector<FactId>> components;
+  for (const Block& b : blocks.blocks()) {
+    components.push_back(b.fact_list);
+  }
+  blocks.free_facts().ForEach([&](size_t f) {
+    components.push_back({static_cast<FactId>(f)});
+  });
+  rng.Shuffle(&components);
   Block b;
   b.id = 7;
   b.rel = 0;
-  for (size_t f : rng.Sample(cg.num_facts(), size)) {
-    b.fact_list.push_back(static_cast<FactId>(f));
+  for (const std::vector<FactId>& component : components) {
+    if (b.fact_list.size() + component.size() <= size) {
+      b.fact_list.insert(b.fact_list.end(), component.begin(),
+                         component.end());
+    }
   }
   std::sort(b.fact_list.begin(), b.fact_list.end());
   return b;
@@ -616,9 +630,11 @@ TEST_P(ExhaustiveBlockProperty, MatchesDefinitionalScan) {
   if (cg.num_facts() >= 2) {
     const size_t cap =
         std::min(cg.num_facts(), ResourceGovernor::kMaxExhaustiveBlockFacts);
-    cases.push_back(
-        SubsetBlock(cg, 2 + static_cast<size_t>(rng.NextBounded(cap - 1)),
-                    rng));
+    Block b = ComponentUnionBlock(
+        blocks, 2 + static_cast<size_t>(rng.NextBounded(cap - 1)), rng);
+    if (!b.fact_list.empty()) {
+      cases.push_back(std::move(b));
+    }
   }
   ASSERT_FALSE(cases.empty());
   for (const Block& b : cases) {

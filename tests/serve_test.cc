@@ -269,6 +269,26 @@ TEST(ServeSessionTest, RevivalRestoresIdenticalFact) {
   ExpectMatchesRebuild(*s, {}, "revival");
 }
 
+// With the cache on, a delete retires a block and a revival re-forms
+// it with its old fingerprint.  Edits erase no cache entry, so the
+// re-formed block is answered from the cache: hits rise, misses do not.
+TEST(ServeSessionTest, RevivedBlockIsServedFromTheCache) {
+  PreferredRepairProblem p = FixtureProblem();
+  SessionOptions options;
+  options.threads = 1;
+  options.cache_capacity = 64;
+  std::unique_ptr<SessionContext> s = MustCreate(p, options);
+  const std::string cold = MustExecute(*s, "count global");
+  MustExecute(*s, "delete b3");
+  MustExecute(*s, "insert b3 R(kb, y3)");
+  const BlockCacheStats before = s->cache()->stats();
+  EXPECT_EQ(MustExecute(*s, "count global"), cold);
+  const BlockCacheStats after = s->cache()->stats();
+  EXPECT_GT(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  ExpectMatchesRebuild(*s, options, "revival with the cache on");
+}
+
 TEST(ServeSessionTest, RevivalRejectsChangedContent) {
   PreferredRepairProblem p = FixtureProblem();
   std::unique_ptr<SessionContext> s = MustCreate(p);
@@ -323,10 +343,10 @@ TEST(ServeSessionTest, CqaPopulatesAndEditsRetireCategoricityMemo) {
 }
 
 // A session with a block cache and a priority edge between blocks: the
-// fingerprints of the edge's blocks stay unregistered while the edge
-// crosses (a fingerprint canonicalizes block-local edges only), and a
-// delete that makes the priority block-local again lets them register.
-// Every reply, refusals included, equals the cache-off session's.
+// cache is bypassed while the edge crosses (a fingerprint canonicalizes
+// block-local edges only), and a delete that makes the priority
+// block-local again brings it back.  Every reply, refusals included,
+// equals the cache-off session's.
 TEST(ServeSessionTest, CrossBlockPriorityWithCacheMatchesCacheOff) {
   ProblemSpec spec;
   spec.arity = 2;

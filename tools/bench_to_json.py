@@ -18,6 +18,8 @@ tracks:
                            Any point below 1.0x is a crossover — the
                            resident session is slower than rebuilding —
                            and gets a WARNING.
+    Sampled like hotpath (run_sampled, below): one 0.2 s run per
+    benchmark let a slow spell of the host set one side of a ratio.
 
   recovery (BENCH_recovery.json, B16):
     wal_append_us        — per-record append cost by fsync mode; the
@@ -119,6 +121,11 @@ SAMPLE_FLAGS = ("--benchmark_min_time=0.01",
                 "--benchmark_enable_random_interleaving=true")
 
 
+SAMPLE_METHOD = (f"each benchmark at its fastest of {SAMPLE_PROCESSES} "
+                 f"CPU-pinned processes x {SAMPLE_REPETITIONS} shuffled "
+                 f"repetitions (tools/bench_to_json.py run_sampled)")
+
+
 def run_sampled(bench: Path) -> dict:
     cpus = sorted(os.sched_getaffinity(0)) \
         if hasattr(os, "sched_getaffinity") else [None]
@@ -162,6 +169,7 @@ def distill_serve(raw: dict) -> dict:
     out: dict = {
         "benchmark": "bench_serve",
         "context": context_of(raw),
+        "method": SAMPLE_METHOD,
         "edit_latency_us": {},
         "steady_state_ops_sec": None,
         "speedup": {},
@@ -278,9 +286,7 @@ def distill_categoricity(raw: dict) -> dict:
     out: dict = {
         "benchmark": "bench_categoricity",
         "context": context_of(raw),
-        "method": f"each benchmark at its fastest of {SAMPLE_PROCESSES} "
-                  f"CPU-pinned processes x {SAMPLE_REPETITIONS} shuffled "
-                  f"repetitions (tools/bench_to_json.py run_sampled)",
+        "method": SAMPLE_METHOD,
         "speedup": {},
         "fallback_overhead": {},
         "decide_us": {},
@@ -407,7 +413,7 @@ SUITES = {
     "serve": {
         "bench": "build/bench/bench_serve",
         "out": "BENCH_serve.json",
-        "run": run_bench,
+        "run": run_sampled,
         "distill": distill_serve,
         "report": report_serve,
     },
