@@ -61,7 +61,7 @@ ConjunctiveQuery CategoricityQuery() {
 }
 
 // One full CQA request per iteration: fresh context (the serving
-// layer's memo amortization is bench_serve's story; this pair measures
+// layer's cache amortization is bench_serve's story; this pair measures
 // the one-shot routes), global semantics, answer-set query.
 void RunCqa(benchmark::State& state, bool near_miss, bool force) {
   PreferredRepairProblem problem =
@@ -113,7 +113,7 @@ BENCHMARK(BM_CqaNearMissEnum)
     ->Unit(benchmark::kMicrosecond);
 
 // The decision alone (no query), fresh context per iteration: the cost
-// a serving session pays on a memo miss, and the absolute size of the
+// the pre-pass adds to every cqa request, and the absolute size of the
 // "pre-pass for free" claim above.
 void BM_DecideCategoricity(benchmark::State& state) {
   PreferredRepairProblem problem = CategoricityProblem(

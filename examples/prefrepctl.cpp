@@ -284,7 +284,6 @@ int CmdAnswers(const PreferredRepairProblem& p, SessionContext& session,
   // evaluation) or "enumeration" (the general repair-set product).
   CqaPath path = CqaPath::kEnumeration;
   CqaOptions cqa_options;
-  cqa_options.memo = &session.categoricity_memo();
   cqa_options.path = &path;
   if (query->IsBoolean()) {
     Trilean certain = CertainlyTrueBounded(ctx, *query, sem, cqa_options);

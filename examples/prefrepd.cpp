@@ -39,9 +39,10 @@
 //
 // The edit → query → edit loop is where the serve layer earns its keep:
 // every edit patches the conflict graph and block decomposition in
-// place and invalidates only the touched blocks' cache entries, so a
-// query after an edit re-solves the edited block and replays everything
-// else (bench/bench_serve.cc measures the gap against per-request
+// place and erases no cache entry.  An edited block hashes to a new
+// fingerprint, so a query after an edit re-solves the edited block,
+// while every untouched block's cached answers still hit
+// (bench/bench_serve.cc measures the gap against per-request
 // rebuilding).
 
 #include <cstdio>

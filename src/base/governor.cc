@@ -194,10 +194,6 @@ std::string DegradationReport::ToString() const {
   if (!cause.empty()) {
     out += "; cause: " + cause;
   }
-  if (cache_hits + cache_misses > 0) {
-    out += "; cache: " + std::to_string(cache_hits) + " hit(s), " +
-           std::to_string(cache_misses) + " miss(es)";
-  }
   for (const BlockDegradation& b : abandoned) {
     out += "\n  block #" + std::to_string(b.block_id) + " (" +
            std::to_string(b.block_size) + " facts, " + std::to_string(b.nodes) +

@@ -149,11 +149,11 @@ class ResourceGovernor {
   bool AdmitBlock(size_t block_facts);
 
   /// Pure query: would AdmitBlock(block_facts) currently return true?
-  /// Records nothing.  The block-solve cache (cache/block_cache.h) and
-  /// the categoricity memo use it to decide whether serving a memoized
-  /// result preserves the refusal accounting a fresh solve would have
-  /// produced; ordinary solvers must keep calling AdmitBlock so refusals
-  /// are recorded.
+  /// Records nothing.  The block-solve cache's round trip
+  /// (CachedBlockSolve, repair/block_solver.h) uses it to decide whether
+  /// serving a stored result preserves the refusal accounting a fresh
+  /// solve would have produced; ordinary solvers must keep calling
+  /// AdmitBlock so refusals are recorded.
   bool WouldAdmitBlock(size_t block_facts) const;
 
   /// True once the deadline, node budget, injected fault, or a
@@ -189,7 +189,7 @@ class ResourceGovernor {
   /// enumeration state.  0 disables.  Never call this on Unlimited().
   void ForceExhaustAtCheckpointForTesting(uint64_t nth);
 
-  // ---- Replay support (repair/parallel_solver.h, the caches) --------
+  // ---- Replay support (repair/parallel_solver.h, the block cache) ---
   //
   // The hooks below exist for the deterministic parallel merge and for
   // serving stored block answers, and are of no use to ordinary callers.
@@ -211,17 +211,17 @@ class ResourceGovernor {
   uint64_t NodeFiringIndex() const;
 
   /// The one replay rule: may a result computed elsewhere — a parallel
-  /// worker's payload, a block-cache hit, a categoricity memo entry —
-  /// stand in for a fresh run under this governor?  `nodes` is the
-  /// checkpoints that run spent and `nodes_valid` whether they were
-  /// counted (an unarmed governor counts nothing).  True iff the fresh
-  /// run would have completed too: always when unarmed or armed for
-  /// cancellation only (nothing reads their count back), never when
-  /// exhausted, and otherwise iff the count is valid and replaying it
-  /// stays strictly below NodeFiringIndex() — in which case it is
-  /// committed as if its checkpoints had happened here, keeping
-  /// nodes_spent() on the fresh run's trajectory.  Block admission is
-  /// the caller's test (WouldAdmitBlock).
+  /// worker's payload or a block-cache hit — stand in for a fresh run
+  /// under this governor?  `nodes` is the checkpoints that run spent
+  /// and `nodes_valid` whether they were counted (an unarmed governor
+  /// counts nothing).  True iff the fresh run would have completed
+  /// too: always when unarmed or armed for cancellation only (nothing
+  /// reads their count back), never when exhausted, and otherwise iff
+  /// the count is valid and replaying it stays strictly below
+  /// NodeFiringIndex() — in which case it is committed as if its
+  /// checkpoints had happened here, keeping nodes_spent() on the fresh
+  /// run's trajectory.  Block admission is the caller's test
+  /// (WouldAdmitBlock).
   bool TryReplay(uint64_t nodes, bool nodes_valid);
 
   /// The deadline anchor (set iff deadline_ms > 0); workers pass it to
@@ -278,13 +278,6 @@ struct DegradationReport {
   /// Overall exhaustion cause description; empty when only per-block
   /// admission refusals degraded the call.
   std::string cause;
-  /// Block-solve cache traffic during this call (zero when no cache is
-  /// installed).  NOT part of the byte-identical cache-on/off contract:
-  /// these counters necessarily differ between cached and uncached runs
-  /// and depend on worker timing (racing workers can both miss the same
-  /// fingerprint); everything else in the report stays identical.
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
   /// One entry per abandoned block.
   std::vector<BlockDegradation> abandoned;
 

@@ -24,33 +24,7 @@ const char* CategoricityName(Categoricity value) {
   return "?";
 }
 
-// ---- CategoricityMemo ------------------------------------------------
-
-const CategoricityMemo::Entry* CategoricityMemo::Lookup(
-    FactId key, RepairSemantics semantics) const {
-  auto it = entries_.find({key, static_cast<int>(semantics)});
-  return it == entries_.end() ? nullptr : &it->second;
-}
-
-void CategoricityMemo::Store(FactId key, RepairSemantics semantics,
-                             Entry entry) {
-  PREFREP_CHECK_MSG(entry.unique != Trilean::kUnknown,
-                    "only complete categoricity verdicts may be memoized");
-  entries_[{key, static_cast<int>(semantics)}] = std::move(entry);
-}
-
-void CategoricityMemo::Invalidate(FactId key) {
-  auto it = entries_.lower_bound({key, 0});
-  while (it != entries_.end() && it->first.first == key) {
-    it = entries_.erase(it);
-  }
-}
-
 namespace {
-
-// A block's memo key: its smallest fact id — the same key the serve
-// layer files block state under.
-FactId BlockKey(const Block& b) { return b.fact_list.front(); }
 
 // Whether the priority totally orders every conflicting pair of `b`.
 // Conflict neighbors of a block fact are block facts by definition of
@@ -156,64 +130,8 @@ BlockCategoricity DecideBlockCategoricity(const ProblemContext& ctx,
   return out;
 }
 
-namespace {
-
-// One block's payload on the fold: its decision, whether the memo
-// served it, and the checkpoints it spent after the block's head
-// checkpoint.
-struct FoldedBlock {
-  BlockCategoricity result;
-  bool served = false;
-  uint64_t nodes = 0;
-};
-
-// Checkpoints once for the block, then serves its memo entry when the
-// entry may stand in for a fresh decision under ctx.governor() —
-// exhaustive-tier entries must also pass admission, so that a refusal a
-// fresh decision would record is recorded by one — or decides it fresh.
-// Workers run this too; they only read the memo.
-FoldedBlock SolveBlock(const ProblemContext& ctx, const Block& b,
-                       RepairSemantics semantics,
-                       const CategoricityMemo* memo) {
-  FoldedBlock out;
-  ResourceGovernor& governor = ctx.governor();
-  if (!governor.Checkpoint()) {
-    out.result.unknown_reason = governor.CauseString();
-    return out;
-  }
-  const uint64_t before = governor.nodes_spent();
-  const CategoricityMemo::Entry* entry =
-      memo != nullptr ? memo->Lookup(BlockKey(b), semantics) : nullptr;
-  if (entry != nullptr &&
-      (!entry->exponential || governor.WouldAdmitBlock(b.size())) &&
-      governor.TryReplay(entry->nodes, entry->nodes_valid)) {
-    out.served = true;
-    out.result.unique = entry->unique;
-    out.result.exponential = entry->exponential;
-    out.result.repair = entry->repair_local;
-  } else {
-    out.result = DecideBlockCategoricity(ctx, b, semantics);
-  }
-  out.nodes = governor.nodes_spent() - before;
-  return out;
-}
-
-// The memo entry of a complete fresh decision.
-CategoricityMemo::Entry MemoEntry(const FoldedBlock& f, bool nodes_valid) {
-  CategoricityMemo::Entry entry;
-  entry.unique = f.result.unique;
-  entry.repair_local = f.result.repair;
-  entry.nodes = nodes_valid ? f.nodes : 0;
-  entry.nodes_valid = nodes_valid;
-  entry.exponential = f.result.exponential;
-  return entry;
-}
-
-}  // namespace
-
 CategoricityResult DecideCategoricity(const ProblemContext& ctx,
-                                      RepairSemantics semantics,
-                                      CategoricityMemo* memo) {
+                                      RepairSemantics semantics) {
   CategoricityResult result;
   if (!ctx.priority_block_local()) {
     // Per-block composition is unsound for cross-block priorities, and
@@ -224,49 +142,38 @@ CategoricityResult DecideCategoricity(const ProblemContext& ctx,
         "does not apply";
     return result;
   }
-  // Node costs are meaningful only when the caller's governor counts;
-  // a worker's count is not stored otherwise.
-  const bool nodes_valid = !ctx.governor().unlimited();
   DynamicBitset repair = ctx.blocks().free_facts();
-  // Fresh complete verdicts, stored once the fold has joined its
-  // workers, so the memo is never written while they read it.
-  std::vector<std::pair<FactId, CategoricityMemo::Entry>> fresh;
+  // Each block checkpoints once, then its tiers decide it; the
+  // exponential tier reads the block-solve cache.
   FoldOutcome outcome = FoldBlocks(
       ctx, nullptr,
-      [semantics, memo](const ProblemContext& cx, const Block& b) {
-        return SolveBlock(cx, b, semantics, memo);
-      },
-      [](const FoldedBlock& f) {
-        return f.result.unique != Trilean::kUnknown;
-      },
-      [](const FoldedBlock& f) { return f.result.unique == Trilean::kFalse; },
-      [&](const Block& b, FoldedBlock& f, bool /*budget_fired*/) {
-        audit::CheckBlockCategoricity(ctx, b, semantics, f.result);
-        if (memo != nullptr && f.served) {
-          memo->NoteHit();
-        } else if (memo != nullptr) {
-          memo->NoteMiss();
-          if (f.result.unique != Trilean::kUnknown) {
-            fresh.emplace_back(BlockKey(b), MemoEntry(f, nodes_valid));
-          }
+      [semantics](const ProblemContext& cx, const Block& b) {
+        ResourceGovernor& governor = cx.governor();
+        if (!governor.Checkpoint()) {
+          BlockCategoricity out;
+          out.unknown_reason = governor.CauseString();
+          return out;
         }
-        switch (f.result.unique) {
+        return DecideBlockCategoricity(cx, b, semantics);
+      },
+      [](const BlockCategoricity& c) { return c.unique != Trilean::kUnknown; },
+      [](const BlockCategoricity& c) { return c.unique == Trilean::kFalse; },
+      [&](const Block& b, BlockCategoricity& c, bool /*budget_fired*/) {
+        audit::CheckBlockCategoricity(ctx, b, semantics, c);
+        switch (c.unique) {
           case Trilean::kFalse:
             result.verdict = Categoricity::kAmbiguous;
             result.ambiguous_block = b.id;
             return FoldStep::Stop();
           case Trilean::kUnknown:
-            result.unknown_reason = std::move(f.result.unknown_reason);
+            result.unknown_reason = std::move(c.unknown_reason);
             return FoldStep::Stop();
           case Trilean::kTrue:
             break;
         }
-        OrBlockMask(b, f.result.repair, &repair);
+        OrBlockMask(b, c.repair, &repair);
         return FoldStep::Exact();
       });
-  for (auto& [key, entry] : fresh) {
-    memo->Store(key, semantics, std::move(entry));
-  }
   if (!outcome.stopped()) {
     result.verdict = Categoricity::kCategorical;
     result.repair = std::move(repair);

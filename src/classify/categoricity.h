@@ -36,20 +36,18 @@
 // under a *private* governor derived from the caller's budget, so a
 // non-categorical or unknown verdict falls back to the enumeration path
 // with the caller's governor untouched — byte-identical to never having
-// asked.  The serving layer (serve/session.h) memoizes per-block
-// verdicts in a CategoricityMemo and retires a block's verdicts under
-// each insert/delete/prefer that touches the block; the memo follows
-// the block-solve cache's serve discipline (docs/caching.md), so
-// memoization changes cost, never outcome.
+// asked.  Nothing stores a verdict: a block is decided by its tiers on
+// every call.  The polynomial tiers are linear in the block, and the
+// exponential tier reads its optimal set through the block-solve cache
+// (repair/block_solver.h, CachedOptimalBlockRepairs), keyed by
+// canonical fingerprint, which changes cost, never outcome
+// (docs/caching.md).
 
 #ifndef PREFREP_CLASSIFY_CATEGORICITY_H_
 #define PREFREP_CLASSIFY_CATEGORICITY_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "model/context.h"
 #include "repair/exhaustive.h"
@@ -96,80 +94,6 @@ struct CategoricityResult {
   std::string unknown_reason;
 };
 
-/// Session-resident memo of per-block categoricity verdicts, keyed by
-/// (block key, semantics) where the block key is the block's smallest
-/// fact id — the same key the serve layer files block state under, so
-/// its insert/delete/prefer handling can retire a block's entries.  A
-/// block key, unlike a fingerprint, survives an edit of its block, so
-/// this retirement is required for correctness.  Not locked: the
-/// workers of DecideCategoricity's fold only Lookup, and every write
-/// happens on the calling thread — the hit/miss counters, which no
-/// worker reads, during the fold, and Store once the fold has joined
-/// its workers.
-///
-/// Serving follows the block-solve cache's discipline so the memo can
-/// only change cost, never outcome: only complete (known) verdicts are
-/// stored, and an entry is served only when a fresh solve under the
-/// requesting governor would have completed identically — the
-/// governor's replay rule (ResourceGovernor::TryReplay), after block
-/// admission for exhaustive-tier entries.
-class CategoricityMemo {
- public:
-  struct Entry {
-    Trilean unique = Trilean::kUnknown;
-    /// BlockCategoricity::repair as decided: the unique optimal
-    /// block-repair as a block mask.  An entry is retired whenever its
-    /// block's membership changes, so its bit positions stay as stable
-    /// as fact ids.  Empty unless unique == Trilean::kTrue.
-    DynamicBitset repair_local;
-    /// Serial node cost of the decision, valid only when `nodes_valid`
-    /// (measured under an armed governor).
-    uint64_t nodes = 0;
-    bool nodes_valid = false;
-    /// Whether the exponential tier produced the verdict (such entries
-    /// must re-pass block admission before being served).
-    bool exponential = false;
-  };
-
-  /// The memoized verdict for (key, semantics), if any.
-  const Entry* Lookup(FactId key, RepairSemantics semantics) const;
-
-  /// Records a complete verdict (CHECK: unique != kUnknown).
-  void Store(FactId key, RepairSemantics semantics, Entry entry);
-
-  /// Retires every semantics' entry for the block keyed by `key` (the
-  /// block's smallest fact id).  Call whenever the block's membership
-  /// or internal priority edges change.
-  void Invalidate(FactId key);
-
-  void Clear() { entries_.clear(); }
-  size_t size() const { return entries_.size(); }
-
-  /// Snapshot of the resident (block key, semantics) key set, so tests
-  /// can cross-check every cached verdict against a from-scratch
-  /// recomputation and prove no entry outlives its block.
-  std::vector<std::pair<FactId, int>> keys() const {
-    std::vector<std::pair<FactId, int>> out;
-    out.reserve(entries_.size());
-    for (const auto& [key, entry] : entries_) {
-      out.push_back(key);
-    }
-    return out;
-  }
-
-  /// Traffic of DecideCategoricity: a hit is a block it served from
-  /// the memo, a miss a block it reached and did not serve.
-  void NoteHit() { ++hits_; }
-  void NoteMiss() { ++misses_; }
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-
- private:
-  std::map<std::pair<FactId, int>, Entry> entries_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-};
-
 /// Decides whether block `b` has a unique optimal block-repair under
 /// `semantics`.  Polls ctx.governor(); kUnknown when the budget fires
 /// or the block is refused admission.
@@ -181,15 +105,10 @@ BlockCategoricity DecideBlockCategoricity(const ProblemContext& ctx,
 /// Requires nothing of the priority: cross-block priorities yield
 /// kUnknown outright.  Blocks are decided on FoldBlocks (byte-identical
 /// to the serial pass at any thread count): each block checkpoints
-/// ctx.governor() once, and the fold stops at the first ambiguous or
-/// undecided block.  With a `memo`, a block whose stored verdict may be
-/// served under the current governor (admission re-checked for
-/// exhaustive-tier entries, then the governor's replay rule) skips
-/// recomputation; every other block reached is decided fresh and, if
-/// complete, stored back after the fold.
+/// ctx.governor() once, then DecideBlockCategoricity decides it, and the
+/// fold stops at the first ambiguous or undecided block.
 CategoricityResult DecideCategoricity(const ProblemContext& ctx,
-                                      RepairSemantics semantics,
-                                      CategoricityMemo* memo = nullptr);
+                                      RepairSemantics semantics);
 
 namespace audit {
 namespace internal {

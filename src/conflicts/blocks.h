@@ -31,13 +31,13 @@ namespace prefrep {
 ///
 /// Block coordinates: every per-block answer (an optimal block-repair,
 /// a greedy block construction, a unique categorical block-repair, a
-/// cached or memoized payload) is a *block mask* over `fact_list`, with
-/// bit i standing for fact_list[i].  A mask is one word for a block of
-/// at most 64 facts, which covers every block the exhaustive solver
+/// cached payload) is a *block mask* over `fact_list`, with bit i
+/// standing for fact_list[i].  A mask is one word for a block of at
+/// most 64 facts, which covers every block the exhaustive solver
 /// admits, and a DynamicBitset of size() bits otherwise.  Answers stay
-/// masks through the solvers, the block cache and the categoricity
-/// memo; ToBlockWord and OrBlockMask convert at the API edge, where
-/// whole-instance bitsets are built.
+/// masks through the solvers and the block cache; ToBlockWord and
+/// OrBlockMask convert at the API edge, where whole-instance bitsets
+/// are built.
 struct Block {
   /// Dense block id (position in BlockDecomposition::blocks()).
   size_t id = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 
+#include "classify/categoricity.h"
 #include "repair/block_solver.h"
 
 namespace prefrep {
@@ -43,16 +44,14 @@ namespace {
 // the pre-pass parallelizes over blocks exactly like the enumeration
 // it replaces.
 std::optional<std::vector<DynamicBitset>> CategoricalRepairSet(
-    const ProblemContext& ctx, RepairSemantics semantics,
-    const CqaOptions& options) {
+    const ProblemContext& ctx, RepairSemantics semantics) {
   if (ctx.governor().exhausted()) {
     return std::nullopt;  // the enumeration must observe the exhaustion
   }
   ResourceGovernor prepass(ctx.governor().budget(), ctx.governor().start());
   ProblemContext view = ctx.WorkerView(&prepass);
   view.set_parallelism(ctx.parallelism());
-  CategoricityResult result =
-      DecideCategoricity(view, semantics, options.memo);
+  CategoricityResult result = DecideCategoricity(view, semantics);
   if (result.verdict != Categoricity::kCategorical) {
     return std::nullopt;
   }
@@ -97,7 +96,7 @@ std::optional<std::vector<DynamicBitset>> RepairsForBounded(
   const RepairSemantics rs = ToRepairSemantics(semantics);
   if (!options.force_enumeration) {
     if (std::optional<std::vector<DynamicBitset>> categorical =
-            CategoricalRepairSet(ctx, rs, options)) {
+            CategoricalRepairSet(ctx, rs)) {
       if (options.path != nullptr) {
         *options.path = CqaPath::kCategorical;
       }

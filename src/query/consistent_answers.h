@@ -15,7 +15,6 @@
 #ifndef PREFREP_QUERY_CONSISTENT_ANSWERS_H_
 #define PREFREP_QUERY_CONSISTENT_ANSWERS_H_
 
-#include "classify/categoricity.h"
 #include "model/context.h"
 #include "priority/priority.h"
 #include "query/conjunctive_query.h"
@@ -57,9 +56,6 @@ const char* CqaPathName(CqaPath value);
 /// path runs with the caller's governor untouched — byte-identical
 /// answers, Trileans and degradation to a build without the pre-pass.
 struct CqaOptions {
-  /// Memoized per-block categoricity verdicts (serve layer); nullptr
-  /// decides from scratch.  Changes cost, never answers.
-  CategoricityMemo* memo = nullptr;
   /// When non-null, receives which route produced the answer.
   CqaPath* path = nullptr;
   /// Skips the pre-pass outright (differential testing / benchmarks).

@@ -576,7 +576,7 @@ CheckResult CachedCheckBlock(const BlockSolver& solver,
         }
         return true;
       },
-      [&](const BlockSolveCache::Entry& entry) {
+      [&](BlockSolveCache::Entry&& entry) {
         if (entry.optimal) {
           return CheckResult::Optimal();
         }
@@ -625,7 +625,9 @@ std::vector<uint64_t> CachedOptimalBlockRepairs(const BlockSolver& solver,
         entry->repairs_local = repairs;
         return !repairs.empty();  // empty means abandoned (see header)
       },
-      [](const BlockSolveCache::Entry& entry) { return entry.repairs_local; });
+      [](BlockSolveCache::Entry&& entry) {
+        return std::move(entry.repairs_local);
+      });
 }
 
 uint64_t CachedCountBlock(const BlockSolver& solver, const ProblemContext& ctx,
@@ -639,7 +641,7 @@ uint64_t CachedCountBlock(const BlockSolver& solver, const ProblemContext& ctx,
         entry->count = count;
         return count != 0;
       },
-      [](const BlockSolveCache::Entry& entry) { return entry.count; });
+      [](BlockSolveCache::Entry&& entry) { return entry.count; });
 }
 
 CheckResult CheckOptimalByBlocks(const ProblemContext& ctx,

@@ -200,11 +200,12 @@ void AuditServedHit(
 ///    payloads), enters the table.
 ///
 /// `encode(payload, &entry)` fills the op's payload fields and returns
-/// whether it may be stored; `decode(entry)` rebuilds the payload from a
-/// stored entry and must equal the fresh solve (audit builds re-solve
-/// every served hit and compare).  Block answers are block masks, and
-/// canonical order is fact_list order, so a payload is stored as solved
-/// and served as stored.
+/// whether it may be stored; `decode(std::move(entry))` rebuilds the
+/// payload from the looked-up entry, which is the caller's own copy, so
+/// it may move its payload out.  The result must equal the fresh solve
+/// (audit builds re-solve every served hit and compare).  Block answers
+/// are block masks, and canonical order is fact_list order, so a
+/// payload is stored as solved and served as stored.
 template <typename Solve, typename Encode, typename Decode>
 auto CachedBlockSolve(const ProblemContext& ctx, const Block& b,
                       bool eligible, bool admission, const BlockCacheKey& key,
@@ -225,7 +226,7 @@ auto CachedBlockSolve(const ProblemContext& ctx, const Block& b,
       entry.has_value() &&
       governor.TryReplay(entry->nodes, entry->nodes_valid)) {
     cache->NoteHit();
-    Payload served = decode(*entry);
+    Payload served = decode(std::move(*entry));
     if (PREFREP_AUDIT_ENABLED) {
       block_cache_internal::AuditServedHit(
           ctx, [&](const ProblemContext& fresh) {
@@ -287,8 +288,8 @@ struct FoldOutcome {
   /// The first non-empty reason a step gave for an abandoned block.
   std::string first_unknown_reason;
   /// Blocks solved exactly vs abandoned (with each abandoned block's
-  /// node cost), nodes spent, the governor's cause and this call's
-  /// cache traffic — as of the stop, or of the end of the fold.
+  /// node cost), nodes spent and the governor's cause — as of the stop,
+  /// or of the end of the fold.
   DegradationReport report;
 
   bool stopped() const { return stopped_at != BlockDecomposition::kNoBlock; }
@@ -316,9 +317,6 @@ FoldOutcome FoldBlocks(const ProblemContext& ctx,
                                        const Block&>;
   const BlockDecomposition& blocks = ctx.blocks();
   ResourceGovernor& governor = ctx.governor();
-  BlockSolveCache* const cache = ctx.block_cache();
-  const BlockCacheStats cache_before =
-      cache != nullptr ? cache->stats() : BlockCacheStats{};
   std::vector<size_t> ids;
   if (order != nullptr) {
     ids = *order;
@@ -363,14 +361,6 @@ FoldOutcome FoldBlocks(const ProblemContext& ctx,
   report.blocks_abandoned = report.abandoned.size();
   report.nodes_spent = governor.nodes_spent();
   report.cause = governor.degraded() ? governor.CauseString() : std::string();
-  if (cache != nullptr) {
-    // Per-call delta of the shared counters; approximate when other
-    // sessions hit the same cache concurrently (and excluded from the
-    // byte-identical cache-on/off contract either way).
-    const BlockCacheStats now = cache->stats();
-    report.cache_hits = now.hits - cache_before.hits;
-    report.cache_misses = now.misses - cache_before.misses;
-  }
   return out;
 }
 

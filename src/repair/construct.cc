@@ -112,8 +112,8 @@ std::optional<DynamicBitset> CachedGreedyBlock(
         entry->repair_local = *repair;
         return true;
       },
-      [](const BlockSolveCache::Entry& entry) {
-        return std::optional<DynamicBitset>(entry.repair_local);
+      [](BlockSolveCache::Entry&& entry) {
+        return std::optional<DynamicBitset>(std::move(entry.repair_local));
       });
 }
 

@@ -23,11 +23,11 @@
 //   2. MERGE, in the caller's serial block order.  A worker result is
 //      adopted verbatim iff the worker completed it, it is a usable
 //      payload, and the shared governor's replay rule
-//      (ResourceGovernor::TryReplay — the one the block-solve cache and
-//      the categoricity memo serve by) accepts its node count: replayed
-//      after the blocks merged before it, it stays strictly below the
-//      budget's firing index, i.e. the serial pass would have completed
-//      the block identically.  TryReplay commits the adopted count to
+//      (ResourceGovernor::TryReplay — the one the block-solve cache
+//      serves by) accepts its node count: replayed after the blocks
+//      merged before it, it stays strictly below the budget's firing
+//      index, i.e. the serial pass would have completed the block
+//      identically.  TryReplay commits the adopted count to
 //      the shared governor, keeping its nodes_spent() exactly on the
 //      serial trajectory.  Any other block is simply
 //      RERUN on the caller's thread against the shared governor, which

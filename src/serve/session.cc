@@ -86,7 +86,6 @@ void SessionContext::InstallBlock(std::vector<FactId> members) {
 }
 
 void SessionContext::RetireBlock(FactId key) {
-  categoricity_memo_.Invalidate(key);
   block_members_.erase(key);
   ++stats_.blocks_retired;
   view_dirty_ = true;
@@ -259,13 +258,8 @@ Result<std::string> SessionContext::Prefer(std::string_view higher_label,
   }
   priority_->MustAdd(*higher, *lower);
   ++stats_.edits;
-  // The block's fact set is unchanged (no view rebuild), but its
-  // memoized categoricity bit is stale.  Its cache entries need nothing:
-  // the new edge changes the block's fingerprint.
-  const FactId key = block_key_of_[*higher];
-  PREFREP_CHECK_MSG(key != kInvalidFactId && key == block_key_of_[*lower],
-                    "conflicting facts share a block");
-  categoricity_memo_.Invalidate(key);
+  // The block's fact set is unchanged (no view rebuild), and its cache
+  // entries need nothing: the new edge changes the block's fingerprint.
   return "ok " + std::string(higher_label) + " > " +
          std::string(lower_label);
 }
@@ -428,13 +422,6 @@ Result<std::string> SessionContext::RunCheck(AnswerSemantics semantics) {
     out += "\nreason: " + result.unknown_reason;
   }
   if (report.Degraded()) {
-    // Without the cache-traffic counts: they legitimately differ
-    // between a warm session and a cold rebuild (and between cache
-    // on/off), and this reply must be byte-identical across all of
-    // those.  Everything else is identical by the cache's node-replay
-    // contract.
-    report.cache_hits = 0;
-    report.cache_misses = 0;
     out += "\n" + report.ToString();
   }
   return out;
@@ -512,13 +499,12 @@ Result<std::string> SessionContext::RunCqa(AnswerSemantics semantics,
   if (!budget_.Unlimited()) {
     ctx_->set_governor(&governor);
   }
-  // Memoized per-block categoricity verdicts ride along; the memo
-  // changes cost, never answers, and the path taken is a deterministic
-  // function of the live state and budget — so the path line below is
-  // part of the byte-identical-under-rebuild reply surface.
+  // The path taken is a deterministic function of the live state and
+  // budget (the block-solve cache changes cost, never answers), so the
+  // path line below is part of the byte-identical-under-rebuild reply
+  // surface.
   CqaPath path = CqaPath::kEnumeration;
   CqaOptions cqa_options;
-  cqa_options.memo = &categoricity_memo_;
   cqa_options.path = &path;
   std::string out = std::string("cqa ") + SemanticsName(semantics) + ": ";
   if (query->IsBoolean()) {
@@ -565,11 +551,7 @@ std::string SessionContext::RenderStats() {
          " queries=" + std::to_string(stats_.queries) +
          " blocks-retired=" + std::to_string(stats_.blocks_retired) +
          " query-micros=" + std::to_string(stats_.query_micros) +
-         " cache-capacity=" + std::to_string(options_.cache_capacity) +
-         " categoricity-memo=" + std::to_string(categoricity_memo_.size()) +
-         " categoricity-hits=" + std::to_string(categoricity_memo_.hits()) +
-         " categoricity-misses=" +
-         std::to_string(categoricity_memo_.misses());
+         " cache-capacity=" + std::to_string(options_.cache_capacity);
 }
 
 Result<std::string> SessionContext::Execute(const SessionOp& op) {

@@ -14,14 +14,15 @@
 //               into the connected components of the remainder
 //               (singletons become free facts).
 //   prefer    — a new edge between conflicting facts; the block is
-//               unchanged as a fact set but its solved state is stale.
+//               unchanged as a fact set.
 //
-// Nothing is erased from the block-solve cache on an edit.  Entries
-// are keyed by canonical block fingerprint, so an edited block can
-// never hit a stale entry; stale entries age out through the cache's
-// LRU, and a block that an edit re-forms (a delete and a revival)
-// hits its old entries.  Every untouched block's verdicts, counts and
-// constructions survive.
+// An edit retires at most block membership: the session keeps no
+// solved block state of its own.  The block-solve cache is the one
+// store of it, keyed by canonical block fingerprint, so an edited block
+// can never hit a stale entry; stale entries age out through the
+// cache's LRU, and a block that an edit re-forms (a delete and a
+// revival) hits its old entries.  Every untouched block's verdicts,
+// counts, constructions and optimal sets survive.
 //
 // Correctness contract (enforced by tests/serve_test.cc and the
 // PREFREP_AUDIT hook): after ANY edit sequence, every rendered answer
@@ -47,7 +48,6 @@
 #include <vector>
 
 #include "cache/block_cache.h"
-#include "classify/categoricity.h"
 #include "conflicts/delta.h"
 #include "io/ops_format.h"
 #include "model/context.h"
@@ -142,12 +142,14 @@ class SessionContext {
   const SessionStats& stats() const { return stats_; }
   BlockSolveCache* cache() { return cache_.get(); }
 
-  /// Per-block categoricity verdicts resident across requests; entries
-  /// are retired whenever their block's membership or internal priority
-  /// edges change (insert-merge, delete-split, prefer).  Exposed so
-  /// tests can cross-check every cached bit against a from-scratch
-  /// recomputation after each edit.
-  CategoricityMemo& categoricity_memo() { return categoricity_memo_; }
+  /// Always 0: the session stores no categoricity verdicts (see the
+  /// file comment).  Kept because the end-to-end benchmark (e2ebench/)
+  /// still reads categoricity_memo().hits() and .misses().
+  struct RetiredMemoCounters {
+    uint64_t hits() const { return 0; }
+    uint64_t misses() const { return 0; }
+  };
+  RetiredMemoCounters categoricity_memo() const { return {}; }
 
   /// Replaces the per-request budget (budget op).
   void set_budget(const ResourceBudget& budget) { budget_ = budget; }
@@ -164,9 +166,9 @@ class SessionContext {
   // edits.  Cheap when nothing changed.
   void EnsureFresh();
 
-  // Retires block `key`: drops its categoricity verdicts and its
-  // membership record.  block_key_of_ entries are overwritten by the
-  // caller (merge/split install or free/tombstone marking).
+  // Retires block `key`: drops its membership record.  block_key_of_
+  // entries are overwritten by the caller (merge/split install or
+  // free/tombstone marking).
   void RetireBlock(FactId key);
 
   // Installs a block over `members` (sorted ascending, size ≥ 2); the
@@ -219,7 +221,6 @@ class SessionContext {
   CcpSchemaClassification ccp_classification_;
 
   std::unique_ptr<BlockSolveCache> cache_;
-  CategoricityMemo categoricity_memo_;
 
   std::set<FactId> j_;  // ordered: renders deterministically
   SessionOptions options_;

@@ -3,10 +3,10 @@
 // route (byte-identical answers required, across serial/parallel ×
 // cache on/off × governed/ungoverned), a definitional cross-check of
 // the per-block decision against exhaustively enumerated optimal
-// block-repairs on every block of at most 12 facts, memo
-// cost-not-outcome checks, the fold's threads × memo × budget
-// differential, and an audit death test proving the PREFREP_AUDIT hook
-// really re-verifies verdicts at runtime.
+// block-repairs on every block of at most 12 facts, the fold's threads
+// × block-solve cache × budget differential, and an audit death test
+// proving the PREFREP_AUDIT hook really re-verifies verdicts at
+// runtime.
 
 #include <gtest/gtest.h>
 
@@ -414,135 +414,27 @@ TEST(CategoricityPathTest, PathReportsWhichRouteRan) {
   EXPECT_STREQ(CqaPathName(CqaPath::kEnumeration), "enumeration");
 }
 
-TEST(CategoricityMemoTest, MemoChangesCostNotOutcome) {
-  CategoricalWorkloadOptions opts;
-  opts.blocks = 3;
-  PreferredRepairProblem p = MakeCategoricalWorkload(opts);
-  ProblemContext ctx(*p.instance, *p.priority);
-  CategoricityMemo memo;
-  CategoricityResult fresh =
-      DecideCategoricity(ctx, RepairSemantics::kGlobal, &memo);
-  EXPECT_EQ(memo.size(), ctx.blocks().num_blocks());
-  EXPECT_EQ(memo.hits(), 0u);
-  EXPECT_EQ(memo.misses(), ctx.blocks().num_blocks());
-  CategoricityResult replay =
-      DecideCategoricity(ctx, RepairSemantics::kGlobal, &memo);
-  EXPECT_EQ(memo.hits(), ctx.blocks().num_blocks());
-  EXPECT_EQ(memo.misses(), ctx.blocks().num_blocks());
-  EXPECT_EQ(replay.verdict, fresh.verdict);
-  EXPECT_EQ(replay.repair, fresh.repair);
-  CategoricityResult bare = DecideCategoricity(ctx, RepairSemantics::kGlobal);
-  EXPECT_EQ(bare.verdict, fresh.verdict);
-  EXPECT_EQ(bare.repair, fresh.repair);
-  // Per-semantics keying: a different semantics misses.
-  (void)DecideCategoricity(ctx, RepairSemantics::kPareto, &memo);
-  EXPECT_EQ(memo.size(), 2 * ctx.blocks().num_blocks());
-  // Invalidation drops exactly the keyed block.
-  memo.Invalidate(ctx.blocks().block(0).fact_list.front());
-  EXPECT_EQ(memo.size(), 2 * (ctx.blocks().num_blocks() - 1));
-}
-
-TEST(CategoricityMemoTest, GovernedReplayMatchesFreshDecision) {
-  // Exponential verdicts must replay only when a fresh solve under the
-  // requesting governor would also have completed: a node budget below
-  // the recorded cost must refuse the entry and re-decide (here: fail
-  // identically to a memo-less run).
-  CategoricalWorkloadOptions opts;
-  opts.blocks = 2;
-  opts.near_miss = true;  // the last block decides via enumeration
-  PreferredRepairProblem p = MakeCategoricalWorkload(opts);
-  ProblemContext ctx(*p.instance, *p.priority);
-  CategoricityMemo memo;
-  // Warm the memo ungoverned... entries carry nodes_valid = false.
-  (void)DecideCategoricity(ctx, RepairSemantics::kGlobal, &memo);
-  ASSERT_GT(memo.size(), 0u);
-  for (uint64_t max_nodes : {uint64_t{1}, uint64_t{20}, uint64_t{100000}}) {
-    ResourceBudget budget;
-    budget.max_nodes = max_nodes;
-    auto run = [&](CategoricityMemo* m) {
-      ResourceGovernor governor(budget);
-      ProblemContext governed(*p.instance, *p.priority);
-      governed.set_governor(&governor);
-      return DecideCategoricity(governed, RepairSemantics::kGlobal, m);
-    };
-    CategoricityResult with_memo = run(&memo);
-    CategoricityResult without = run(nullptr);
-    EXPECT_EQ(with_memo.verdict, without.verdict)
-        << "max_nodes=" << max_nodes;
-    if (with_memo.verdict == Categoricity::kCategorical) {
-      EXPECT_EQ(with_memo.repair, without.repair);
-    }
-  }
-}
-
-// A block's first decision is a miss; the fold stops at the first
-// ambiguous block, so the blocks after it are neither decided nor
-// counted.
-TEST(CategoricityMemoTest, MissesCountOnlyTheBlocksDecidedFresh) {
-  ProblemSpec spec;
-  spec.arity = 2;
-  spec.fds = {"1 -> 2"};
-  // Block 0 has no priority edge (tier 2: ambiguous); block 1 is
-  // totally ordered.
-  spec.facts = {"a1: a, 1", "a2: a, 2", "b1: b, 1", "b2: b, 2"};
-  spec.priorities = {"b1 > b2"};
-  PreferredRepairProblem p = testing_util::MakeProblem(spec);
-  ProblemContext ctx(*p.instance, *p.priority);
-  ASSERT_EQ(ctx.blocks().num_blocks(), 2u);
-  CategoricityMemo memo;
-  CategoricityResult result =
-      DecideCategoricity(ctx, RepairSemantics::kGlobal, &memo);
-  EXPECT_EQ(result.verdict, Categoricity::kAmbiguous);
-  EXPECT_EQ(result.ambiguous_block, 0u);
-  EXPECT_EQ(memo.misses(), 1u);
-  EXPECT_EQ(memo.size(), 1u);
-  EXPECT_EQ(memo.hits(), 0u);
-}
-
 // ---- The fold differential ------------------------------------------
 
-// One DecideCategoricity call under a budget: its result, the nodes its
-// governor spent, and the memo it left behind (empty without one).
+// One DecideCategoricity call under a budget: its result and the nodes
+// its governor spent.
 struct FoldRun {
   CategoricityResult result;
   uint64_t nodes = 0;
-  std::string memo;
 };
 
-// Every key, entry and counter of `memo`, as text.
-std::string RenderMemo(const CategoricityMemo& memo) {
-  std::string out = "hits=";
-  out += std::to_string(memo.hits()) + " misses=" +
-         std::to_string(memo.misses());
-  for (const auto& [key, sem] : memo.keys()) {
-    const CategoricityMemo::Entry* entry =
-        memo.Lookup(key, static_cast<RepairSemantics>(sem));
-    out += "\n" + std::to_string(key) + "/" + std::to_string(sem) + " " +
-           TrileanName(entry->unique) + " nodes=" +
-           std::to_string(entry->nodes) +
-           " valid=" + std::to_string(entry->nodes_valid) +
-           " exponential=" + std::to_string(entry->exponential) + " repair=";
-    for (size_t i = 0; i < entry->repair_local.size(); ++i) {
-      out += entry->repair_local.test(i) ? '1' : '0';
-    }
-  }
-  return out;
-}
-
 FoldRun RunFold(const PreferredRepairProblem& p, size_t threads,
-                const ResourceBudget& budget, CategoricityMemo* memo) {
+                const ResourceBudget& budget, BlockSolveCache* cache) {
   ProblemContext ctx(*p.instance, *p.priority);
   ctx.set_parallelism(threads);
+  ctx.set_block_cache(cache);
   ResourceGovernor governor(budget);
   if (!budget.Unlimited()) {
     ctx.set_governor(&governor);
   }
   FoldRun run;
-  run.result = DecideCategoricity(ctx, RepairSemantics::kGlobal, memo);
+  run.result = DecideCategoricity(ctx, RepairSemantics::kGlobal);
   run.nodes = governor.nodes_spent();
-  if (memo != nullptr) {
-    run.memo = RenderMemo(*memo);
-  }
   return run;
 }
 
@@ -569,14 +461,40 @@ PreferredRepairProblem ChainWorkload() {
   return testing_util::MakeProblem(spec);
 }
 
+// Exact-tier optimal sets must replay only when a fresh solve under the
+// requesting governor would also have completed: a node budget below
+// the recorded cost must refuse the entry and re-decide, failing
+// exactly as a cache-less run does.  The cache is warmed ungoverned, so
+// its entries carry nodes_valid = false until a counted solve upgrades
+// them.
+TEST(CategoricityCacheTest, GovernedReplayMatchesFreshDecision) {
+  PreferredRepairProblem p = ChainWorkload();
+  BlockSolveCache cache(256);
+  (void)RunFold(p, 1, ResourceBudget{}, &cache);
+  ASSERT_GT(cache.stats().entries, 0u);
+  for (uint64_t max_nodes : {uint64_t{1}, uint64_t{20}, uint64_t{100000}}) {
+    ResourceBudget budget;
+    budget.max_nodes = max_nodes;
+    const FoldRun with_cache = RunFold(p, 1, budget, &cache);
+    const FoldRun without = RunFold(p, 1, budget, nullptr);
+    const std::string label = "max_nodes=" + std::to_string(max_nodes);
+    EXPECT_EQ(with_cache.result.verdict, without.result.verdict) << label;
+    EXPECT_EQ(with_cache.result.repair, without.result.repair) << label;
+    EXPECT_EQ(with_cache.result.unknown_reason, without.result.unknown_reason)
+        << label;
+    EXPECT_EQ(with_cache.nodes, without.nodes) << label;
+  }
+}
+
 // DecideCategoricity on the one per-block fold: at threads 1 and 8 a
-// call leaves the same result, node count and memo (keys, entries,
-// hits, misses), and a memo changes neither the result nor the node
-// count of a run without one.  Memo modes: none; cold (empty); warm, as
-// the cold run left it; and primed by a run under a generous counted
-// budget, whose exhaustive-tier entries must re-pass admission and whose
-// node counts must replay below the firing index.
-TEST(CategoricityFoldTest, ThreadsAndMemoChangeCostNotOutcome) {
+// call leaves the same result and node count, and a block-solve cache
+// changes neither the result nor the node count of a run without one.
+// Cache modes: none; cold (empty); warm, as the cold run left it; and
+// primed by a run under a generous counted budget, whose exhaustive-tier
+// entries must re-pass admission and whose node counts must replay
+// below the firing index.  The cache's own traffic depends on worker
+// timing, so only the serial warm run's is pinned.
+TEST(CategoricityFoldTest, ThreadsAndCacheChangeCostNotOutcome) {
   auto max_nodes = [](uint64_t n) {
     ResourceBudget budget;
     budget.max_nodes = n;
@@ -601,24 +519,25 @@ TEST(CategoricityFoldTest, ThreadsAndMemoChangeCostNotOutcome) {
       // none, cold, warm and primed at each thread count.
       std::vector<std::vector<FoldRun>> runs;
       for (size_t threads : {size_t{1}, size_t{8}}) {
-        CategoricityMemo memo;
-        std::vector<FoldRun> by_memo;
-        by_memo.push_back(RunFold(p, threads, budget, nullptr));
-        by_memo.push_back(RunFold(p, threads, budget, &memo));
-        const uint64_t cold_misses = memo.misses();
-        by_memo.push_back(RunFold(p, threads, budget, &memo));
-        if (budget.Unlimited()) {
-          EXPECT_EQ(memo.hits(), cold_misses)
-              << problem_name << ": a warm memo serves every block";
+        BlockSolveCache cache(256);
+        std::vector<FoldRun> by_cache;
+        by_cache.push_back(RunFold(p, threads, budget, nullptr));
+        by_cache.push_back(RunFold(p, threads, budget, &cache));
+        const uint64_t cold_misses = cache.stats().misses;
+        by_cache.push_back(RunFold(p, threads, budget, &cache));
+        if (budget.Unlimited() && threads == 1) {
+          EXPECT_EQ(cache.stats().misses, cold_misses)
+              << problem_name
+              << ": a warm cache serves every exhaustive-tier block";
         }
-        CategoricityMemo primed;
+        BlockSolveCache primed(256);
         (void)RunFold(p, threads, max_nodes(100000), &primed);
-        by_memo.push_back(RunFold(p, threads, budget, &primed));
-        runs.push_back(std::move(by_memo));
+        by_cache.push_back(RunFold(p, threads, budget, &primed));
+        runs.push_back(std::move(by_cache));
       }
       for (size_t m = 0; m < runs[0].size(); ++m) {
         const std::string label = problem_name + " " + budget_name +
-                                  " memo=" + std::to_string(m);
+                                  " cache=" + std::to_string(m);
         const FoldRun& serial = runs[0][m];
         const FoldRun& parallel = runs[1][m];
         EXPECT_EQ(serial.result.verdict, parallel.result.verdict) << label;
@@ -629,12 +548,13 @@ TEST(CategoricityFoldTest, ThreadsAndMemoChangeCostNotOutcome) {
         EXPECT_EQ(serial.result.unknown_reason, parallel.result.unknown_reason)
             << label;
         EXPECT_EQ(serial.nodes, parallel.nodes) << label;
-        EXPECT_EQ(serial.memo, parallel.memo) << label;
         for (size_t t = 0; t < 2; ++t) {
           const FoldRun& bare = runs[t][0];
           const FoldRun& run = runs[t][m];
           EXPECT_EQ(run.result.verdict, bare.result.verdict) << label;
           EXPECT_EQ(run.result.repair, bare.result.repair) << label;
+          EXPECT_EQ(run.result.ambiguous_block, bare.result.ambiguous_block)
+              << label;
           EXPECT_EQ(run.result.unknown_reason, bare.result.unknown_reason)
               << label;
           EXPECT_EQ(run.nodes, bare.nodes) << label;

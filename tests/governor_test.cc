@@ -88,9 +88,9 @@ TEST(GovernorTest, FaultInjectionFiresAtTheNthCheckpoint) {
 // ---- The replay rule and block admission ----------------------------
 //
 // ResourceGovernor::TryReplay decides whether a result computed
-// elsewhere (a worker payload, a block-cache hit, a categoricity memo
-// entry) may stand in for a fresh run; WouldAdmitBlock is the admission
-// test the caches re-check first.
+// elsewhere (a worker payload, a block-cache hit) may stand in for a
+// fresh run; WouldAdmitBlock is the admission test the cache re-checks
+// first.
 
 TEST(ReplayRuleTest, UnlimitedGovernorAlwaysServes) {
   ResourceGovernor& unlimited = ResourceGovernor::Unlimited();

@@ -378,9 +378,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MetamorphicTest,
 // budgets, and compare every output — verdicts, witness bitsets,
 // explanations, routes, counts, enumerated repair vectors in their raw
 // order, constructed repairs, and the degradation report rendered as a
-// string — for exact equality.  Only the report's cache traffic
-// counters are zeroed before comparing: they are the one field
-// documented to differ (see DegradationReport).
+// string — for exact equality.  Cache traffic lives on the cache alone
+// (BlockSolveCache::stats()), never in an answer.
 //
 // Deadline budgets are deliberately absent: a deadline fires on wall
 // clock, which the cache exists to change, so deadline-governed runs
@@ -397,7 +396,7 @@ std::string BitsetString(const DynamicBitset& b) {
 struct DifferentialRecord {
   std::string check;
   std::vector<std::string> route;
-  std::string degradation;  // cache counters zeroed
+  std::string degradation;
   uint64_t count = 0;
   bool count_exact = false;
   size_t count_unknown_blocks = 0;
@@ -413,12 +412,6 @@ struct DifferentialRecord {
            constructed == other.constructed;
   }
 };
-
-std::string RenderDegradation(DegradationReport report) {
-  report.cache_hits = 0;
-  report.cache_misses = 0;
-  return report.ToString();
-}
 
 /// One pass over the stack: exact global check, bounded count,
 /// (ungoverned only) full enumeration, greedy construction.  `budget`
@@ -446,7 +439,7 @@ DifferentialRecord RunStack(const PreferredRepairProblem& problem,
                    "|" + outcome->result.witness->explanation;
     }
     rec.route = outcome->route;
-    rec.degradation = RenderDegradation(outcome->degradation);
+    rec.degradation = outcome->degradation.ToString();
   }
   {
     // Counting consumes budget too: give it its own governor so the

@@ -15,8 +15,7 @@
 // budgets are chosen so some blocks degrade, and so the whole-instance
 // walks are cut short.
 // Every transcript must match its golden file under threads {1, 8} ×
-// block-solve cache {off, on}.  Cache traffic counters are left out of
-// degradation summaries: the cache-on/off contract exempts them.
+// block-solve cache {off, on}.
 //
 // A missing or mismatching golden file makes the test write the actual
 // transcript to <name>.actual in the working directory, for review.
@@ -121,12 +120,6 @@ void AppendCheckResult(const Instance& instance, const CheckResult& result,
   }
 }
 
-std::string DegradationWithoutCacheTraffic(DegradationReport report) {
-  report.cache_hits = 0;
-  report.cache_misses = 0;
-  return report.ToString();
-}
-
 const char* SemanticsName(RepairSemantics semantics) {
   switch (semantics) {
     case RepairSemantics::kGlobal:
@@ -209,9 +202,7 @@ void AppendLibraryTranscript(const PreferredRepairProblem& problem,
                    }
                    AppendCheckResult(instance, outcome->result, out);
                    *out << "  degradation: "
-                        << DegradationWithoutCacheTraffic(
-                               outcome->degradation)
-                        << "\n";
+                        << outcome->degradation.ToString() << "\n";
                  });
   }
   with_context("check pareto", [&](const ProblemContext& ctx) {

@@ -40,8 +40,8 @@ tracks:
                            refutes in polynomial time on the broken
                            block, so this must stay within noise of
                            1.0 (WARNING above 1.25x).
-    decide_us            — the bare DecideCategoricity cost, the
-                           serving layer's price for a memo miss.
+    decide_us            — the bare DecideCategoricity cost, what
+                           the pre-pass adds to every cqa request.
     Sampled like hotpath (run_sampled, below): the near-miss pair at 9
     cliques is one ~30 ms request per repetition, and a single 0.2 s
     run read its overhead anywhere from 0.80x to 1.37x.
