@@ -49,6 +49,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_flags.h"
 #include "cache/block_cache.h"
 #include "classify/ccp_dichotomy.h"
 #include "classify/dichotomy.h"
@@ -279,9 +280,10 @@ int CmdAnswers(const PreferredRepairProblem& p, SessionContext& session,
   if (!budget.Unlimited()) {
     ctx.set_governor(&governor);
   }
-  // Report which route answered: "categorical" (the pre-pass certified
-  // a unique optimal repair and the intersection collapsed to one query
-  // evaluation) or "enumeration" (the general repair-set product).
+  // Report the shape of the repair set the answer ranged over:
+  // "categorical" (a block-local priority left one optimal repair, so
+  // the intersection was one query evaluation) or "enumeration" (any
+  // other answer, and every unknown one).
   CqaPath path = CqaPath::kEnumeration;
   CqaOptions cqa_options;
   cqa_options.path = &path;
@@ -459,8 +461,10 @@ int main(int argc, char** argv) {
       durability.snapshot_path = argv[++i];
     } else if (std::strcmp(argv[i], "--snapshot-every") == 0 &&
                i + 1 < argc) {
-      durability.snapshot_every =
-          static_cast<uint64_t>(std::atoll(argv[++i]));
+      if (!ParseFlag("--snapshot-every", argv[++i],
+                     &durability.snapshot_every)) {
+        return 2;
+      }
     } else if (std::strncmp(argv[i], "--fsync=", 8) == 0) {
       Result<FsyncMode> mode = ParseFsyncMode(argv[i] + 8);
       if (!mode.ok()) {
@@ -474,21 +478,29 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--cache") == 0) {
       cache_capacity = BlockSolveCache::kDefaultCapacity;
     } else if (std::strncmp(argv[i], "--cache=", 8) == 0) {
-      cache_capacity = static_cast<size_t>(std::atoll(argv[i] + 8));
+      if (!ParseFlag("--cache", argv[i] + 8, &cache_capacity)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--optimal-only") == 0) {
       optimal_only = true;
     } else if (std::strcmp(argv[i], "--limit") == 0 && i + 1 < argc) {
-      limit = static_cast<size_t>(std::atoll(argv[++i]));
+      if (!ParseFlag("--limit", argv[++i], &limit)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--semantics") == 0 && i + 1 < argc) {
       semantics = argv[++i];
-    } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
-      budget.deadline_ms = std::atoll(argv[++i]);
-    } else if (std::strcmp(argv[i], "--max-nodes") == 0 && i + 1 < argc) {
-      budget.max_nodes = static_cast<uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--max-block") == 0 && i + 1 < argc) {
-      budget.max_block = static_cast<size_t>(std::atoll(argv[++i]));
+    } else if ((std::strcmp(argv[i], "--deadline-ms") == 0 ||
+                std::strcmp(argv[i], "--max-nodes") == 0 ||
+                std::strcmp(argv[i], "--max-block") == 0) &&
+               i + 1 < argc) {
+      const char* flag = argv[i];
+      if (!ParseBudgetFlag(flag, argv[++i], &budget)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<size_t>(std::atoll(argv[++i]));
+      if (!ParseFlag("--threads", argv[++i], &threads)) {
+        return 2;
+      }
     } else if (query_text == nullptr) {
       query_text = argv[i];
     } else {

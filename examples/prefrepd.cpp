@@ -51,7 +51,9 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 
+#include "cli_flags.h"
 #include "io/ops_format.h"
 #include "io/text_format.h"
 #include "persist/durable_session.h"
@@ -150,17 +152,23 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--script") == 0 && i + 1 < argc) {
       script_path = argv[++i];
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      options.threads = static_cast<size_t>(std::atoll(argv[++i]));
+      if (!ParseFlag("--threads", argv[++i], &options.threads)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--cache") == 0) {
       options.cache_capacity = BlockSolveCache::kDefaultCapacity;
     } else if (std::strncmp(argv[i], "--cache=", 8) == 0) {
-      options.cache_capacity = static_cast<size_t>(std::atoll(argv[i] + 8));
-    } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
-      options.budget.deadline_ms = std::atoll(argv[++i]);
-    } else if (std::strcmp(argv[i], "--max-nodes") == 0 && i + 1 < argc) {
-      options.budget.max_nodes = static_cast<uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--max-block") == 0 && i + 1 < argc) {
-      options.budget.max_block = static_cast<size_t>(std::atoll(argv[++i]));
+      if (!ParseFlag("--cache", argv[i] + 8, &options.cache_capacity)) {
+        return 2;
+      }
+    } else if ((std::strcmp(argv[i], "--deadline-ms") == 0 ||
+                std::strcmp(argv[i], "--max-nodes") == 0 ||
+                std::strcmp(argv[i], "--max-block") == 0) &&
+               i + 1 < argc) {
+      const char* flag = argv[i];
+      if (!ParseBudgetFlag(flag, argv[++i], &options.budget)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--wal") == 0 && i + 1 < argc) {
       durability.wal_path = argv[++i];
       durable_mode = true;
@@ -168,8 +176,10 @@ int main(int argc, char** argv) {
       durability.snapshot_path = argv[++i];
     } else if (std::strcmp(argv[i], "--snapshot-every") == 0 &&
                i + 1 < argc) {
-      durability.snapshot_every =
-          static_cast<uint64_t>(std::atoll(argv[++i]));
+      if (!ParseFlag("--snapshot-every", argv[++i],
+                     &durability.snapshot_every)) {
+        return 2;
+      }
     } else if (std::strncmp(argv[i], "--fsync=", 8) == 0) {
       Result<FsyncMode> mode = ParseFsyncMode(argv[i] + 8);
       if (!mode.ok()) {
@@ -183,13 +193,16 @@ int main(int argc, char** argv) {
       // Crash-fault injection for the durability battery: die (exit
       // 137, SIGKILL-alike) after persisting only B bytes of the K-th
       // WAL record.  Format K[:B], default B = 0.
-      const char* spec = argv[i] + 27;
-      char* colon = nullptr;
-      const uint64_t record =
-          static_cast<uint64_t>(std::strtoull(spec, &colon, 10));
+      const std::string_view spec = argv[i] + 27;
+      const size_t colon = spec.find(':');
+      uint64_t record = 0;
       size_t partial = 0;
-      if (colon != nullptr && *colon == ':') {
-        partial = static_cast<size_t>(std::strtoull(colon + 1, nullptr, 10));
+      if (!ParseFlag("--test-crash-at-wal-record", spec.substr(0, colon),
+                     &record) ||
+          (colon != std::string_view::npos &&
+           !ParseFlag("--test-crash-at-wal-record", spec.substr(colon + 1),
+                      &partial))) {
+        return 2;
       }
       ForceCrashAtWalRecordForTesting(record, partial);
     } else {

@@ -91,10 +91,8 @@ class BlockSolveCache {
     /// verdicts are cached, and it admits at most 63 facts).
     bool optimal = false;
     uint64_t witness_local = 0;
-    /// Count payload.
-    uint64_t count = 0;
-    /// Optimal-set payload: OptimalBlockRepairs as returned, one word
-    /// per block-repair, in enumeration order.
+    /// Optimal-set payload: OptimalBlockRepairs as returned by a
+    /// complete solve, one word per block-repair, in walk order.
     std::vector<uint64_t> repairs_local;
     /// Construction payload: the greedy block mask (block-size bits).
     DynamicBitset repair_local;

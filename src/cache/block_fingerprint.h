@@ -110,7 +110,6 @@ BlockFingerprint ComputeBlockFingerprint(const ProblemContext& ctx,
 /// tie-break stream id — see the call sites in repair/).
 enum class BlockCacheOp : uint64_t {
   kVerdict = 1,     ///< CheckBlock (exhaustive solver only)
-  kCount = 2,       ///< CountBlock
   kOptimalSet = 3,  ///< OptimalBlockRepairs
   kConstruct = 4,   ///< greedy block construction
 };

@@ -8,7 +8,6 @@
 #include "io/text_format.h"
 #include "repair/audit.h"
 #include "repair/block_solver.h"
-#include "repair/construct.h"
 
 namespace prefrep {
 
@@ -25,26 +24,6 @@ const char* CategoricityName(Categoricity value) {
 }
 
 namespace {
-
-// Whether the priority totally orders every conflicting pair of `b`.
-// Conflict neighbors of a block fact are block facts by definition of
-// connected components, so scanning adjacency lists covers exactly the
-// block's conflict pairs.
-bool BlockPriorityTotalOnConflicts(const ConflictGraph& cg,
-                                   const PriorityRelation& pr,
-                                   const Block& b) {
-  for (FactId f : b.fact_list) {
-    for (FactId g : cg.neighbors(f)) {
-      if (g <= f) {
-        continue;  // each conflict pair once
-      }
-      if (!pr.Prefers(f, g) && !pr.Prefers(g, f)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
 
 // Whether no priority edge touches any fact of `b` (in either
 // orientation, including edges leaving the block).  Such a block's
@@ -79,49 +58,35 @@ BlockCategoricity DecideBlockCategoricity(const ProblemContext& ctx,
                                           const Block& b,
                                           RepairSemantics semantics) {
   BlockCategoricity out;
-  const ConflictGraph& cg = ctx.conflict_graph();
-  const PriorityRelation& pr = ctx.priority();
-  // The greedy block construction relies on completion semantics, which
-  // require a conflict-bounded priority.
-  if (pr.IsConflictBounded() && BlockPriorityTotalOnConflicts(cg, pr, b)) {
-    // Fast tier: a total priority admits exactly one optimal
-    // block-repair, identical under all three semantics ([SCM]), and
-    // the greedy block construction produces it in polynomial time.
-    out.unique = Trilean::kTrue;
-    out.repair = *GreedyWithin(cg, pr, b.fact_list, ConstructOptions{},
-                               ResourceGovernor::Unlimited());
-    audit::CheckConstructedBlockRepair(cg, pr, b.fact_list, out.repair,
-                                       "categoricity fast tier");
-    MaybeCorruptForTesting(&out);
-    return out;
-  }
-  if (b.fact_list.size() >= 2 && BlockPriorityEmpty(pr, b)) {
+  if (b.fact_list.size() >= 2 && BlockPriorityEmpty(ctx.priority(), b)) {
     // Ambiguity tier: conflicts with no preferences means every
     // block-repair is optimal, and there are at least two.  Keeps the
-    // pre-pass polynomial on near-miss instances, where the broken
+    // decision polynomial on near-miss instances, where the broken
     // block is exactly this shape.
     out.unique = Trilean::kFalse;
     MaybeCorruptForTesting(&out);
     return out;
   }
-  // Exact tier: materialize the optimal block-repairs and test
-  // uniqueness.  Empty unambiguously means abandoned (every block has
-  // at least one optimal block-repair).
-  out.exponential = true;
-  const std::vector<uint64_t> optimal = CachedOptimalBlockRepairs(
-      SolverForSemantics(ctx, b, semantics), ctx, b);
-  if (optimal.empty()) {
+  // The block's optimal set, from the total-priority rule (polynomial)
+  // or its solver (exponential in general); a set the budget cut short
+  // or that was refused leaves the block undecided.
+  OptimalBlockSet set = OptimalSetOf(ctx, b, semantics);
+  out.exponential = !set.greedy.has_value();
+  if (!set.complete) {
     ResourceGovernor& governor = ctx.governor();
-    out.unique = Trilean::kUnknown;
     out.unknown_reason = governor.exhausted()
                              ? governor.CauseString()
                              : "block " + std::to_string(b.id) +
                                    " refused by the block-admission budget";
-  } else if (optimal.size() == 1) {
+  } else if (set.size() == 1) {
     out.unique = Trilean::kTrue;
-    out.repair = DynamicBitset(b.size());
-    for (size_t i = 0; i < b.size(); ++i) {
-      out.repair.set(i, ((optimal.front() >> i) & 1) != 0);
+    if (set.greedy.has_value()) {
+      out.repair = std::move(*set.greedy);
+    } else {
+      out.repair = DynamicBitset(b.size());
+      for (size_t i = 0; i < b.size(); ++i) {
+        out.repair.set(i, ((set.words.front() >> i) & 1) != 0);
+      }
     }
   } else {
     out.unique = Trilean::kFalse;
@@ -143,8 +108,10 @@ CategoricityResult DecideCategoricity(const ProblemContext& ctx,
     return result;
   }
   DynamicBitset repair = ctx.blocks().free_facts();
-  // Each block checkpoints once, then its tiers decide it; the
-  // exponential tier reads the block-solve cache.
+  // Block independence (Proposition 3.5): the instance is categorical
+  // iff every block is.  Each block checkpoints once, then its tiers
+  // decide it; a solver's optimal set is read through the block-solve
+  // cache.
   FoldOutcome outcome = FoldBlocks(
       ctx, nullptr,
       [semantics](const ProblemContext& cx, const Block& b) {

@@ -9,18 +9,19 @@
 // module decides categoricity per conflict block and composes the
 // whole-instance verdict, three-valued under a resource budget:
 //
-//   * a block whose conflict pairs are totally ordered by a
-//     conflict-bounded priority is categorical outright, and its unique
-//     optimal block-repair is the greedy construction ([SCM]: under a
-//     total priority the globally-, Pareto- and completion-optimal
-//     repairs coincide and are unique) — polynomial, the fast tier;
 //   * a block with conflicts but no priority edge touching any of its
 //     facts is ambiguous outright: the improvement relation is empty,
 //     so every block-repair is optimal and a conflict pair guarantees
-//     at least two — also polynomial;
-//   * any other block falls back to materializing its optimal
-//     block-repair set (repair/block_solver.h) and testing |set| == 1 —
-//     exponential, budget-governed, abandoned as kUnknown;
+//     at least two — polynomial;
+//   * any other block is decided by its optimal set
+//     (repair/block_solver.h, OptimalSetOf) — the answer counting,
+//     enumeration and CQA fold too — and |set| == 1.  A block whose
+//     conflict pairs a conflict-bounded priority totally orders gets
+//     the greedy block-repair as its one member ([SCM]: under a total
+//     priority the globally-, Pareto- and completion-optimal repairs
+//     coincide and are unique), in polynomial time; any other block
+//     materializes its set, exponential in general, budget-governed,
+//     and is left kUnknown when the set is incomplete;
 //   * the instance is categorical iff every block is (block
 //     independence: optimal repairs factor as {free facts} × ∏ per-block
 //     optimal block-repairs), ambiguous as soon as one block has two
@@ -32,15 +33,13 @@
 // categoricity whole-instance costs as much as the enumeration the fast
 // path exists to avoid.
 //
-// The query layer (query/consistent_answers.h) runs this as a pre-pass
-// under a *private* governor derived from the caller's budget, so a
-// non-categorical or unknown verdict falls back to the enumeration path
-// with the caller's governor untouched — byte-identical to never having
-// asked.  Nothing stores a verdict: a block is decided by its tiers on
-// every call.  The polynomial tiers are linear in the block, and the
-// exponential tier reads its optimal set through the block-solve cache
-// (repair/block_solver.h, CachedOptimalBlockRepairs), keyed by
-// canonical fingerprint, which changes cost, never outcome
+// Consistent query answering (query/consistent_answers.h) does not go
+// through this module: it folds the same per-block sets into the
+// optimal-repair product, and a one-member product is the categorical
+// case.  Nothing stores a verdict: a block is decided on every call.
+// The polynomial tiers are linear in the block, and an exponential set
+// is read through the block-solve cache (CachedOptimalBlockRepairs),
+// keyed by canonical fingerprint, which changes cost, never outcome
 // (docs/caching.md).
 
 #ifndef PREFREP_CLASSIFY_CATEGORICITY_H_
@@ -75,8 +74,8 @@ struct BlockCategoricity {
   /// (bit i = b.fact_list[i], conflicts/blocks.h); meaningful iff
   /// unique == Trilean::kTrue.
   DynamicBitset repair;
-  /// True when the exponential tier (optimal block-repair enumeration)
-  /// decided the block; false for the polynomial total-priority tier.
+  /// True when a solver's optimal set decided the block; false for the
+  /// polynomial tiers (no priority edge, or the total-priority rule).
   bool exponential = false;
   /// Governor cause when unique == Trilean::kUnknown.
   std::string unknown_reason;

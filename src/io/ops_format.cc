@@ -99,6 +99,31 @@ Status ParseFactTerm(std::string_view term, SessionOp* op) {
 
 }  // namespace
 
+Status SetBudgetValue(std::string_view key, std::string_view value,
+                      ResourceBudget* budget) {
+  uint64_t number = 0;
+  Status s = ParseU64(value, &number);
+  if (!s.ok()) {
+    return s;
+  }
+  if (key == "deadline-ms") {
+    // deadline_ms is signed; values above INT64_MAX would flip negative
+    // and render unparseably.
+    if (number > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+      return Status::InvalidArgument("deadline-ms value out of range");
+    }
+    budget->deadline_ms = static_cast<int64_t>(number);
+  } else if (key == "max-nodes") {
+    budget->max_nodes = number;
+  } else if (key == "max-block") {
+    budget->max_block = static_cast<size_t>(number);
+  } else {
+    return Status::InvalidArgument("unknown budget key '" + std::string(key) +
+                                   "'");
+  }
+  return Status::OK();
+}
+
 const char* SemanticsName(AnswerSemantics s) {
   switch (s) {
     case AnswerSemantics::kAllRepairs:
@@ -189,26 +214,9 @@ Result<SessionOp> ParseSessionOp(std::string_view line) {
           "max-block");
     }
     for (size_t i = 0; i < words.size(); i += 2) {
-      uint64_t value = 0;
-      Status s = ParseU64(words[i + 1], &value);
+      Status s = SetBudgetValue(words[i], words[i + 1], &op.budget);
       if (!s.ok()) {
         return s;
-      }
-      if (words[i] == "deadline-ms") {
-        // deadline_ms is signed; values above INT64_MAX would flip
-        // negative and render unparseably.
-        if (value > static_cast<uint64_t>(
-                        std::numeric_limits<int64_t>::max())) {
-          return Status::InvalidArgument("deadline-ms value out of range");
-        }
-        op.budget.deadline_ms = static_cast<int64_t>(value);
-      } else if (words[i] == "max-nodes") {
-        op.budget.max_nodes = value;
-      } else if (words[i] == "max-block") {
-        op.budget.max_block = static_cast<size_t>(value);
-      } else {
-        return Status::InvalidArgument("unknown budget key '" + words[i] +
-                                       "'");
       }
     }
     return op;

@@ -69,6 +69,14 @@ struct SessionOp {
 /// Parses one op line (no comments/blank lines — callers strip those).
 [[nodiscard]] Result<SessionOp> ParseSessionOp(std::string_view line);
 
+/// Sets the budget dimension `key` ("deadline-ms", "max-nodes" or
+/// "max-block") to the non-negative decimal `value`.  InvalidArgument
+/// on an unknown key, a malformed value, or a deadline above INT64_MAX.
+/// The `budget` op and the command-line budget flags share it.
+[[nodiscard]] Status SetBudgetValue(std::string_view key,
+                                    std::string_view value,
+                                    ResourceBudget* budget);
+
 /// Hostile-input caps on batch scripts.  They live HERE, on the script
 /// reader (and on prefrepd's stream reader, which shares the line cap),
 /// not inside ParseSessionOp: rendering can legitimately inflate an

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 
-#include "classify/categoricity.h"
 #include "repair/block_solver.h"
 
 namespace prefrep {
@@ -32,31 +31,6 @@ RepairSemantics ToRepairSemantics(AnswerSemantics semantics) {
 }
 
 namespace {
-
-// The categoricity pre-pass: the unique optimal repair as a singleton
-// repair set when the instance is certified categorical, nullopt
-// otherwise.  Runs under a PRIVATE governor derived from the caller's
-// budget (same node/block/deadline dimensions, deadline anchored at the
-// caller's start), so an ambiguous or undecided verdict leaves the
-// caller's governor untouched and the enumeration fallback behaves
-// byte-identically to a build without the pre-pass.  Worker views
-// disable nested parallelism, so the view restores the caller's knob —
-// the pre-pass parallelizes over blocks exactly like the enumeration
-// it replaces.
-std::optional<std::vector<DynamicBitset>> CategoricalRepairSet(
-    const ProblemContext& ctx, RepairSemantics semantics) {
-  if (ctx.governor().exhausted()) {
-    return std::nullopt;  // the enumeration must observe the exhaustion
-  }
-  ResourceGovernor prepass(ctx.governor().budget(), ctx.governor().start());
-  ProblemContext view = ctx.WorkerView(&prepass);
-  view.set_parallelism(ctx.parallelism());
-  CategoricityResult result = DecideCategoricity(view, semantics);
-  if (result.verdict != Categoricity::kCategorical) {
-    return std::nullopt;
-  }
-  return std::vector<DynamicBitset>{std::move(result.repair)};
-}
 
 // Streams the classical repairs of the context's universe (its free and
 // block facts, ascending) to `fn` until it returns false or the budget
@@ -93,21 +67,16 @@ std::optional<std::vector<DynamicBitset>> RepairsForBounded(
     }
     return out;
   }
-  const RepairSemantics rs = ToRepairSemantics(semantics);
-  if (!options.force_enumeration) {
-    if (std::optional<std::vector<DynamicBitset>> categorical =
-            CategoricalRepairSet(ctx, rs)) {
-      if (options.path != nullptr) {
-        *options.path = CqaPath::kCategorical;
-      }
-      return categorical;
-    }
-  }
-  std::vector<DynamicBitset> out = AllOptimalRepairs(ctx, rs);
+  std::vector<DynamicBitset> out =
+      AllOptimalRepairs(ctx, ToRepairSemantics(semantics));
   if (out.empty()) {
     // AllOptimalRepairs returns empty exactly when abandoned (even an
     // empty instance yields the one empty repair).
     return std::nullopt;
+  }
+  if (options.path != nullptr && ctx.priority_block_local() &&
+      out.size() == 1) {
+    *options.path = CqaPath::kCategorical;
   }
   return out;
 }

@@ -34,32 +34,26 @@ enum class AnswerSemantics {
 /// (kGlobal for kAllRepairs, which has none).
 RepairSemantics ToRepairSemantics(AnswerSemantics semantics);
 
-/// Which route produced an answer (reported through CqaOptions::path).
+/// What the repair set an answer ranged over looked like (reported
+/// through CqaOptions::path).
 enum class CqaPath {
-  /// The categoricity pre-pass (classify/categoricity.h) certified a
-  /// unique optimal repair; the answer is one construct call plus one
-  /// query evaluation.
+  /// The priority is block-local and the optimal-repair product has one
+  /// member: every block's optimal set is a singleton (the categorical
+  /// case, classify/categoricity.h), so the answer is one query
+  /// evaluation.
   kCategorical,
-  /// The repair set was enumerated and intersected (the general route;
-  /// always taken under kAllRepairs and on non-categorical or undecided
-  /// instances).
+  /// Any other answer: several repairs intersected, every answer under
+  /// kAllRepairs, and every unknown one.
   kEnumeration,
 };
 
 /// Short human-readable name ("categorical" / "enumeration").
 const char* CqaPathName(CqaPath value);
 
-/// Knobs for the categoricity fast path of the *Bounded entry points.
-/// The defaults preserve the historical behaviour observably: the
-/// pre-pass runs under a *private* governor derived from the caller's
-/// budget, so when it does not certify categoricity the enumeration
-/// path runs with the caller's governor untouched — byte-identical
-/// answers, Trileans and degradation to a build without the pre-pass.
+/// Reporting options of the *Bounded entry points.
 struct CqaOptions {
-  /// When non-null, receives which route produced the answer.
+  /// When non-null, receives the shape of the repair set (CqaPath).
   CqaPath* path = nullptr;
-  /// Skips the pre-pass outright (differential testing / benchmarks).
-  bool force_enumeration = false;
 };
 
 /// The consistent answers of `query` on the context's prioritizing
@@ -97,17 +91,15 @@ bool PossiblyTrue(const ProblemContext& ctx, const ConjunctiveQuery& query,
 /// tombstoned ids belong to no block.  The optimal-repair semantics'
 /// per-block product ranges over the same facts.
 ///
-/// Under the optimal-repair semantics every Bounded entry point first
-/// runs the categoricity pre-pass (see CqaOptions): a certified unique
-/// optimal repair turns the enumeration + intersection into a single
-/// query evaluation — identical output, since intersecting (or
-/// scanning) a one-element repair set is evaluating its only member.
-/// Degradation is one-sided: the tier-1 categoricity test is
-/// polynomial, so on total-priority instances the fast route can still
-/// answer under budgets (notably max_block) that refuse the
-/// exponential enumeration — never the reverse, and any answer it
-/// produces equals the ungoverned ground truth (tests/
-/// categoricity_test.cc, BlockStarvationDegradesNoWorse).
+/// Under the optimal-repair semantics the repairs are AllOptimalRepairs'
+/// product of per-block optimal sets, on the caller's governor alone.
+/// A block whose conflict pairs the priority totally orders gets its
+/// one greedy block-repair in polynomial time (the total-priority rule
+/// of OptimalSetOf, repair/block_solver.h), so degradation is
+/// one-sided: such blocks still answer under budgets (notably
+/// max_block) that refuse their exponential enumeration, never the
+/// reverse, and every such answer equals the ungoverned ground truth
+/// (tests/categoricity_test.cc, BlockStarvationDegradesNoWorse).
 Result<std::vector<ConjunctiveQuery::AnswerTuple>> ConsistentAnswersBounded(
     const ProblemContext& ctx, const ConjunctiveQuery& query,
     AnswerSemantics semantics, const CqaOptions& options = {});

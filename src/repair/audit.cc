@@ -196,24 +196,6 @@ void BlockVerdictImpl(const ProblemContext& ctx, const BlockSolver& solver,
   }
 }
 
-void BlockCountImpl(const ProblemContext& ctx, const BlockSolver& solver,
-                    const Block& b, uint64_t count) {
-  if (!solver.Polynomial() || b.size() > kMaxSetBlock) {
-    return;
-  }
-  std::optional<std::vector<DynamicBitset>> baseline =
-      BaselineOptimalBlockRepairs(ctx, b, solver.Semantics());
-  if (!baseline.has_value()) {
-    return;
-  }
-  if (count != baseline->size()) {
-    Fail(ctx.conflict_graph().instance(), &ctx.priority(), nullptr,
-         BlockTag(solver, b) + " counted " + std::to_string(count) +
-             " optimal block-repairs; the enumeration baseline counts " +
-             std::to_string(baseline->size()));
-  }
-}
-
 void BlockRepairSetImpl(const ProblemContext& ctx, const BlockSolver& solver,
                         const Block& b, const std::vector<uint64_t>& repairs) {
   if (!solver.Polynomial() || b.size() > kMaxSetBlock) {

@@ -16,8 +16,9 @@
 //     repair/improvement.h (Definition 2.4);
 //   * every constructed repair for consistency and ⊆-maximality (the
 //     repair postconditions of §2.2);
-//   * per-block optimal-repair counts and sets against the enumeration
-//     baseline on blocks of at most kMaxSetBlock facts;
+//   * per-block optimal-repair sets (which counting, enumeration, CQA
+//     and categoricity all fold) against the enumeration baseline on
+//     blocks of at most kMaxSetBlock facts;
 //   * the block decomposition as a true partition refining the conflict
 //     graph's connected components (hook lives in conflicts/blocks.cc —
 //     the conflicts layer cannot include this header).
@@ -45,8 +46,8 @@ constexpr bool Enabled() { return PREFREP_AUDIT_ENABLED != 0; }
 /// the 2^{|block|} exhaustive baseline.
 inline constexpr size_t kMaxVerdictBlock = 12;
 
-/// Largest block whose optimal-repair counts/sets are cross-validated
-/// (the set baseline is quadratic in the 2^{|block|} enumeration).
+/// Largest block whose optimal-repair sets are cross-validated (the set
+/// baseline is quadratic in the 2^{|block|} enumeration).
 inline constexpr size_t kMaxSetBlock = 8;
 
 /// Largest whole instance cross-validated on non-block-local paths.
@@ -59,8 +60,6 @@ namespace internal {
 void BlockVerdictImpl(const ProblemContext& ctx, const BlockSolver& solver,
                       const Block& b, const DynamicBitset& j,
                       const CheckResult& result);
-void BlockCountImpl(const ProblemContext& ctx, const BlockSolver& solver,
-                    const Block& b, uint64_t count);
 void BlockRepairSetImpl(const ProblemContext& ctx, const BlockSolver& solver,
                         const Block& b, const std::vector<uint64_t>& repairs);
 void GlobalVerdictImpl(const ConflictGraph& cg, const PriorityRelation& pr,
@@ -105,20 +104,6 @@ inline void CheckBlockVerdict(const ProblemContext& ctx,
   (void)b;
   (void)j;
   (void)result;
-#endif
-}
-
-/// Cross-validates a per-block optimal-repair count.
-inline void CheckBlockCount(const ProblemContext& ctx,
-                            const BlockSolver& solver, const Block& b,
-                            uint64_t count) {
-#if PREFREP_AUDIT_ENABLED
-  internal::BlockCountImpl(ctx, solver, b, count);
-#else
-  (void)ctx;
-  (void)solver;
-  (void)b;
-  (void)count;
 #endif
 }
 

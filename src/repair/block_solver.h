@@ -11,8 +11,10 @@
 // constant-attribute algorithms, and the exhaustive baseline — is
 // therefore exposed here as a BlockSolver that answers questions about
 // one block, and every question is a fold of block answers: conjunction
-// for checking, saturating product for counting, cross-product for
-// enumeration, per-block union for construction.
+// for checking, per-block union for construction, and for counting,
+// enumeration, CQA and uniqueness one answer, the block's optimal set
+// (OptimalSetOf): the product of the sets' sizes, their cross-product,
+// and "every set has one member".
 //
 // Two pieces carry that algebra once for every question:
 //
@@ -105,18 +107,12 @@ class BlockSolver {
   /// improves, testing them pairwise on words (O(R²) word tests, 2R
   /// words of memory; docs/algorithms.md).  Either way the work
   /// checkpoints on ctx.governor() — once per walk node and, in the
-  /// exhaustive filter, once per pair test — and when the budget fires
-  /// the result is empty (a real block always has ≥ 1 optimal
-  /// block-repair, so empty unambiguously means "abandoned").
+  /// exhaustive filter, once per pair test.  A refused block yields
+  /// nothing; when the budget fires the result holds the block-repairs
+  /// verified before it did (check ctx.governor().exhausted(), or use
+  /// OptimalSetOf, which says whether the set is complete).
   virtual std::vector<uint64_t> OptimalBlockRepairs(const ProblemContext& ctx,
                                                     const Block& b) const;
-
-  /// Counts the optimal block-repairs, on the same walk or filter as
-  /// OptimalBlockRepairs and at the same checkpoints, without
-  /// materializing the result; when the budget fires mid-count the
-  /// returned value is a lower bound (check ctx.governor().exhausted(),
-  /// or use CountOptimalRepairsBounded).
-  virtual uint64_t CountBlock(const ProblemContext& ctx, const Block& b) const;
 };
 
 /// GRepCheck1FD on one block of a kSingleFd relation (Theorem 3.1):
@@ -183,7 +179,7 @@ void AuditServedHit(
 }  // namespace block_cache_internal
 
 /// The one block-solve-cache round trip, behind every cached per-block
-/// operation (verdict, optimal set, count, greedy construction).  Calls
+/// operation (verdict, optimal set, greedy construction).  Calls
 /// `solve(ctx)` directly unless a cache is installed, the priority is
 /// block-local and the op is `eligible`.  Otherwise it upholds the two
 /// cache invariants of docs/caching.md in one place:
@@ -251,16 +247,47 @@ auto CachedBlockSolve(const ProblemContext& ctx, const Block& b,
 /// solver.OptimalBlockRepairs through the block-solve cache: a block
 /// whose fingerprint was solved before replays the stored block masks
 /// instead of re-enumerating.  Only BlockDetermined() solvers are
-/// cached; abandoned (empty) results never are.
+/// cached; refused and cut-short results never are.
 std::vector<uint64_t> CachedOptimalBlockRepairs(const BlockSolver& solver,
                                                 const ProblemContext& ctx,
                                                 const Block& b);
 
-/// solver.CountBlock through the block-solve cache (same contract as
-/// CachedOptimalBlockRepairs; zero and cut-short counts are never
-/// cached).
-uint64_t CachedCountBlock(const BlockSolver& solver, const ProblemContext& ctx,
-                          const Block& b);
+/// One block's σ-optimal block-repairs: the one per-block answer that
+/// counting (its size), enumeration and CQA (its members) and
+/// categoricity (size one) fold.  Members are block masks, bit i =
+/// b.fact_list[i] (conflicts/blocks.h).
+struct OptimalBlockSet {
+  /// The one member the total-priority rule built, b.size() bits (any
+  /// block size); nullopt when a solver answered.
+  std::optional<DynamicBitset> greedy;
+  /// The members a solver verified, one word each, in walk order.
+  std::vector<uint64_t> words;
+  /// False when the block was refused or the budget cut its solve
+  /// short; `words` then holds the members verified before that.
+  bool complete = true;
+
+  size_t size() const { return greedy.has_value() ? 1 : words.size(); }
+
+  /// ORs member `i` into the whole-instance bitset `global`.
+  void OrMember(const Block& b, size_t i, DynamicBitset* global) const {
+    if (greedy.has_value()) {
+      OrBlockMask(b, *greedy, global);
+    } else {
+      OrBlockMask(b, words[i], global);
+    }
+  }
+};
+
+/// The σ-optimal set of block `b`.  When the priority is
+/// conflict-bounded and orders every conflicting pair of `b`, the
+/// block has exactly one optimal block-repair under all three
+/// semantics, the greedy one ([SCM], Staworko–Chomicki–Marcinkowski):
+/// it is built in polynomial time, with no checkpoint, no block
+/// admission and no cache.  Otherwise the set is
+/// CachedOptimalBlockRepairs(SolverForSemantics(ctx, b, σ), ctx, b).
+/// Requires a block-local priority, like every per-block fold.
+OptimalBlockSet OptimalSetOf(const ProblemContext& ctx, const Block& b,
+                             RepairSemantics semantics);
 
 /// What a fold step made of one block (see FoldBlocks).
 struct FoldStep {
@@ -302,7 +329,7 @@ struct FoldOutcome {
 /// repair/parallel_solver.h — byte-identical to a serial pass at any
 /// thread count — and hands each block's payload to `step` in order.
 /// `adoptable(payload)` says whether a worker's payload may be adopted (a
-/// known verdict, a non-empty set, …); `settles` (or nullptr) marks
+/// known verdict, a complete set, …); `settles` (or nullptr) marks
 /// payloads after which the fold will stop, so later blocks can be
 /// cancelled.  `step(block, payload, budget_fired)` receives the block,
 /// its payload (to consume) and whether the budget fired while solving
@@ -391,15 +418,15 @@ CheckResult CheckOptimalByBlocks(const ProblemContext& ctx,
                                  const std::vector<size_t>* order = nullptr);
 
 /// Materializes every σ-optimal repair as {conflict-free facts} × ∏
-/// per-block optimal block-repairs, filtering each block through the
-/// dispatched (polynomial where the dichotomy allows) solver; each
-/// block's masks become global ids here, once.  Falls back to the
+/// per-block optimal sets (OptimalSetOf: the total-priority rule, else
+/// the dispatched, polynomial where the dichotomy allows, solver);
+/// each block's masks become global ids here, once.  Falls back to the
 /// governed whole-instance enumeration of exhaustive.h
 /// (OptimalRepairsWithin over AllFacts) when the priority is not
 /// block-local.
 ///
-/// Returns EMPTY iff the computation was abandoned: a block was refused
-/// (larger than the admissible cap) or the governor's budget fired.  A
+/// Returns EMPTY iff the computation was abandoned: a block's set was
+/// incomplete (refused, or cut short) or the governor's budget fired.  A
 /// partial cross-product is never returned — its entries would not be
 /// complete repairs.  Every instance has ≥ 1 optimal repair, so an
 /// empty result unambiguously means "unknown", and

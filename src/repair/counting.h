@@ -6,10 +6,11 @@
 // case because a unique repair means the constraints and priorities
 // define an unambiguous cleaning.
 //
-// Counting is by enumeration (exact, exponential in general).  Whether
-// exactly one exists is categoricity (classify/categoricity.h):
-// DecideCategoricity answers it per block, polynomially where a block's
-// priority is total on its conflicts.
+// Counting multiplies the sizes of the blocks' optimal sets
+// (OptimalSetOf, repair/block_solver.h): polynomial for a block whose
+// priority orders every conflicting pair, by enumeration (exact,
+// exponential in general) otherwise.  Whether exactly one exists is
+// categoricity (classify/categoricity.h), which reads the same sets.
 
 #ifndef PREFREP_REPAIR_COUNTING_H_
 #define PREFREP_REPAIR_COUNTING_H_
@@ -23,8 +24,8 @@ namespace prefrep {
 /// A repair count that knows whether it is exact.  When a budget fires
 /// the per-block product keeps a *verified lower bound*: every block —
 /// counted or abandoned — has at least one optimal block-repair, so an
-/// abandoned block contributes the exact count it accumulated before
-/// abandonment, floored at one.
+/// abandoned block contributes the members of its optimal set verified
+/// before abandonment, floored at one.
 struct BoundedCount {
   uint64_t lower_bound = 1;
   /// True iff `lower_bound` is the exact count.
@@ -37,13 +38,14 @@ struct BoundedCount {
 };
 
 /// Number of σ-optimal repairs.  With a block-local priority it is the
-/// saturating product of per-block counts through FoldBlocks
-/// (conflict-free facts contribute a factor of one), so k independent
-/// blocks cost Σ 2^{|block|} instead of ∏; otherwise the governed
-/// whole-instance enumeration.  Reports whether the count is exact, how
-/// many blocks the budget cut short (each still contributes its verified
-/// partial count, floored at one — every block has an optimal
-/// block-repair), and whether the product saturated uint64.
+/// saturating product of the sizes of the blocks' optimal sets
+/// (OptimalSetOf) through FoldBlocks (conflict-free facts contribute a
+/// factor of one), so k independent blocks cost Σ 2^{|block|} instead
+/// of ∏; otherwise the governed whole-instance enumeration.  Reports
+/// whether the count is exact, how many blocks the budget cut short
+/// (each still contributes its verified members, floored at one —
+/// every block has an optimal block-repair), and whether the product
+/// saturated uint64.
 BoundedCount CountOptimalRepairsBounded(const ProblemContext& ctx,
                                         RepairSemantics semantics);
 

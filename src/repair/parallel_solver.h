@@ -89,8 +89,8 @@ size_t SessionThreads(const ProblemContext& ctx, size_t num_blocks);
 /// governor interaction through the ProblemContext it is given (it runs
 /// once per block, against a worker context or the caller's context —
 /// never both for the same final payload).  `valid` says whether a
-/// payload is adoptable at all (e.g. a known verdict, a non-zero
-/// count); invalid payloads are recomputed serially so the shared
+/// payload is adoptable at all (e.g. a known verdict, a complete
+/// optimal set); invalid payloads are recomputed serially so the shared
 /// governor records the authoritative refusal/exhaustion.  `refutes`
 /// (optional) marks payloads that make the serial pass return
 /// immediately, enabling the kNo short-circuit.

@@ -5,10 +5,10 @@
 //
 // The walk: one governed ForEachRepairWithin must make the same small
 // number of allocations on two block shapes whose search trees differ
-// 8x.  One ExhaustiveBlockSolver().CountBlock lists the block's
+// 8x.  One ExhaustiveBlockSolver().OptimalBlockRepairs lists the block's
 // block-repairs, one entry each, and filters them pairwise; beyond that
-// list's growth it must allocate the same on both shapes, whose counts
-// differ 39x in nodes.  A walk that allocated per search node, or a
+// list's and its one-member result's growth it must allocate the same
+// on both shapes, whose filters differ 39x in nodes.  A walk that allocated per search node, or a
 // filter that allocated per pair test, would scale with the block.
 //
 // Block answers: ExhaustiveBlockSolver().OptimalBlockRepairs returns one
@@ -125,13 +125,15 @@ Measurement MeasureWalk(size_t cliques, size_t clique_size) {
   return m;
 }
 
-Measurement MeasureCount(size_t cliques, size_t clique_size) {
+Measurement MeasureFilter(size_t cliques, size_t clique_size) {
   Shard shard(cliques, clique_size);
   ResourceGovernor governor(CountingBudget());
   shard.ctx.set_governor(&governor);
   Measurement m;
   m.allocations = AllocationsDuring([&] {
-    m.result = ExhaustiveBlockSolver().CountBlock(shard.ctx, shard.block());
+    m.result = ExhaustiveBlockSolver()
+                   .OptimalBlockRepairs(shard.ctx, shard.block())
+                   .size();
   });
   m.nodes = governor.nodes_spent();
   return m;
@@ -159,18 +161,21 @@ uint64_t GrowthAllocations(size_t n) {
   });
 }
 
-TEST(AllocationGuardTest, ExhaustiveCountAllocatesPerCallNotPerNode) {
-  const Measurement small = MeasureCount(3, 3);
-  const Measurement large = MeasureCount(4, 4);
+TEST(AllocationGuardTest, ExhaustiveFilterAllocatesPerCallNotPerNode) {
+  const Measurement small = MeasureFilter(3, 3);
+  const Measurement large = MeasureFilter(4, 4);
   // Member 1 of each clique dominates the rest, so the all-member-1
   // block-repair is the only optimal one.
   EXPECT_EQ(small.result, 1u);
   EXPECT_EQ(large.result, 1u);
   EXPECT_GT(large.nodes, 10 * small.nodes);
   // The filter's list holds the 20 and 189 block-repairs (see
-  // RepairWalkAllocatesPerCallNotPerNode).
-  const uint64_t small_own = small.allocations - GrowthAllocations(20);
-  const uint64_t large_own = large.allocations - GrowthAllocations(189);
+  // RepairWalkAllocatesPerCallNotPerNode), and the result its one
+  // member.
+  const uint64_t small_own =
+      small.allocations - GrowthAllocations(20) - GrowthAllocations(1);
+  const uint64_t large_own =
+      large.allocations - GrowthAllocations(189) - GrowthAllocations(1);
   EXPECT_EQ(small_own, large_own)
       << "nodes " << small.nodes << " vs " << large.nodes;
   EXPECT_LE(large_own, kMaxAllocationsPerCall);

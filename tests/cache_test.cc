@@ -79,7 +79,8 @@ TEST(BlockFingerprintTest, SubsetCanonicalizationRoundTrips) {
 TEST(BlockFingerprintTest, OpKeysAreDistinctPerOpAndSalt) {
   BlockFingerprint base{0x1234, 0x5678};
   BlockFingerprint verdict = DeriveOpKey(base, BlockCacheOp::kVerdict, 7, 9);
-  EXPECT_NE(verdict, DeriveOpKey(base, BlockCacheOp::kCount, 7, 9));
+  EXPECT_NE(verdict, DeriveOpKey(base, BlockCacheOp::kOptimalSet, 7, 9));
+  EXPECT_NE(verdict, DeriveOpKey(base, BlockCacheOp::kConstruct, 7, 9));
   EXPECT_NE(verdict, DeriveOpKey(base, BlockCacheOp::kVerdict, 8, 9));
   EXPECT_NE(verdict, DeriveOpKey(base, BlockCacheOp::kVerdict, 7, 10));
   EXPECT_EQ(verdict, DeriveOpKey(base, BlockCacheOp::kVerdict, 7, 9));
@@ -87,9 +88,11 @@ TEST(BlockFingerprintTest, OpKeysAreDistinctPerOpAndSalt) {
 
 // ---- The cache table ------------------------------------------------
 
-BlockSolveCache::Entry CountedEntry(uint64_t count, uint64_t nodes) {
+// An optimal-set entry of one block-repair, `mask`, whose solve spent
+// `nodes` counted checkpoints.
+BlockSolveCache::Entry CountedEntry(uint64_t mask, uint64_t nodes) {
   BlockSolveCache::Entry e;
-  e.count = count;
+  e.repairs_local = {mask};
   e.nodes = nodes;
   e.nodes_valid = true;
   return e;
@@ -119,7 +122,7 @@ TEST(BlockSolveCacheTest, EvictsLeastRecentlyUsedWithinAShard) {
 TEST(BlockSolveCacheTest, FirstStoreWinsExceptForNodeCountUpgrades) {
   BlockSolveCache cache;
   BlockSolveCache::Entry uncounted;
-  uncounted.count = 5;
+  uncounted.repairs_local = {5};
   uncounted.nodes_valid = false;
   cache.Store(ShardZeroKey(1), uncounted);
   // A counted solve of the same key upgrades the entry...

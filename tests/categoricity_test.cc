@@ -1,9 +1,11 @@
-// The categoricity fast path's proof of equivalence: a differential
-// battery pitting the pre-pass CQA route against the forced enumeration
-// route (byte-identical answers required, across serial/parallel ×
-// cache on/off × governed/ungoverned), a definitional cross-check of
-// the per-block decision against exhaustively enumerated optimal
-// block-repairs on every block of at most 12 facts, the fold's threads
+// The total-priority rule's proof of equivalence: a differential
+// battery pitting the CQA route, whose per-block optimal sets use the
+// rule, against a reference product built here from
+// OptimalRepairsWithin, which never consults it (byte-identical answers
+// required, across serial/parallel × cache on/off ×
+// governed/ungoverned), a definitional cross-check of the per-block
+// decision against exhaustively enumerated optimal block-repairs on
+// every block of at most 12 facts, the fold's threads
 // × block-solve cache × budget differential, and an audit death test
 // proving the PREFREP_AUDIT hook really re-verifies verdicts at
 // runtime.
@@ -11,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <utility>
@@ -81,9 +84,98 @@ std::vector<Config> Configs() {
   return out;
 }
 
-// Runs one CQA query both ways under `config` and requires the results
-// to match byte for byte (answers, Trileans and statuses alike).  Each
-// route gets its own fresh governor so neither can starve the other.
+// The enumeration reference: {free facts} × ∏ per-block optimal
+// block-repairs, each block's set from OptimalRepairsWithin, which
+// never consults the total-priority rule.  Governed like the
+// enumeration route: each block passes block admission, and the
+// product charges one checkpoint per materialized repair.  nullopt
+// when the budget abandoned it.
+std::optional<std::vector<DynamicBitset>> ReferenceOptimalRepairs(
+    const ProblemContext& ctx, RepairSemantics semantics) {
+  ResourceGovernor& governor = ctx.governor();
+  std::vector<DynamicBitset> out{ctx.blocks().free_facts()};
+  for (const Block& b : ctx.blocks().blocks()) {
+    if (!governor.AdmitBlock(b.size())) {
+      return std::nullopt;
+    }
+    const std::vector<DynamicBitset> optimal = OptimalRepairsWithin(
+        ctx.conflict_graph(), ctx.priority(), b.fact_list, semantics,
+        governor);
+    if (governor.exhausted()) {
+      return std::nullopt;
+    }
+    std::vector<DynamicBitset> next;
+    for (const DynamicBitset& prefix : out) {
+      for (const DynamicBitset& choice : optimal) {
+        if (!governor.Checkpoint()) {
+          return std::nullopt;
+        }
+        next.push_back(prefix | choice);
+      }
+    }
+    out = std::move(next);
+  }
+  return out;
+}
+
+// The consistent answers over the reference product.
+Result<std::vector<ConjunctiveQuery::AnswerTuple>> ReferenceAnswers(
+    const ProblemContext& ctx, const ConjunctiveQuery& query,
+    AnswerSemantics semantics) {
+  const std::optional<std::vector<DynamicBitset>> repairs =
+      ReferenceOptimalRepairs(ctx, ToRepairSemantics(semantics));
+  if (!repairs.has_value()) {
+    return CqaUnknownStatus(ctx.governor());
+  }
+  std::vector<ConjunctiveQuery::AnswerTuple> out =
+      query.Evaluate(ctx.instance(), repairs->front());
+  for (const DynamicBitset& repair : *repairs) {
+    std::vector<ConjunctiveQuery::AnswerTuple> next =
+        query.Evaluate(ctx.instance(), repair);
+    std::vector<ConjunctiveQuery::AnswerTuple> merged;
+    std::set_intersection(out.begin(), out.end(), next.begin(), next.end(),
+                          std::back_inserter(merged));
+    out = std::move(merged);
+  }
+  return out;
+}
+
+// Certain (`certain`) or possible answer of a Boolean query over the
+// reference product.
+Trilean ReferenceBoolean(const ProblemContext& ctx,
+                         const ConjunctiveQuery& query,
+                         AnswerSemantics semantics, bool certain) {
+  const std::optional<std::vector<DynamicBitset>> repairs =
+      ReferenceOptimalRepairs(ctx, ToRepairSemantics(semantics));
+  if (!repairs.has_value()) {
+    return Trilean::kUnknown;
+  }
+  for (const DynamicBitset& repair : *repairs) {
+    if (query.EvaluateBoolean(ctx.instance(), repair) != certain) {
+      return certain ? Trilean::kFalse : Trilean::kTrue;
+    }
+  }
+  return certain ? Trilean::kTrue : Trilean::kFalse;
+}
+
+// Applies `config` to a fresh context, installing `governor` when the
+// budget is armed.
+void Configure(const Config& config, std::optional<BlockSolveCache>& cache,
+               ResourceGovernor& governor, ProblemContext& ctx) {
+  ctx.set_parallelism(config.threads);
+  if (cache.has_value()) {
+    ctx.set_block_cache(&*cache);
+  }
+  if (!config.budget.Unlimited()) {
+    ctx.set_governor(&governor);
+  }
+}
+
+// Runs one CQA query through the library and through the reference
+// under `config` and requires the results to match byte for byte
+// (answers, Trileans and statuses alike).  Each side gets its own fresh
+// governor so neither can starve the other; the reference runs serial
+// and without a cache.
 void ExpectPathsAgree(const PreferredRepairProblem& p,
                       const ConjunctiveQuery& query, const Config& config,
                       const std::string& what) {
@@ -91,20 +183,17 @@ void ExpectPathsAgree(const PreferredRepairProblem& p,
   if (config.cache) {
     cache.emplace(256);
   }
+  std::optional<BlockSolveCache> no_cache;
+  Config serial = config;
+  serial.threads = 1;
   for (AnswerSemantics sem : kAnswerSemantics) {
-    auto run = [&](bool force) {
-      ProblemContext ctx(*p.instance, *p.priority);
-      ctx.set_parallelism(config.threads);
-      if (cache.has_value()) {
-        ctx.set_block_cache(&*cache);
-      }
+    auto run = [&](bool reference) {
       ResourceGovernor governor(config.budget);
-      if (!config.budget.Unlimited()) {
-        ctx.set_governor(&governor);
-      }
-      CqaOptions options;
-      options.force_enumeration = force;
-      return ConsistentAnswersBounded(ctx, query, sem, options);
+      ProblemContext ctx(*p.instance, *p.priority);
+      Configure(reference ? serial : config, reference ? no_cache : cache,
+                governor, ctx);
+      return reference ? ReferenceAnswers(ctx, query, sem)
+                       : ConsistentAnswersBounded(ctx, query, sem);
     };
     auto fast = run(false);
     auto slow = run(true);
@@ -117,21 +206,16 @@ void ExpectPathsAgree(const PreferredRepairProblem& p,
       EXPECT_EQ(fast.status().code(), slow.status().code()) << label;
     }
     // Boolean probes must agree too (certain and possible).
-    auto run_bool = [&](bool force, bool certain) {
-      ProblemContext ctx(*p.instance, *p.priority);
-      ctx.set_parallelism(config.threads);
-      if (cache.has_value()) {
-        ctx.set_block_cache(&*cache);
-      }
+    auto run_bool = [&](bool reference, bool certain) {
       ResourceGovernor governor(config.budget);
-      if (!config.budget.Unlimited()) {
-        ctx.set_governor(&governor);
+      ProblemContext ctx(*p.instance, *p.priority);
+      Configure(reference ? serial : config, reference ? no_cache : cache,
+                governor, ctx);
+      if (reference) {
+        return ReferenceBoolean(ctx, query, sem, certain);
       }
-      CqaOptions options;
-      options.force_enumeration = force;
-      return certain
-                 ? CertainlyTrueBounded(ctx, query, sem, options)
-                 : PossiblyTrueBounded(ctx, query, sem, options);
+      return certain ? CertainlyTrueBounded(ctx, query, sem)
+                     : PossiblyTrueBounded(ctx, query, sem);
     };
     EXPECT_EQ(run_bool(false, true), run_bool(true, true)) << label;
     EXPECT_EQ(run_bool(false, false), run_bool(true, false)) << label;
@@ -264,9 +348,9 @@ TEST(CategoricityDefinitionalTest, AgreesWithExhaustiveEnumeration) {
   EXPECT_GE(blocks_checked, 10u) << "battery lost its coverage";
 }
 
-// (a) of the battery: byte-identical CQA answers with the pre-pass on
-// and off, on categorical, near-miss and random instances, across
-// serial/parallel × cache on/off × governed/ungoverned.
+// (a) of the battery: byte-identical CQA answers from the library and
+// from the reference product, on categorical, near-miss and random
+// instances, across serial/parallel × cache on/off × governed/ungoverned.
 TEST(CategoricityDifferentialTest, FastAndEnumerationPathsAgree) {
   auto q_full = ConjunctiveQuery::Parse("Q(x, y, z) :- R1(x, y, z)");
   ASSERT_TRUE(q_full.ok());
@@ -295,15 +379,14 @@ TEST(CategoricityDifferentialTest, FastAndEnumerationPathsAgree) {
   }
 }
 
-// Starved budgets on a categorical instance: the pre-pass costs a
-// handful of checkpoints, the enumeration thousands, so between the two
-// there is a band of budgets where only the fast route completes — the
-// point of the fast path.  The invariants are (1) the fast route never
-// reports worse than the forced one, (2) any answer it does produce
-// equals the ungoverned ground truth, and (3) when the fast route also
-// fails (budget too tight even for the pre-pass), it fails
-// byte-identically to the forced route, because the pre-pass's private
-// governor leaves the caller's untouched.
+// Starved budgets on a categorical instance: the total-priority rule
+// costs one checkpoint per block (the product's), the reference's
+// enumeration thousands, so between the two there is a band of budgets
+// where only the library completes — the point of the rule.  The
+// invariants are (1) the library never reports worse than the
+// reference, (2) any answer it does produce equals the ungoverned
+// ground truth, and (3) when it also fails (budget too tight even for
+// the product), it fails with the reference's status code.
 TEST(CategoricityDifferentialTest, StarvedBudgetNeverDegradesWorse) {
   CategoricalWorkloadOptions opts;
   opts.blocks = 2;
@@ -313,21 +396,18 @@ TEST(CategoricityDifferentialTest, StarvedBudgetNeverDegradesWorse) {
   for (AnswerSemantics sem : kAnswerSemantics) {
     auto truth = [&] {
       ProblemContext ctx(*p.instance, *p.priority);
-      CqaOptions options;
-      options.force_enumeration = true;
-      return ConsistentAnswersBounded(ctx, *query, sem, options);
+      return ReferenceAnswers(ctx, *query, sem);
     }();
     ASSERT_TRUE(truth.ok());
     for (uint64_t max_nodes : {uint64_t{1}, uint64_t{5}, uint64_t{25}}) {
-      auto run = [&](bool force) {
+      auto run = [&](bool reference) {
         ProblemContext ctx(*p.instance, *p.priority);
         ResourceBudget budget;
         budget.max_nodes = max_nodes;
         ResourceGovernor governor(budget);
         ctx.set_governor(&governor);
-        CqaOptions options;
-        options.force_enumeration = force;
-        return ConsistentAnswersBounded(ctx, *query, sem, options);
+        return reference ? ReferenceAnswers(ctx, *query, sem)
+                         : ConsistentAnswersBounded(ctx, *query, sem);
       };
       auto fast = run(false);
       auto slow = run(true);
@@ -336,24 +416,24 @@ TEST(CategoricityDifferentialTest, StarvedBudgetNeverDegradesWorse) {
       if (fast.ok()) {
         EXPECT_EQ(*fast, *truth) << label;  // never a wrong answer
       } else {
-        // Identical degradation: the pre-pass left the caller's
-        // governor untouched, so the fallback is the seed path.
+        // The reference spends at least the library's nodes, so it
+        // fails too, for the same reason.
         ASSERT_FALSE(slow.ok()) << label;
         EXPECT_EQ(fast.status().code(), slow.status().code()) << label;
       }
       EXPECT_TRUE(fast.ok() || !slow.ok())
-          << label << ": the fast route reported worse than the forced one";
+          << label << ": the library reported worse than the reference";
     }
   }
 }
 
 // Block-admission starvation is the one asymmetry, and it is one-sided
-// by design: the enumeration path must dive into each block (refused at
-// max_block), while the tier-1 categoricity decision is polynomial — no
-// dive, nothing to refuse.  The fast route may therefore ANSWER where
-// the seed route reports unknown; when it does, its answer must equal
-// the ungoverned ground truth.  It must never report a worse or
-// different answer.
+// by design: the enumeration must dive into each block (refused at
+// max_block), while the total-priority rule is polynomial — no dive,
+// nothing to refuse.  The library may therefore ANSWER where the
+// reference reports unknown; when it does, its answer must equal the
+// ungoverned ground truth.  It must never report a worse or different
+// answer.
 TEST(CategoricityDifferentialTest, BlockStarvationDegradesNoWorse) {
   CategoricalWorkloadOptions opts;
   opts.blocks = 2;
@@ -362,24 +442,24 @@ TEST(CategoricityDifferentialTest, BlockStarvationDegradesNoWorse) {
   ASSERT_TRUE(query.ok());
   ResourceBudget tiny;
   tiny.max_block = 2;
-  auto run = [&](bool force, bool governed) {
+  auto run = [&](bool reference, bool governed) {
     ProblemContext ctx(*p.instance, *p.priority);
     ResourceGovernor governor(tiny);
     if (governed) {
       ctx.set_governor(&governor);
     }
-    CqaOptions options;
-    options.force_enumeration = force;
-    return ConsistentAnswersBounded(ctx, *query, AnswerSemantics::kGlobal,
-                                    options);
+    return reference
+               ? ReferenceAnswers(ctx, *query, AnswerSemantics::kGlobal)
+               : ConsistentAnswersBounded(ctx, *query,
+                                          AnswerSemantics::kGlobal);
   };
-  auto truth = run(/*force=*/true, /*governed=*/false);
+  auto truth = run(/*reference=*/true, /*governed=*/false);
   ASSERT_TRUE(truth.ok());
-  auto slow = run(/*force=*/true, /*governed=*/true);
+  auto slow = run(/*reference=*/true, /*governed=*/true);
   EXPECT_FALSE(slow.ok()) << "max_block=2 must refuse the enumeration";
-  auto fast = run(/*force=*/false, /*governed=*/true);
+  auto fast = run(/*reference=*/false, /*governed=*/true);
   ASSERT_TRUE(fast.ok())
-      << "the polynomial pre-pass is not subject to block admission";
+      << "the total-priority rule is not subject to block admission";
   EXPECT_EQ(*fast, *truth);
 }
 
@@ -395,21 +475,23 @@ TEST(CategoricityPathTest, PathReportsWhichRouteRan) {
   options.path = &path;
   (void)CertainlyTrueBounded(ctx, *query, AnswerSemantics::kGlobal, options);
   EXPECT_EQ(path, CqaPath::kCategorical);
-  options.force_enumeration = true;
-  (void)CertainlyTrueBounded(ctx, *query, AnswerSemantics::kGlobal, options);
-  EXPECT_EQ(path, CqaPath::kEnumeration);
-  options.force_enumeration = false;
-  // kAllRepairs never takes the pre-pass.
+  // The path names the set the reference enumerates: one repair here.
+  EXPECT_EQ(ReferenceOptimalRepairs(ctx, RepairSemantics::kGlobal)->size(),
+            1u);
+  // kAllRepairs ranges over every repair.
   (void)CertainlyTrueBounded(ctx, *query, AnswerSemantics::kAllRepairs,
                              options);
   EXPECT_EQ(path, CqaPath::kEnumeration);
-  // Near-miss: ambiguous, so the fast route declines.
+  // Near-miss: ambiguous, so the answer intersects several repairs.
   opts.near_miss = true;
   PreferredRepairProblem miss = MakeCategoricalWorkload(opts);
   ProblemContext miss_ctx(*miss.instance, *miss.priority);
   (void)CertainlyTrueBounded(miss_ctx, *query, AnswerSemantics::kGlobal,
                              options);
   EXPECT_EQ(path, CqaPath::kEnumeration);
+  EXPECT_GT(
+      ReferenceOptimalRepairs(miss_ctx, RepairSemantics::kGlobal)->size(),
+      1u);
   EXPECT_STREQ(CqaPathName(CqaPath::kCategorical), "categorical");
   EXPECT_STREQ(CqaPathName(CqaPath::kEnumeration), "enumeration");
 }

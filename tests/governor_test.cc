@@ -196,10 +196,12 @@ TEST(GovernorTest, SixtyFourFactBlockComesBackUnknownFromTheSolver) {
   EXPECT_FALSE(result.witness.has_value());
   EXPECT_NE(result.unknown_reason.find("admissible size"), std::string::npos)
       << result.unknown_reason;
-  // The abandoned enumeration also yields the unambiguous sentinels of
-  // the other solver entry points: no repairs, count zero.
+  // The refused block yields no optimal block-repair either, and its
+  // optimal set says it is incomplete.
   EXPECT_TRUE(ExhaustiveBlockSolver().OptimalBlockRepairs(ctx, b).empty());
-  EXPECT_EQ(ExhaustiveBlockSolver().CountBlock(ctx, b), 0u);
+  const OptimalBlockSet set = OptimalSetOf(ctx, b, RepairSemantics::kGlobal);
+  EXPECT_FALSE(set.complete);
+  EXPECT_EQ(set.size(), 0u);
 }
 
 TEST(ClusteredWorkloadTest, IsOneBlockWithTheClosedFormRepairCount) {

@@ -310,9 +310,9 @@ std::string CategoricityFingerprint(const PreferredRepairProblem& problem,
     }
     out += ";";
   }
-  // The route a boolean CQA probe takes (and its answer) must be
-  // invariant too — the pre-pass decision may not depend on
-  // representation.
+  // The path a boolean CQA probe reports (and its answer) must be
+  // invariant too — the shape of the optimal-repair set may not depend
+  // on representation.
   const Schema& schema = problem.instance->schema();
   std::string body = std::string(schema.relation_name(0)) + "(";
   for (int a = 0; a < schema.arity(0); ++a) {

@@ -368,22 +368,17 @@ uint64_t BlockMaskOf(const Block& b, const DynamicBitset& r) {
   return mask;
 }
 
-// A reference optimal set and count, in walk order, as block masks.  A
-// scan the budget cut short empties the set (OptimalBlockRepairs'
-// contract) and leaves the count a lower bound (CountBlock's).
-struct ReferenceOptimal {
-  std::vector<uint64_t> set;
-  uint64_t count = 0;
-};
-
 // The filter: list the block-repairs, then keep each r that no listed
 // r′ improves, testing the r′ in walk order at one checkpoint per
-// IsGlobalImprovement call and stopping at the first improver.
-ReferenceOptimal ReferenceOptimalBlockRepairs(const ProblemContext& ctx,
-                                              const Block& b) {
+// IsGlobalImprovement call and stopping at the first improver.  Returns
+// the kept block-repairs in walk order, as block masks; a scan the
+// budget cut short returns those it verified before it was cut
+// (OptimalBlockRepairs' contract).
+std::vector<uint64_t> ReferenceOptimalBlockRepairs(const ProblemContext& ctx,
+                                                   const Block& b) {
   const ConflictGraph& cg = ctx.conflict_graph();
   ResourceGovernor& governor = ctx.governor();
-  ReferenceOptimal out;
+  std::vector<uint64_t> out;
   if (!governor.AdmitBlock(b.size())) {
     return out;
   }
@@ -399,7 +394,6 @@ ReferenceOptimal ReferenceOptimalBlockRepairs(const ProblemContext& ctx,
     bool improved = false;
     for (const DynamicBitset& other : listed) {
       if (!governor.Checkpoint()) {
-        out.set.clear();
         return out;
       }
       if (IsGlobalImprovement(cg, ctx.priority(), r, other)) {
@@ -408,19 +402,18 @@ ReferenceOptimal ReferenceOptimalBlockRepairs(const ProblemContext& ctx,
       }
     }
     if (!improved) {
-      out.set.push_back(BlockMaskOf(b, r));
-      ++out.count;
+      out.push_back(BlockMaskOf(b, r));
     }
   }
   return out;
 }
 
 // The nested check: keep the block-repairs the reference check calls
-// optimal.
-ReferenceOptimal NestedOptimalBlockRepairs(const ProblemContext& ctx,
-                                           const Block& b) {
+// optimal, in walk order; a cut-short walk keeps those it verified.
+std::vector<uint64_t> NestedOptimalBlockRepairs(const ProblemContext& ctx,
+                                                const Block& b) {
   ResourceGovernor& governor = ctx.governor();
-  ReferenceOptimal out;
+  std::vector<uint64_t> out;
   if (!governor.AdmitBlock(b.size())) {
     return out;
   }
@@ -429,14 +422,10 @@ ReferenceOptimal NestedOptimalBlockRepairs(const ProblemContext& ctx,
                         const CheckResult result =
                             ReferenceCheckBlock(ctx, b, r);
                         if (result.known() && result.optimal) {
-                          out.set.push_back(BlockMaskOf(b, r));
-                          ++out.count;
+                          out.push_back(BlockMaskOf(b, r));
                         }
                         return true;
                       });
-  if (governor.exhausted()) {
-    out.set.clear();
-  }
   return out;
 }
 
@@ -549,29 +538,19 @@ void ExpectSolverMatchesReference(const ConflictGraph& cg,
                                   ReferenceCheckBlock(theirs, b, j));
                       });
     }
+    // Complete or cut short, the solver's set is the reference's,
+    // member for member, at the same node charge.
     ExpectSameNodes(cg, pr, budget,
                     [&](const ProblemContext& mine,
                         const ProblemContext& theirs) {
                       EXPECT_EQ(solver.OptimalBlockRepairs(mine, b),
-                                ReferenceOptimalBlockRepairs(theirs, b).set);
-                    });
-    ExpectSameNodes(cg, pr, budget,
-                    [&](const ProblemContext& mine,
-                        const ProblemContext& theirs) {
-                      EXPECT_EQ(solver.CountBlock(mine, b),
-                                ReferenceOptimalBlockRepairs(theirs, b).count);
+                                ReferenceOptimalBlockRepairs(theirs, b));
                     });
     ExpectWithinNestedCharge(
         cg, pr, budget,
         [&](const ProblemContext& mine, const ProblemContext& nested) {
           return solver.OptimalBlockRepairs(mine, b) ==
-                 NestedOptimalBlockRepairs(nested, b).set;
-        });
-    ExpectWithinNestedCharge(
-        cg, pr, budget,
-        [&](const ProblemContext& mine, const ProblemContext& nested) {
-          return solver.CountBlock(mine, b) ==
-                 NestedOptimalBlockRepairs(nested, b).count;
+                 NestedOptimalBlockRepairs(nested, b);
         });
   }
 }

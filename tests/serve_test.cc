@@ -15,6 +15,7 @@
 #include "gen/edit_script.h"
 #include "io/ops_format.h"
 #include "io/text_format.h"
+#include "repair/block_solver.h"
 #include "serve/session.h"
 #include "test_util.h"
 
@@ -246,6 +247,75 @@ TEST(ServeSessionTest, RevivedBlockIsServedFromTheCache) {
   EXPECT_GT(after.hits, before.hits);
   EXPECT_EQ(after.misses, before.misses);
   ExpectMatchesRebuild(*s, options, "revival with the cache on");
+}
+
+// With the cache on, a `count global` after a `cqa global` on an
+// unchanged session reads the optimal sets the cqa stored: it adds
+// hits and no miss, and answers as a cache-less session does.  Both
+// blocks are exhaustive (two FDs over arity 3) and neither priority is
+// total on its conflicts, so both reach the cache.
+TEST(ServeSessionTest, CountAfterCqaReadsTheStoredOptimalSets) {
+  ProblemSpec spec;
+  spec.arity = 3;
+  spec.fds = {"1 -> 2", "2 -> 3"};
+  spec.facts = {"a1: ka, x1, p", "a2: ka, x2, p", "a3: ka, x3, q",
+                "b1: kb, y1, r", "b2: kb, y2, s"};
+  spec.priorities = {"a1 > a2"};
+  const PreferredRepairProblem p = testing_util::MakeProblem(spec);
+  SessionOptions options;
+  options.threads = 1;
+  options.cache_capacity = 64;
+  std::unique_ptr<SessionContext> s = MustCreate(p, options);
+  ASSERT_EQ(s->context().blocks().num_blocks(), 2u);
+  MustExecute(*s, "cqa global Q(x) :- R(x, y, z)");
+  const BlockCacheStats before = s->cache()->stats();
+  const std::string count = MustExecute(*s, "count global");
+  const BlockCacheStats after = s->cache()->stats();
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.hits, before.hits + 2);
+  EXPECT_EQ(count, MustExecute(*MustCreate(p), "count global"));
+}
+
+// One block: a 70-fact clique whose priority orders every pair.  The
+// total-priority rule builds its one optimal block-repair, the greedy
+// one, with no block admission, so count, enumeration and cqa answer
+// exactly past the 63-fact exhaustive cap, and under `budget max-block
+// 2` too.
+TEST(ServeSessionTest, TotalPriorityCliqueAnswersPastTheBlockCap) {
+  ProblemSpec spec;
+  spec.arity = 2;
+  spec.fds = {"1 -> 2"};
+  constexpr int kFacts = 70;
+  for (int i = 0; i < kFacts; ++i) {
+    spec.facts.push_back("f" + std::to_string(i) + ": k, v" +
+                         std::to_string(i));
+    for (int k = i + 1; k < kFacts; ++k) {
+      spec.priorities.push_back("f" + std::to_string(i) + " > f" +
+                                std::to_string(k));
+    }
+  }
+  const PreferredRepairProblem p = testing_util::MakeProblem(spec);
+  std::unique_ptr<SessionContext> s = MustCreate(p);
+  ASSERT_EQ(s->context().blocks().num_blocks(), 1u);
+  ResourceBudget max_block;
+  max_block.max_block = 2;
+  for (const std::string budget : {"budget", "budget max-block 2"}) {
+    SCOPED_TRACE(budget);
+    MustExecute(*s, budget);
+    EXPECT_EQ(MustExecute(*s, "count global"), "count global: 1");
+    EXPECT_EQ(MustExecute(*s, "count pareto"), "count pareto: 1");
+    EXPECT_EQ(MustExecute(*s, "cqa global Q(y) :- R(x, y)"),
+              "cqa global: 1 answer(s)\n  (v0)\npath: categorical");
+    ResourceGovernor governor(budget == "budget" ? ResourceBudget{}
+                                                 : max_block);
+    ProblemContext& ctx = s->context();
+    ctx.set_governor(&governor);
+    const std::vector<DynamicBitset> all =
+        AllOptimalRepairs(ctx, RepairSemantics::kGlobal);
+    ctx.set_governor(nullptr);
+    ASSERT_EQ(all.size(), 1u);
+    EXPECT_EQ(all.front(), testing_util::Sub(*p.instance, {"f0"}));
+  }
 }
 
 TEST(ServeSessionTest, RevivalRejectsChangedContent) {

@@ -31,20 +31,11 @@ tracks:
   categoricity (BENCH_categoricity.json, B17):
     speedup              — per clique count: BM_CqaCategoricalEnum
                            time / BM_CqaCategoricalFast time, the
-                           categoricity fast path against the forced
-                           enumeration on a certified-categorical
-                           instance (the ISSUE gate: >= 5x on the
-                           many-repair points).
-    fallback_overhead    — per clique count: BM_CqaNearMissFast time /
-                           BM_CqaNearMissEnum time; the pre-pass
-                           refutes in polynomial time on the broken
-                           block, so this must stay within noise of
-                           1.0 (WARNING above 1.25x).
-    decide_us            — the bare DecideCategoricity cost, what
-                           the pre-pass adds to every cqa request.
-    Sampled like hotpath (run_sampled, below): the near-miss pair at 9
-    cliques is one ~30 ms request per repetition, and a single 0.2 s
-    run read its overhead anywhere from 0.80x to 1.37x.
+                           total-priority rule against the block walk
+                           it saves on a categorical instance (the
+                           gate: >= 5x on the many-repair points).
+    decide_us            — the bare DecideCategoricity cost.
+    Sampled like hotpath (run_sampled, below).
 
   hotpath (BENCH_hotpath.json, B18):
     conflict_build       — per shard count: flat columnar join vs the
@@ -288,7 +279,6 @@ def distill_categoricity(raw: dict) -> dict:
         "context": context_of(raw),
         "method": SAMPLE_METHOD,
         "speedup": {},
-        "fallback_overhead": {},
         "decide_us": {},
     }
     for name, bench in benches.items():
@@ -302,21 +292,11 @@ def distill_categoricity(raw: dict) -> dict:
                 "enum_us": time_ns(enum) / 1e3,
                 "speedup": time_ns(enum) / time_ns(bench),
             }
-        elif name.startswith("BM_CqaNearMissFast/"):
-            cliques = name.split("/")[1]
-            enum = benches.get(f"BM_CqaNearMissEnum/{cliques}")
-            if enum is None:
-                continue
-            out["fallback_overhead"][cliques] = {
-                "fast_us": time_ns(bench) / 1e3,
-                "enum_us": time_ns(enum) / 1e3,
-                "overhead": time_ns(bench) / time_ns(enum),
-            }
         elif name.startswith("BM_DecideCategoricity/"):
             cliques = name.split("/")[1]
             out["decide_us"][cliques] = time_ns(bench) / 1e3
     # Shuffled repetitions reach by_name in any order; list by cliques.
-    for key in ("speedup", "fallback_overhead", "decide_us"):
+    for key in ("speedup", "decide_us"):
         out[key] = dict(sorted(out[key].items(), key=lambda kv: int(kv[0])))
     return out
 
@@ -329,16 +309,6 @@ def report_categoricity(summary: dict) -> None:
             print(f"bench_to_json: WARNING categoricity speedup gate "
                   f"(>=5x) not met at {cliques} cliques: "
                   f"{row['speedup']:.1f}x", file=sys.stderr)
-    for cliques, row in sorted(summary["fallback_overhead"].items(),
-                               key=lambda kv: int(kv[0])):
-        print(f"  near-miss, {cliques} cliques: "
-              f"{row['overhead']:.2f}x enumeration "
-              f"({row['enum_us']:.0f}us -> {row['fast_us']:.0f}us)")
-        if row["overhead"] > 1.25:
-            print(f"bench_to_json: WARNING near-miss fallback at {cliques} "
-                  f"cliques costs {row['overhead']:.2f}x the forced "
-                  f"enumeration — the pre-pass is no longer within noise "
-                  f"(see docs/categoricity.md)", file=sys.stderr)
     for cliques, us in sorted(summary["decide_us"].items(),
                               key=lambda kv: int(kv[0])):
         print(f"  decide, {cliques} cliques: {us:.1f}us")
