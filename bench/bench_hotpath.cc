@@ -91,7 +91,7 @@ void BM_BlockDecomposition(benchmark::State& state) {
   PreferredRepairProblem problem = HotWorkload(state.range(0));
   ConflictGraph cg(*problem.instance);
   for (auto _ : state) {
-    BlockDecomposition blocks(cg);
+    BlockDecomposition blocks(cg, *problem.priority);
     benchmark::DoNotOptimize(blocks.num_blocks());
   }
 }

@@ -215,9 +215,11 @@ int CmdEnumerate(const PreferredRepairProblem& p, SessionContext& session,
         AllOptimalRepairs(ctx, RepairSemantics::kGlobal);
     ctx.set_governor(nullptr);
     if (optimal.empty()) {
-      // Every instance has an optimal repair; empty means abandoned.
+      // Every instance has an optimal repair; empty means abandoned,
+      // by the budget or by the exhaustive block cap, which refuses an
+      // oversized block even when no budget is set.
       std::printf("enumeration abandoned: %s\n",
-                  governor.CauseString().c_str());
+                  CqaUnknownStatus(governor).message().c_str());
       PrintCacheStats(session.cache());
       return 4;
     }
@@ -281,9 +283,9 @@ int CmdAnswers(const PreferredRepairProblem& p, SessionContext& session,
     ctx.set_governor(&governor);
   }
   // Report the shape of the repair set the answer ranged over:
-  // "categorical" (a block-local priority left one optimal repair, so
-  // the intersection was one query evaluation) or "enumeration" (any
-  // other answer, and every unknown one).
+  // "categorical" (the priority left one optimal repair, so the
+  // intersection was one query evaluation) or "enumeration" (any other
+  // answer, and every unknown one).
   CqaPath path = CqaPath::kEnumeration;
   CqaOptions cqa_options;
   cqa_options.path = &path;

@@ -16,6 +16,7 @@ constexpr uint64_t kTagRelation = 0xa11a'0001;
 constexpr uint64_t kTagFacts = 0xa11a'0002;
 constexpr uint64_t kTagConflicts = 0xa11a'0003;
 constexpr uint64_t kTagPriority = 0xa11a'0004;
+constexpr uint64_t kTagRelationOfFact = 0xa11a'0005;
 
 constexpr uint64_t kDomainBlock = 0x626c'6f63'6b66'7001ULL;   // "blockfp"
 constexpr uint64_t kDomainSubset = 0x7375'6273'6574'6401ULL;  // "subsetd"
@@ -46,8 +47,8 @@ BlockFingerprint ComputeBlockFingerprint(const ProblemContext& ctx,
   // compile error here.  If it fires, decide whether the field changes
   // block identity: absorb it below, or show it is derived (id and
   // fact_list are coordinates the canonical relabeling exists to erase,
-  // rel is covered by the classification and value sections).  Then
-  // extend the binding.
+  // rel is the relation of fact_list.front(), covered by the relation
+  // and value sections).  Then extend the binding.
   const auto& [id, rel, fact_list] = b;
   const Instance& instance = ctx.instance();
   const ConflictGraph& cg = ctx.conflict_graph();
@@ -57,18 +58,41 @@ BlockFingerprint ComputeBlockFingerprint(const ProblemContext& ctx,
 
   FingerprintAccumulator acc(kDomainBlock);
 
-  // Relation shape + Theorem 3.1 classification.  The classification
-  // masks pin down everything the tractable solvers read of the FD set;
-  // the conflict-edge section pins down everything the exhaustive and
-  // greedy paths read of it.
-  const RelationClassification& rc = ctx.classification().relations[rel];
-  acc.Absorb(kTagRelation);
-  acc.Absorb(instance.fact(fact_list.front()).values.size());
-  acc.Absorb(static_cast<uint64_t>(rc.kind));
-  acc.Absorb(rc.single_fd.lhs.mask());
-  acc.Absorb(rc.single_fd.rhs.mask());
-  acc.Absorb(rc.key1.mask());
-  acc.Absorb(rc.key2.mask());
+  // Relation shape + Theorem 3.1 classification, one section per
+  // relation the block spans, in order of first appearance (rel first).
+  // The classification masks pin down everything the tractable solvers
+  // read of the FD set; the conflict-edge section pins down everything
+  // the exhaustive and greedy paths read of it.  A block spans two
+  // relations only when a cross-conflict priority edge joined blocks;
+  // it then also absorbs each fact's relation, as a local index into
+  // those sections, so a single-relation block hashes as it always has.
+  std::vector<RelId> relations{rel};
+  for (FactId f : fact_list) {
+    const RelId r = instance.fact(f).rel;
+    if (std::find(relations.begin(), relations.end(), r) ==
+        relations.end()) {
+      relations.push_back(r);
+    }
+  }
+  for (RelId r : relations) {
+    const RelationClassification& rc = ctx.classification().relations[r];
+    acc.Absorb(kTagRelation);
+    acc.Absorb(static_cast<uint64_t>(instance.schema().arity(r)));
+    acc.Absorb(static_cast<uint64_t>(rc.kind));
+    acc.Absorb(rc.single_fd.lhs.mask());
+    acc.Absorb(rc.single_fd.rhs.mask());
+    acc.Absorb(rc.key1.mask());
+    acc.Absorb(rc.key2.mask());
+  }
+  if (relations.size() > 1) {
+    acc.Absorb(kTagRelationOfFact);
+    for (FactId f : fact_list) {
+      const RelId r = instance.fact(f).rel;
+      acc.Absorb(static_cast<uint64_t>(
+          std::find(relations.begin(), relations.end(), r) -
+          relations.begin()));
+    }
+  }
 
   // Facts as canonical value tuples: local order is ascending fact id
   // (fact_list order), values renamed first-occurrence-first.  Two
@@ -110,18 +134,19 @@ BlockFingerprint ComputeBlockFingerprint(const ProblemContext& ctx,
     }
   }
 
-  // Block-local priority edges as local pairs (higher, lower).
-  // Dominates() lists are in insertion order — not canonical — so the
-  // pairs are sorted before absorption.
+  // Priority edges inside the block as local pairs (higher, lower).
+  // An edge that leaves the block ends at a free fact (ForEachBlockLink
+  // joins every other edge's endpoints), which no solver reads, so it
+  // is skipped.  Dominates() lists are in insertion order — not
+  // canonical — so the pairs are sorted before absorption.
   acc.Absorb(kTagPriority);
   std::vector<std::pair<uint64_t, uint64_t>> priority_edges;
   for (size_t i = 0; i < n; ++i) {
     for (FactId g : priority.Dominates(fact_list[i])) {
       const size_t j = PositionIn(fact_list, g);
-      PREFREP_CHECK_MSG(j != SIZE_MAX,
-                        "block fingerprint requires a block-local priority "
-                        "(an edge leaves the block)");
-      priority_edges.emplace_back(i, j);
+      if (j != SIZE_MAX) {
+        priority_edges.emplace_back(i, j);
+      }
     }
   }
   std::sort(priority_edges.begin(), priority_edges.end());

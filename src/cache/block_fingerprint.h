@@ -16,11 +16,13 @@
 //     scanning the facts in local order and each tuple left to right,
 //     which preserves exactly the equality structure FD reasoning uses.
 //
-// What is absorbed (each section domain-separated): the relation's
-// arity and Theorem 3.1 classification (kind, single-FD attribute
-// masks, key masks), the block size, the canonical value tuple of every
-// fact, the conflict edges and the block-local priority edges as local
-// index pairs.  The compiler keeps this enumeration in step with the
+// What is absorbed (each section domain-separated): the arity and
+// Theorem 3.1 classification (kind, single-FD attribute masks, key
+// masks) of every relation the block spans — with each fact's relation
+// when it spans two — the block size, the canonical value tuple of
+// every fact, the conflict edges and the priority edges inside the
+// block as local index pairs (an edge to a free fact is skipped: no
+// solver reads it).  The compiler keeps this enumeration in step with the
 // Block and PriorityRelation structs: ComputeBlockFingerprint binds
 // every Block field by name, and a static_assert in priority/priority.h
 // pins PriorityRelation's data members.

@@ -68,17 +68,21 @@ BlockCategoricity DecideBlockCategoricity(const ProblemContext& ctx,
     return out;
   }
   // The block's optimal set, from the total-priority rule (polynomial)
-  // or its solver (exponential in general); a set the budget cut short
-  // or that was refused leaves the block undecided.
+  // or its solver (exponential in general).  Two verified members prove
+  // the block ambiguous even when the budget cut the set short; a
+  // refused set, or a cut-short one with fewer members, leaves the
+  // block undecided.
   OptimalBlockSet set = OptimalSetOf(ctx, b, semantics);
   out.exponential = !set.greedy.has_value();
-  if (!set.complete) {
+  if (set.size() >= 2) {
+    out.unique = Trilean::kFalse;
+  } else if (!set.complete) {
     ResourceGovernor& governor = ctx.governor();
     out.unknown_reason = governor.exhausted()
                              ? governor.CauseString()
                              : "block " + std::to_string(b.id) +
                                    " refused by the block-admission budget";
-  } else if (set.size() == 1) {
+  } else {
     out.unique = Trilean::kTrue;
     if (set.greedy.has_value()) {
       out.repair = std::move(*set.greedy);
@@ -88,8 +92,6 @@ BlockCategoricity DecideBlockCategoricity(const ProblemContext& ctx,
         out.repair.set(i, ((set.words.front() >> i) & 1) != 0);
       }
     }
-  } else {
-    out.unique = Trilean::kFalse;
   }
   MaybeCorruptForTesting(&out);
   return out;
@@ -98,15 +100,6 @@ BlockCategoricity DecideBlockCategoricity(const ProblemContext& ctx,
 CategoricityResult DecideCategoricity(const ProblemContext& ctx,
                                       RepairSemantics semantics) {
   CategoricityResult result;
-  if (!ctx.priority_block_local()) {
-    // Per-block composition is unsound for cross-block priorities, and
-    // a whole-instance uniqueness test costs exactly the enumeration
-    // the fast path exists to avoid — report "undecided" for free.
-    result.unknown_reason =
-        "priority relates facts across blocks; per-block categoricity "
-        "does not apply";
-    return result;
-  }
   DynamicBitset repair = ctx.blocks().free_facts();
   // Block independence (Proposition 3.5): the instance is categorical
   // iff every block is.  Each block checkpoints once, then its tiers
@@ -213,8 +206,7 @@ void BlockCategoricityImpl(const ProblemContext& ctx, const Block& b,
 void CategoricityVerdictImpl(const ProblemContext& ctx,
                              RepairSemantics semantics,
                              const CategoricityResult& result) {
-  if (result.verdict == Categoricity::kUnknown ||
-      !ctx.priority_block_local()) {
+  if (result.verdict == Categoricity::kUnknown) {
     return;
   }
   const BlockDecomposition& blocks = ctx.blocks();

@@ -20,18 +20,19 @@
 //     the greedy block-repair as its one member ([SCM]: under a total
 //     priority the globally-, Pareto- and completion-optimal repairs
 //     coincide and are unique), in polynomial time; any other block
-//     materializes its set, exponential in general, budget-governed,
-//     and is left kUnknown when the set is incomplete;
+//     materializes its set, exponential in general, budget-governed;
+//     a set with two members is ambiguous even when the budget cut it
+//     short, and any other incomplete set leaves the block kUnknown;
 //   * the instance is categorical iff every block is (block
 //     independence: optimal repairs factor as {free facts} × ∏ per-block
 //     optimal block-repairs), ambiguous as soon as one block has two
 //     optimal block-repairs, and unknown if a block stayed undecided
 //     before any block refuted.
 //
-// Cross-block (non-block-local) priorities are reported kUnknown
-// without work: per-block reasoning is unsound there, and deciding
-// categoricity whole-instance costs as much as the enumeration the fast
-// path exists to avoid.
+// Every priority decomposes this way: a cross-conflict priority edge
+// between two facts with conflicts puts them in one block, and an edge
+// touching a free fact changes no repair's optimality
+// (conflicts/blocks.h).
 //
 // Consistent query answering (query/consistent_answers.h) does not go
 // through this module: it folds the same per-block sets into the
@@ -57,8 +58,7 @@ namespace prefrep {
 enum class Categoricity {
   kCategorical,  ///< exactly one optimal repair exists
   kAmbiguous,    ///< at least two optimal repairs exist
-  kUnknown,      ///< undecided: budget fired, oversized block, or
-                 ///< cross-block priority
+  kUnknown,      ///< undecided: budget fired or oversized block
 };
 
 /// Short human-readable name ("categorical" / "ambiguous" / "unknown").
@@ -67,8 +67,9 @@ const char* CategoricityName(Categoricity value);
 /// One block's categoricity answer.
 struct BlockCategoricity {
   /// kTrue: the block has exactly one optimal block-repair (in
-  /// `repair`); kFalse: at least two; kUnknown: abandoned by the budget
-  /// or refused admission.
+  /// `repair`); kFalse: at least two (verified, possibly before the
+  /// budget fired); kUnknown: refused admission, or abandoned by the
+  /// budget before two members were verified.
   Trilean unique = Trilean::kUnknown;
   /// The unique optimal block-repair as a block mask of b.size() bits
   /// (bit i = b.fact_list[i], conflicts/blocks.h); meaningful iff
@@ -94,15 +95,15 @@ struct CategoricityResult {
 };
 
 /// Decides whether block `b` has a unique optimal block-repair under
-/// `semantics`.  Polls ctx.governor(); kUnknown when the budget fires
-/// or the block is refused admission.
+/// `semantics`.  Polls ctx.governor(); kUnknown when the block is
+/// refused admission or the budget fires before the block's optimal set
+/// is complete or holds two members.
 BlockCategoricity DecideBlockCategoricity(const ProblemContext& ctx,
                                           const Block& b,
                                           RepairSemantics semantics);
 
 /// Decides whether (I, ≻) has a unique `semantics`-optimal repair.
-/// Requires nothing of the priority: cross-block priorities yield
-/// kUnknown outright.  Blocks are decided on FoldBlocks (byte-identical
+/// Blocks are decided on FoldBlocks (byte-identical
 /// to the serial pass at any thread count): each block checkpoints
 /// ctx.governor() once, then DecideBlockCategoricity decides it, and the
 /// fold stops at the first ambiguous or undecided block.

@@ -10,14 +10,17 @@ namespace prefrep {
 namespace {
 
 // PREFREP_AUDIT hook: asserts the decomposition is a true partition of
-// the fact universe refining the conflict graph's connected components.
+// the fact universe into the connected components of the conflict
+// graph joined with the priority edges ForEachBlockLink follows.
 // Lives here rather than in repair/audit.h because the conflicts layer
 // sits below repair/ and must not include it.
 void AuditDecomposition(const ConflictGraph& cg,
+                        const PriorityRelation& priority,
                         const std::vector<Block>& blocks,
                         const DynamicBitset& free_facts,
                         const std::vector<size_t>& block_of) {
   size_t n = cg.num_facts();
+  const Instance& instance = cg.instance();
   // Partition: every fact is free xor belongs to exactly one block, and
   // block membership agrees with the block_of index.
   DynamicBitset covered = free_facts;
@@ -30,14 +33,18 @@ void AuditDecomposition(const ConflictGraph& cg,
   for (const Block& b : blocks) {
     PREFREP_CHECK_MSG(b.size() >= 2,
                       "audit: a block must hold at least two facts");
+    PREFREP_CHECK_MSG(instance.fact(b.fact_list.front()).rel == b.rel,
+                      "audit: a block's rel is not its smallest fact's");
     for (FactId f : b.fact_list) {
       PREFREP_CHECK_MSG(!covered.test(f),
                         "audit: blocks overlap each other or the free facts");
       covered.set(f);
       PREFREP_CHECK_MSG(block_of[f] == b.id,
                         "audit: block membership disagrees with block_of");
-      PREFREP_CHECK_MSG(cg.instance().fact(f).rel == b.rel,
-                        "audit: a block spans relations");
+      PREFREP_CHECK_MSG(
+          instance.fact(f).rel == b.rel || !priority.IsConflictBounded(),
+          "audit: a block spans relations under a conflict-bounded "
+          "priority");
     }
     // Connectivity: a BFS inside the block reaches every block fact, so
     // the block is one component, not a union of several.
@@ -48,13 +55,13 @@ void AuditDecomposition(const ConflictGraph& cg,
     while (!queue.empty()) {
       FactId f = queue.back();
       queue.pop_back();
-      for (FactId g : cg.neighbors(f)) {
+      ForEachBlockLink(cg, priority, f, [&](FactId g) {
         if (block_of[g] == b.id && !visited.test(g)) {
           visited.set(g);
           queue.push_back(g);
           ++reached;
         }
-      }
+      });
     }
     PREFREP_CHECK_MSG(reached == b.size(),
                       "audit: a block is not a connected component");
@@ -62,23 +69,27 @@ void AuditDecomposition(const ConflictGraph& cg,
   PREFREP_CHECK_MSG(covered.count() == n,
                     "audit: blocks plus free facts do not cover the "
                     "instance");
-  // Refinement: no conflict edge leaves a block.
+  // Refinement: no conflict edge, and no priority edge between facts
+  // with conflicts, leaves a block.
   for (FactId f = 0; f < n; ++f) {
-    for (FactId g : cg.neighbors(f)) {
+    ForEachBlockLink(cg, priority, f, [&](FactId g) {
       PREFREP_CHECK_MSG(block_of[f] == block_of[g] &&
                             block_of[f] != BlockDecomposition::kNoBlock,
-                        "audit: a conflict edge crosses block boundaries");
-    }
+                        "audit: an edge crosses block boundaries");
+    });
   }
 }
 
 }  // namespace
 #endif  // PREFREP_AUDIT_ENABLED
 
-BlockDecomposition::BlockDecomposition(const ConflictGraph& cg)
+BlockDecomposition::BlockDecomposition(const ConflictGraph& cg,
+                                       const PriorityRelation& priority)
     : free_facts_(cg.num_facts()),
       block_of_(cg.num_facts(), kNoBlock),
       by_relation_(cg.instance().schema().num_relations()) {
+  PREFREP_CHECK_MSG(&priority.instance() == &cg.instance(),
+                    "priority relation is over a different instance");
   size_t n = cg.num_facts();
   const Instance& instance = cg.instance();
   // BFS from each unvisited non-isolated fact; scanning fact ids in
@@ -103,14 +114,12 @@ BlockDecomposition::BlockDecomposition(const ConflictGraph& cg)
       FactId f = queue.back();
       queue.pop_back();
       ++members;
-      PREFREP_CHECK_MSG(instance.fact(f).rel == block.rel,
-                        "conflict edges must be intra-relation");
-      for (FactId g : cg.neighbors(f)) {
+      ForEachBlockLink(cg, priority, f, [&](FactId g) {
         if (block_of_[g] == kNoBlock) {
           block_of_[g] = block.id;
           queue.push_back(g);
         }
-      }
+      });
     }
     block.fact_list.reserve(members);
     largest_block_ = std::max(largest_block_, members);
@@ -124,7 +133,7 @@ BlockDecomposition::BlockDecomposition(const ConflictGraph& cg)
     }
   }
 #if PREFREP_AUDIT_ENABLED
-  AuditDecomposition(cg, blocks_, free_facts_, block_of_);
+  AuditDecomposition(cg, priority, blocks_, free_facts_, block_of_);
 #endif
 }
 
@@ -177,17 +186,6 @@ DynamicBitset BlockDecomposition::CoveredFacts() const {
     }
   }
   return covered;
-}
-
-bool PriorityIsBlockLocal(const BlockDecomposition& blocks,
-                          const PriorityRelation& priority) {
-  for (const auto& [higher, lower] : priority.edges()) {
-    size_t b = blocks.block_of(higher);
-    if (b == BlockDecomposition::kNoBlock || blocks.block_of(lower) != b) {
-      return false;
-    }
-  }
-  return true;
 }
 
 std::vector<FactId> AllFactIds(const ConflictGraph& cg) {

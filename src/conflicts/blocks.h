@@ -1,18 +1,22 @@
 // Copyright (c) prefrep contributors.
-// Block decomposition of a conflict graph.  A *block* is a connected
-// component of the conflict graph with at least two facts; facts with no
-// conflicts at all ("free" facts) belong to every repair and form the
-// conflict-free remainder.  Since FDs relate facts of one relation only,
-// every block lies entirely inside a single relation.
+// Block decomposition of a prioritizing instance.  A *block* is a
+// connected component, with at least two facts, of the conflict graph
+// joined with the priority edges between facts that have conflicts;
+// facts with no conflicts at all ("free" facts) belong to every repair
+// and form the conflict-free remainder.  A conflict-bounded priority
+// (§2.3) only relates conflicting facts, so its blocks are the conflict
+// components, each inside one relation; a cross-conflict priority (§7)
+// may join blocks, of one relation or of two.  Priority edges touching
+// a free fact are ignored: no improvement of a repair adds or removes a
+// free fact.
 //
 // Blocks are the locality that makes divide-and-conquer sound: a
-// subinstance is consistent / maximal iff each block restriction is, and
-// when the priority relates only facts of the same block (always true
-// for conflict-bounded priorities, §2.3), globally-, Pareto- and
-// completion-optimality decompose block by block as well (see
-// docs/algorithms.md, "Why blocks are sound").  Exponential fallbacks
-// can therefore run per block — 2^{|block|} instead of 2^n — and
-// repair counts multiply across blocks.
+// subinstance is consistent / maximal iff each block restriction is,
+// and no priority edge the solvers read leaves a block, so globally-,
+// Pareto- and completion-optimality decompose block by block as well
+// (see docs/algorithms.md, "Why blocks are sound").  Exponential
+// fallbacks can therefore run per block — 2^{|block|} instead of 2^n —
+// and repair counts multiply across blocks.
 
 #ifndef PREFREP_CONFLICTS_BLOCKS_H_
 #define PREFREP_CONFLICTS_BLOCKS_H_
@@ -27,7 +31,8 @@
 
 namespace prefrep {
 
-/// One connected component (size ≥ 2) of the conflict graph.
+/// One block (size ≥ 2): a connected component of the conflict graph
+/// joined with the priority edges between facts that have conflicts.
 ///
 /// Block coordinates: every per-block answer (an optimal block-repair,
 /// a greedy block construction, a unique categorical block-repair, a
@@ -41,8 +46,10 @@ namespace prefrep {
 struct Block {
   /// Dense block id (position in BlockDecomposition::blocks()).
   size_t id = 0;
-  /// The relation all facts of this block belong to (conflicts are
-  /// intra-relation, so a block never spans relations).
+  /// The relation of the block's smallest fact.  Conflicts are
+  /// intra-relation, so a block spans one relation unless a
+  /// cross-conflict priority edge joined blocks of two relations;
+  /// blocks_of_relation() lists a block under this relation only.
   RelId rel = kInvalidRelId;
   /// The block's facts, ascending: its one representation, and the
   /// coordinates of every block mask.
@@ -94,7 +101,36 @@ inline void OrBlockMask(const Block& b, const DynamicBitset& mask,
   mask.ForEach([&](size_t i) { global->set(b.fact_list[i]); });
 }
 
-/// The partition of an instance's facts into conflict blocks plus the
+/// Calls fn(g) for every fact g that one edge puts in f's block: f's
+/// conflict neighbours and, unless `priority` is conflict-bounded, the
+/// facts with conflicts that a priority edge links to f, in either
+/// orientation.  A fact without conflicts links to nothing.  The one
+/// home of the join rule: the decomposition, its audit and a resident
+/// session's upkeep (serve/session.cc) all follow it.
+template <typename Fn>
+void ForEachBlockLink(const ConflictGraph& cg,
+                      const PriorityRelation& priority, FactId f, Fn&& fn) {
+  const std::vector<FactId>& conflicts = cg.neighbors(f);
+  if (conflicts.empty()) {
+    return;
+  }
+  for (FactId g : conflicts) {
+    fn(g);
+  }
+  if (priority.IsConflictBounded()) {
+    return;  // every edge joins conflicting facts, which share a block
+  }
+  for (const std::vector<FactId>* partners :
+       {&priority.Dominates(f), &priority.DominatedBy(f)}) {
+    for (FactId g : *partners) {
+      if (!cg.neighbors(g).empty()) {
+        fn(g);
+      }
+    }
+  }
+}
+
+/// The partition of an instance's facts into blocks plus the
 /// conflict-free remainder.  Deterministic: blocks are numbered by their
 /// smallest fact id, fact lists are ascending.
 class BlockDecomposition {
@@ -102,8 +138,13 @@ class BlockDecomposition {
   /// Sentinel returned by block_of() for free (isolated) facts.
   static constexpr size_t kNoBlock = SIZE_MAX;
 
-  /// Builds the decomposition in O(facts + conflicts).
-  explicit BlockDecomposition(const ConflictGraph& cg);
+  /// Builds the decomposition of `cg`'s instance under `priority` (a
+  /// relation over the same instance) in O(facts + conflicts), plus
+  /// O(priority edges) when the priority is not conflict-bounded: only
+  /// then can a priority edge join two blocks, so a conflict-bounded
+  /// priority's decomposition is that of its conflict graph.
+  BlockDecomposition(const ConflictGraph& cg,
+                     const PriorityRelation& priority);
 
   /// Assembles a decomposition from parts computed elsewhere: the serve
   /// layer (src/serve/session.cc) maintains blocks incrementally under
@@ -140,7 +181,7 @@ class BlockDecomposition {
     return block_of_[f];
   }
 
-  /// Ids of the blocks lying inside relation `rel`, ascending.
+  /// Ids of the blocks whose `rel` is `rel`, ascending.
   const std::vector<size_t>& blocks_of_relation(RelId rel) const {
     PREFREP_CHECK_MSG(rel < by_relation_.size(), "relation id out of range");
     return by_relation_[rel];
@@ -156,15 +197,6 @@ class BlockDecomposition {
   std::vector<std::vector<size_t>> by_relation_;
   size_t largest_block_ = 0;
 };
-
-/// True iff every priority edge joins two facts of the same block.
-/// Conflict-bounded priorities always qualify (priority edges join
-/// conflicting facts, and conflicting facts share a block); a
-/// cross-conflict priority qualifies exactly when no edge crosses blocks
-/// or touches a free fact.  Block-local priorities are what make
-/// per-block optimality checking sound for *every* semantics.
-bool PriorityIsBlockLocal(const BlockDecomposition& blocks,
-                          const PriorityRelation& priority);
 
 }  // namespace prefrep
 

@@ -82,7 +82,9 @@ ConflictStats ComputeConflictStats(const ConflictGraph& cg) {
     }
     stats.max_degree = std::max(stats.max_degree, degree);
   }
-  BlockDecomposition blocks(cg);
+  // The conflict graph's own components: an empty priority joins none.
+  const PriorityRelation no_priority(&cg.instance());
+  BlockDecomposition blocks(cg, no_priority);
   stats.num_components = blocks.num_blocks();
   stats.largest_component = blocks.largest_block();
   stats.free_facts = blocks.free_facts().count();

@@ -19,7 +19,7 @@ PreferredRepairProblem MakeCategoricalWorkload(
   // completion: every conflicting pair gets an edge, the lower fact id
   // preferred.  Id order is a linear order, so the result is acyclic,
   // and edges connect conflicting facts only, so it stays
-  // conflict-bounded (hence block-local).
+  // conflict-bounded.
   problem.priority = std::make_unique<PriorityRelation>(problem.instance.get());
   const ConflictGraph cg(*problem.instance);
   // The near-miss block is the last shard; MakeHardShardedWorkload adds

@@ -41,10 +41,10 @@ struct CategoricalWorkloadOptions {
 
 /// Builds `blocks` copies of the S1 clique-with-spine gadget and
 /// totally orders every conflicting pair by fact id (lower id
-/// preferred) — acyclic by construction, conflict-bounded and
-/// block-local by construction.  `problem.j` is the greedy-by-id
-/// repair, which is the instance's unique optimal repair whenever
-/// `near_miss` is off (and still a repair when it is on).
+/// preferred) — acyclic and conflict-bounded by construction.
+/// `problem.j` is the greedy-by-id repair, which is the instance's
+/// unique optimal repair whenever `near_miss` is off (and still a
+/// repair when it is on).
 PreferredRepairProblem MakeCategoricalWorkload(
     const CategoricalWorkloadOptions& opts);
 

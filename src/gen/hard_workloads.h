@@ -47,7 +47,7 @@ PreferredRepairProblem MakeHardChoiceWorkload(int index, size_t groups,
 /// passes the 63-fact admission limit, but exhaustively scanning it is
 /// real work that a deadline or node budget interrupts mid-block.
 ///
-/// Priority (block-local): member 1 of each clique dominates every
+/// Priority (conflict-bounded): member 1 of each clique dominates every
 /// other member of its clique.  `problem.j` is the set of all member-1
 /// facts, which is a globally-optimal (and Pareto-optimal) repair —
 /// nothing dominates a member 1 — so exact checking must exhaust the

@@ -32,15 +32,13 @@ ProblemContext::ProblemContext(const Instance& instance,
       external_classification_(artifacts.classification),
       external_ccp_classification_(artifacts.ccp_classification),
       external_blocks_(artifacts.blocks),
-      external_priority_block_local_(artifacts.priority_block_local),
       parallelism_(ThreadPool::HardwareConcurrency()) {
   PREFREP_CHECK_MSG(&priority.instance() == &instance,
                     "priority relation is over a different instance");
   PREFREP_CHECK_MSG(
       artifacts.graph != nullptr && artifacts.classification != nullptr &&
           artifacts.ccp_classification != nullptr &&
-          artifacts.blocks != nullptr &&
-          artifacts.priority_block_local != nullptr,
+          artifacts.blocks != nullptr,
       "resident contexts must supply every artifact");
 }
 
@@ -52,10 +50,6 @@ ProblemContext::ProblemContext(WorkerViewTag, const ProblemContext& parent,
       external_classification_(&parent.classification()),
       external_ccp_classification_(&parent.ccp_classification()),
       external_blocks_(&parent.blocks()),
-      external_priority_block_local_(
-          parent.external_priority_block_local_ != nullptr
-              ? parent.external_priority_block_local_
-              : parent.priority_block_local_.get()),
       governor_(governor),
       // Workers share the parent's cache: one worker's solve becomes
       // every sibling's hit, and the merge keeps outputs byte-identical
@@ -113,20 +107,10 @@ const BlockDecomposition& ProblemContext::blocks() const {
     return *external_blocks_;
   }
   if (blocks_ == nullptr) {
-    blocks_ = std::make_unique<BlockDecomposition>(conflict_graph());
+    blocks_ =
+        std::make_unique<BlockDecomposition>(conflict_graph(), *priority_);
   }
   return *blocks_;
-}
-
-bool ProblemContext::priority_block_local() const {
-  if (external_priority_block_local_ != nullptr) {
-    return *external_priority_block_local_;
-  }
-  if (priority_block_local_ == nullptr) {
-    priority_block_local_ =
-        std::make_unique<bool>(PriorityIsBlockLocal(blocks(), *priority_));
-  }
-  return *priority_block_local_;
 }
 
 void ProblemContext::Prime() const {
@@ -134,7 +118,6 @@ void ProblemContext::Prime() const {
   classification();
   ccp_classification();
   blocks();
-  priority_block_local();
 }
 
 }  // namespace prefrep

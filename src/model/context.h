@@ -56,7 +56,6 @@ class ProblemContext {
     const SchemaClassification* classification = nullptr;
     const CcpSchemaClassification* ccp_classification = nullptr;
     const BlockDecomposition* blocks = nullptr;
-    const bool* priority_block_local = nullptr;
   };
 
   /// Binds resident artifacts.  Nothing is ever built lazily through
@@ -79,13 +78,10 @@ class ProblemContext {
   /// The Theorem 7.1 (cross-conflict-priority) schema classification.
   const CcpSchemaClassification& ccp_classification() const;
 
-  /// The block decomposition of the conflict graph.
+  /// The block decomposition of the instance under the priority
+  /// (conflicts/blocks.h): no priority edge the solvers read leaves a
+  /// block, so every question is a per-block fold.
   const BlockDecomposition& blocks() const;
-
-  /// Whether every priority edge stays inside one block — the
-  /// precondition for per-block optimality checking.  Always true for
-  /// conflict-bounded priorities.
-  bool priority_block_local() const;
 
   /// Eagerly builds every artifact (for sharing across threads).
   void Prime() const;
@@ -141,7 +137,6 @@ class ProblemContext {
   const SchemaClassification* external_classification_ = nullptr;
   const CcpSchemaClassification* external_ccp_classification_ = nullptr;
   const BlockDecomposition* external_blocks_ = nullptr;
-  const bool* external_priority_block_local_ = nullptr;
   ResourceGovernor* governor_ = nullptr;
   BlockSolveCache* block_cache_ = nullptr;
   size_t parallelism_;
@@ -149,7 +144,6 @@ class ProblemContext {
   mutable std::unique_ptr<SchemaClassification> classification_;
   mutable std::unique_ptr<CcpSchemaClassification> ccp_classification_;
   mutable std::unique_ptr<BlockDecomposition> blocks_;
-  mutable std::unique_ptr<bool> priority_block_local_;
 };
 
 }  // namespace prefrep

@@ -74,8 +74,7 @@ std::optional<std::vector<DynamicBitset>> RepairsForBounded(
     // empty instance yields the one empty repair).
     return std::nullopt;
   }
-  if (options.path != nullptr && ctx.priority_block_local() &&
-      out.size() == 1) {
+  if (options.path != nullptr && out.size() == 1) {
     *options.path = CqaPath::kCategorical;
   }
   return out;

@@ -37,10 +37,9 @@ RepairSemantics ToRepairSemantics(AnswerSemantics semantics);
 /// What the repair set an answer ranged over looked like (reported
 /// through CqaOptions::path).
 enum class CqaPath {
-  /// The priority is block-local and the optimal-repair product has one
-  /// member: every block's optimal set is a singleton (the categorical
-  /// case, classify/categoricity.h), so the answer is one query
-  /// evaluation.
+  /// The optimal-repair product has one member: every block's optimal
+  /// set is a singleton (the categorical case, classify/categoricity.h),
+  /// so the answer is one query evaluation.
   kCategorical,
   /// Any other answer: several repairs intersected, every answer under
   /// kAllRepairs, and every unknown one.

@@ -227,35 +227,6 @@ void BlockRepairSetImpl(const ProblemContext& ctx, const BlockSolver& solver,
   }
 }
 
-void GlobalVerdictImpl(const ConflictGraph& cg, const PriorityRelation& pr,
-                       const DynamicBitset& j, const CheckResult& result,
-                       const char* algorithm) {
-  if (!result.known()) {
-    if (result.witness.has_value()) {
-      Fail(cg.instance(), &pr, &j,
-           std::string(algorithm) +
-               " returned an unknown verdict that carries a witness");
-    }
-    return;
-  }
-  if (!result.optimal && result.witness.has_value() &&
-      !IsGlobalImprovement(cg, pr, j, result.witness->improvement)) {
-    Fail(cg.instance(), &pr, &j,
-         std::string(algorithm) + " reported a witness that is no global " +
-             "improvement of J: " + result.witness->explanation);
-  }
-  if (cg.num_facts() > kMaxWholeInstance || !IsConsistent(cg, j)) {
-    return;
-  }
-  CheckResult baseline = ExhaustiveCheckGlobalOptimal(cg, pr, j);
-  if (baseline.optimal != result.optimal) {
-    Fail(cg.instance(), &pr, &j,
-         std::string(algorithm) + " said " +
-             (result.optimal ? "optimal" : "not optimal") +
-             " but the exhaustive whole-instance baseline disagrees");
-  }
-}
-
 void ParetoWitnessImpl(const ConflictGraph& cg, const PriorityRelation& pr,
                        const DynamicBitset& j, const CheckResult& result) {
   if (result.optimal || !result.witness.has_value()) {

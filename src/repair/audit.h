@@ -19,8 +19,9 @@
 //   * per-block optimal-repair sets (which counting, enumeration, CQA
 //     and categoricity all fold) against the enumeration baseline on
 //     blocks of at most kMaxSetBlock facts;
-//   * the block decomposition as a true partition refining the conflict
-//     graph's connected components (hook lives in conflicts/blocks.cc —
+//   * the block decomposition as a true partition into the connected
+//     components of the conflict graph joined with the priority edges
+//     between facts with conflicts (hook lives in conflicts/blocks.cc —
 //     the conflicts layer cannot include this header).
 //
 // A failed audit prints the offending instance in the io/text_format
@@ -50,7 +51,8 @@ inline constexpr size_t kMaxVerdictBlock = 12;
 /// baseline is quadratic in the 2^{|block|} enumeration).
 inline constexpr size_t kMaxSetBlock = 8;
 
-/// Largest whole instance cross-validated on non-block-local paths.
+/// Largest whole instance (facts in its universe) whose categoricity
+/// verdicts and constructed repairs are cross-validated.
 inline constexpr size_t kMaxWholeInstance = 12;
 
 namespace internal {
@@ -62,9 +64,6 @@ void BlockVerdictImpl(const ProblemContext& ctx, const BlockSolver& solver,
                       const CheckResult& result);
 void BlockRepairSetImpl(const ProblemContext& ctx, const BlockSolver& solver,
                         const Block& b, const std::vector<uint64_t>& repairs);
-void GlobalVerdictImpl(const ConflictGraph& cg, const PriorityRelation& pr,
-                       const DynamicBitset& j, const CheckResult& result,
-                       const char* algorithm);
 void ParetoWitnessImpl(const ConflictGraph& cg, const PriorityRelation& pr,
                        const DynamicBitset& j, const CheckResult& result);
 void ConstructedRepairImpl(const ConflictGraph& cg, const PriorityRelation& pr,
@@ -119,25 +118,6 @@ inline void CheckBlockRepairSet(const ProblemContext& ctx,
   (void)solver;
   (void)b;
   (void)repairs;
-#endif
-}
-
-/// Cross-validates a whole-instance globally-optimal verdict (used on
-/// the non-block-local ccp paths): witness validity always, exhaustive
-/// baseline when the instance has ≤ kMaxWholeInstance facts.
-inline void CheckGlobalVerdict(const ConflictGraph& cg,
-                               const PriorityRelation& pr,
-                               const DynamicBitset& j,
-                               const CheckResult& result,
-                               const char* algorithm) {
-#if PREFREP_AUDIT_ENABLED
-  internal::GlobalVerdictImpl(cg, pr, j, result, algorithm);
-#else
-  (void)cg;
-  (void)pr;
-  (void)j;
-  (void)result;
-  (void)algorithm;
 #endif
 }
 

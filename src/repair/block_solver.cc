@@ -287,9 +287,9 @@ class ExhaustiveSolver final : public BlockSolver {
 class CcpPrimaryKeySolver final : public BlockSolver {
  public:
   std::string_view Name() const override { return "ccp primary-key"; }
-  // Conservative: BuildCcpPrimaryKeyGraph consumes the whole priority
-  // relation, whose cross-conflict edges the block fingerprint does not
-  // canonicalize (it requires block-local priorities).
+  // Conservative: BuildCcpPrimaryKeyGraph reads the priority relation
+  // itself rather than the in-block edges the fingerprint absorbs, so
+  // its answers are not memoized.
   bool BlockDetermined() const override { return false; }
   CheckResult CheckBlock(const ProblemContext& ctx, const Block& b,
                          const DynamicBitset& j) const override {
@@ -329,36 +329,32 @@ class CcpConstantAttrSolver final : public BlockSolver {
                          const DynamicBitset& j) const override {
     // Under a constant-attribute assignment a relation with ≥ 2
     // consistent partitions is one block whose block-repairs are exactly
-    // the partitions, so the scan is linear in their number (the
-    // whole-instance algorithm pays the product over relations).
+    // the partitions, and a block that priority edges joined across
+    // relations has one partition per relation as its block-repairs, so
+    // the scan pays the product over the block's relations only (the
+    // whole-instance algorithm pays it over every relation).  The
+    // partitions are of the block's own facts: a resident session's
+    // relation still lists tombstoned facts, which no candidate may add.
     const ConflictGraph& cg = ctx.conflict_graph();
     const PriorityRelation& pr = ctx.priority();
     if (std::optional<CheckResult> defect = FindBlockExtension(ctx, b, j)) {
       return *std::move(defect);
     }
-    // The partitions of the block's own facts: a resident session's
-    // relation still lists tombstoned facts, which no candidate may add.
-    const auto in_j = [&](FactId f) { return j.test(f); };
-    const size_t j_in_block =
-        std::count_if(b.fact_list.begin(), b.fact_list.end(), in_j);
-    for (const std::vector<FactId>& part :
-         ConsistentPartitions(ctx.instance(), b.rel, b.fact_list)) {
-      if (part.size() == j_in_block &&
-          std::all_of(part.begin(), part.end(), in_j)) {
-        continue;  // the partition is J ∩ b
-      }
-      DynamicBitset candidate = WithoutBlock(j, b);
-      for (FactId f : part) {
-        candidate.set(f);
-      }
-      if (IsGlobalImprovement(cg, pr, j, candidate)) {
-        return CheckResult::NotOptimal(
-            std::move(candidate),
-            "a consistent partition improves J on block " +
-                std::to_string(b.id));
-      }
-    }
-    return CheckResult::Optimal();
+    const DynamicBitset rest = WithoutBlock(j, b);
+    CheckResult result = CheckResult::Optimal();
+    ForEachConstantAttrRepair(
+        ctx.instance(), b.fact_list, [&](const DynamicBitset& r) {
+          DynamicBitset candidate = rest | r;
+          if (!IsGlobalImprovement(cg, pr, j, candidate)) {
+            return true;  // includes the block-repair J ∩ b itself
+          }
+          result = CheckResult::NotOptimal(
+              std::move(candidate),
+              "a consistent partition improves J on block " +
+                  std::to_string(b.id));
+          return false;
+        });
+    return result;
   }
 };
 
@@ -648,9 +644,6 @@ CheckResult CheckOptimalByBlocks(const ProblemContext& ctx,
                                  size_t* failed_block,
                                  DegradationReport* degradation,
                                  const std::vector<size_t>* order) {
-  PREFREP_CHECK_MSG(ctx.priority_block_local(),
-                    "per-block optimality checking requires a block-local "
-                    "priority");
   if (!IsConsistent(ctx.conflict_graph(), j)) {
     return CheckResult::NotOptimalNoWitness();
   }
@@ -714,15 +707,6 @@ CheckResult CheckOptimalByBlocks(const ProblemContext& ctx,
 std::vector<DynamicBitset> AllOptimalRepairs(const ProblemContext& ctx,
                                              RepairSemantics semantics) {
   ResourceGovernor& governor = ctx.governor();
-  if (!ctx.priority_block_local()) {
-    const ConflictGraph& cg = ctx.conflict_graph();
-    std::vector<DynamicBitset> optimal = OptimalRepairsWithin(
-        cg, ctx.priority(), AllFactIds(cg), semantics, governor);
-    if (governor.exhausted()) {
-      return {};  // a partial filter pass is not the optimal set
-    }
-    return optimal;
-  }
   std::vector<DynamicBitset> out{ctx.blocks().free_facts()};
   // Per-block repair sets are enumeration order within one block, so a
   // worker's set is bitwise the serial one; the fold only has to merge

@@ -2,13 +2,13 @@
 // BlockSolver — the per-block solving interface behind the unified
 // checker, counter and constructor.
 //
-// A conflict block (conflicts/blocks.h) is the natural unit of work:
-// when the priority is block-local, a repair J is σ-optimal iff J
-// contains every conflict-free fact and J ∩ b is a σ-optimal
-// block-repair of every block b (docs/algorithms.md, "Why blocks are
-// sound").  Each algorithm of the library — GRepCheck1FD, GRepCheck2Keys,
-// the Pareto and completion checks, the ccp primary-key and
-// constant-attribute algorithms, and the exhaustive baseline — is
+// A block (conflicts/blocks.h) is the natural unit of work: no conflict
+// and no priority edge the solvers read leaves a block, so a repair J
+// is σ-optimal iff J contains every conflict-free fact and J ∩ b is a
+// σ-optimal block-repair of every block b (docs/algorithms.md, "Why
+// blocks are sound").  Each algorithm of the library — GRepCheck1FD,
+// GRepCheck2Keys, the Pareto and completion checks, the ccp primary-key
+// and constant-attribute algorithms, and the exhaustive baseline — is
 // therefore exposed here as a BlockSolver that answers questions about
 // one block, and every question is a fold of block answers: conjunction
 // for checking, per-block union for construction, and for counting,
@@ -56,12 +56,13 @@ namespace prefrep {
 /// keys) are read from the context's classification at call time, so one
 /// instance serves every block.
 ///
-/// All entry points require a block-local priority (the soundness
-/// precondition for per-block reasoning); the folds below enforce
-/// it before reaching a solver.  They also require a block closed under
-/// conflicts: every fact a member conflicts with is a member.  Every
-/// block of a BlockDecomposition and of a resident session is one
-/// connected component of the conflict graph, so it is closed.
+/// All entry points require a block closed under conflicts and under
+/// the priority edges between facts with conflicts: every fact a member
+/// conflicts with, or shares such an edge with, is a member.  Every
+/// block of a BlockDecomposition and of a resident session is closed
+/// (ForEachBlockLink, conflicts/blocks.h).  Priority edges from a
+/// member to a free fact are read as absent: a free fact lies in every
+/// repair, so no improvement adds or removes it.
 class BlockSolver {
  public:
   virtual ~BlockSolver() = default;
@@ -130,12 +131,13 @@ const BlockSolver& TwoKeysBlockSolver();
 const BlockSolver& ExhaustiveBlockSolver();
 
 /// The ccp primary-key cycle check (Lemma 7.3) restricted to one block;
-/// for primary-key assignments under block-local ccp priorities.
+/// for primary-key assignments under ccp priorities.
 const BlockSolver& CcpPrimaryKeyBlockSolver();
 
 /// The ccp constant-attribute partition scan restricted to one block
-/// (= one relation with ≥ 2 consistent partitions); linear in the
-/// partition count instead of the ∏-partitions whole-instance scan.
+/// (one relation with ≥ 2 consistent partitions, or several that
+/// priority edges joined): the product of the block's relations'
+/// partition counts instead of the product over every relation.
 const BlockSolver& CcpConstantAttrBlockSolver();
 
 /// Pareto-optimality of one block restriction (PTIME, every schema).
@@ -180,8 +182,8 @@ void AuditServedHit(
 
 /// The one block-solve-cache round trip, behind every cached per-block
 /// operation (verdict, optimal set, greedy construction).  Calls
-/// `solve(ctx)` directly unless a cache is installed, the priority is
-/// block-local and the op is `eligible`.  Otherwise it upholds the two
+/// `solve(ctx)` directly unless a cache is installed and the op is
+/// `eligible`.  Otherwise it upholds the two
 /// cache invariants of docs/caching.md in one place:
 ///
 ///  * Serve only when a fresh solve would have completed too.  Ops whose
@@ -209,7 +211,7 @@ auto CachedBlockSolve(const ProblemContext& ctx, const Block& b,
     -> decltype(solve(ctx)) {
   using Payload = decltype(solve(ctx));
   BlockSolveCache* const cache = ctx.block_cache();
-  if (cache == nullptr || !eligible || !ctx.priority_block_local()) {
+  if (cache == nullptr || !eligible) {
     return solve(ctx);
   }
   ResourceGovernor& governor = ctx.governor();
@@ -285,7 +287,6 @@ struct OptimalBlockSet {
 /// it is built in polynomial time, with no checkpoint, no block
 /// admission and no cache.  Otherwise the set is
 /// CachedOptimalBlockRepairs(SolverForSemantics(ctx, b, σ), ctx, b).
-/// Requires a block-local priority, like every per-block fold.
 OptimalBlockSet OptimalSetOf(const ProblemContext& ctx, const Block& b,
                              RepairSemantics semantics);
 
@@ -396,9 +397,8 @@ FoldOutcome FoldBlocks(const ProblemContext& ctx,
 /// block check would see), then the conjunction of per-block checks —
 /// the solver DispatchBlockSolver picks for `mode` under global
 /// semantics, the Pareto/completion solver otherwise (`mode` is then
-/// ignored).  Requires ctx.priority_block_local() (checked).  A missing
-/// conflict-free fact is witnessed except under completion semantics,
-/// whose checks report no witnesses.
+/// ignored).  A missing conflict-free fact is witnessed except under
+/// completion semantics, whose checks report no witnesses.
 ///
 /// Blocks are checked in `order` (nullptr = id order; the unified
 /// checker passes its relation-grouped order).  On failure inside a
@@ -420,10 +420,7 @@ CheckResult CheckOptimalByBlocks(const ProblemContext& ctx,
 /// Materializes every σ-optimal repair as {conflict-free facts} × ∏
 /// per-block optimal sets (OptimalSetOf: the total-priority rule, else
 /// the dispatched, polynomial where the dichotomy allows, solver);
-/// each block's masks become global ids here, once.  Falls back to the
-/// governed whole-instance enumeration of exhaustive.h
-/// (OptimalRepairsWithin over AllFacts) when the priority is not
-/// block-local.
+/// each block's masks become global ids here, once.
 ///
 /// Returns EMPTY iff the computation was abandoned: a block's set was
 /// incomplete (refused, or cut short) or the governor's budget fired.  A

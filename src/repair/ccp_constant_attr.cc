@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "base/hash.h"
+#include "conflicts/blocks.h"
 #include "repair/subinstance_ops.h"
 
 namespace prefrep {
@@ -38,18 +39,20 @@ std::vector<std::vector<FactId>> ConsistentPartitions(
 }
 
 void ForEachConstantAttrRepair(
-    const Instance& instance,
+    const Instance& instance, const std::vector<FactId>& facts,
     const std::function<bool(const DynamicBitset&)>& fn) {
   const Schema& schema = instance.schema();
+  std::vector<std::vector<FactId>> facts_of(schema.num_relations());
+  for (FactId f : facts) {
+    facts_of[instance.fact(f).rel].push_back(f);
+  }
   std::vector<std::vector<std::vector<FactId>>> partitions;
   for (RelId rel = 0; rel < schema.num_relations(); ++rel) {
-    std::vector<std::vector<FactId>> p =
-        ConsistentPartitions(instance, rel, instance.facts_of(rel));
-    if (!p.empty()) {
-      partitions.push_back(std::move(p));
+    if (!facts_of[rel].empty()) {
+      partitions.push_back(ConsistentPartitions(instance, rel, facts_of[rel]));
     }
   }
-  // Odometer over one partition choice per non-empty relation.
+  // Odometer over one partition choice per relation with listed facts.
   std::vector<size_t> choice(partitions.size(), 0);
   for (;;) {
     DynamicBitset repair(instance.num_facts());
@@ -96,7 +99,7 @@ CheckResult CheckGlobalOptimalCcpConstantAttr(const ConflictGraph& cg,
   // suffices to scan the repairs.
   CheckResult result = CheckResult::Optimal();
   ForEachConstantAttrRepair(
-      cg.instance(), [&](const DynamicBitset& candidate) {
+      cg.instance(), AllFactIds(cg), [&](const DynamicBitset& candidate) {
         if (IsGlobalImprovement(cg, pr, j, candidate)) {
           result = CheckResult::NotOptimal(
               candidate, "an enumerated repair globally improves J");

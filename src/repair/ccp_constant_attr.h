@@ -29,11 +29,16 @@ namespace prefrep {
 std::vector<std::vector<FactId>> ConsistentPartitions(
     const Instance& instance, RelId rel, const std::vector<FactId>& facts);
 
-/// Enumerates every repair of the instance (one partition per non-empty
-/// relation), invoking `fn(repair)`; stops early if `fn` returns false.
-/// Only valid under a constant-attribute assignment.
+/// Enumerates the repairs of `facts` (ascending, duplicate-free: a
+/// block's fact_list, or AllFactIds(cg) for the whole instance) — one
+/// consistent partition per relation with a listed fact — invoking
+/// `fn(repair)` with a whole-instance bitset holding the chosen
+/// partitions; stops early if `fn` returns false.  The partitions are
+/// ConsistentPartitions of each relation's listed facts, relations in
+/// id order, the first varying fastest.  Only valid under a
+/// constant-attribute assignment.
 void ForEachConstantAttrRepair(
-    const Instance& instance,
+    const Instance& instance, const std::vector<FactId>& facts,
     const std::function<bool(const DynamicBitset&)>& fn);
 
 /// Decides whether J is a globally-optimal repair of the ccp-instance

@@ -10,8 +10,8 @@
 //   * g → f for g ∈ I \ J, f ∈ J with g ≻ f.
 //
 // Unlike §4.2, the priority may relate facts of different relations, so
-// the graph spans the whole instance and the check does not decompose
-// per relation.
+// the graph may span relations: the check decomposes per block
+// (conflicts/blocks.h), not per relation.
 
 #ifndef PREFREP_REPAIR_CCP_PRIMARY_KEY_H_
 #define PREFREP_REPAIR_CCP_PRIMARY_KEY_H_
@@ -26,8 +26,10 @@ namespace prefrep {
 /// Builds G_{J, I\J} over the facts of `facts` (ascending; node i =
 /// facts[i]), keeping only edges between listed facts.  Pass AllFactIds(cg)
 /// for the whole instance (node i = fact i; Example 7.2 / Figure 6), or
-/// a block's fact_list: when the priority is block-local the whole graph
-/// is the disjoint union of the per-block graphs, so cycles can be
+/// a block's fact_list: no priority edge between facts with conflicts
+/// leaves a block (conflicts/blocks.h), and a free fact, always in J,
+/// has no out-edge, so the whole graph is the disjoint union of the
+/// per-block graphs plus cycle-free free-fact nodes, and cycles can be
 /// hunted block by block.
 Digraph BuildCcpPrimaryKeyGraph(const ConflictGraph& cg,
                                 const PriorityRelation& pr,

@@ -1,12 +1,6 @@
 #include "repair/checker.h"
 
-#include "repair/audit.h"
 #include "repair/block_solver.h"
-#include "repair/ccp_constant_attr.h"
-#include "repair/ccp_primary_key.h"
-#include "repair/completion.h"
-#include "repair/exhaustive.h"
-#include "repair/pareto.h"
 #include "repair/subinstance_ops.h"
 
 namespace prefrep {
@@ -131,98 +125,36 @@ Result<CheckOutcome> RepairChecker::CheckConflictOnly(
 
 Result<CheckOutcome> RepairChecker::CheckCrossConflict(
     const DynamicBitset& j) const {
-  const ConflictGraph& cg = ctx_->conflict_graph();
-  const PriorityRelation& pr = ctx_->priority();
-  // A ccp priority may relate facts of different blocks (or conflict-free
-  // facts); per-block dispatch is sound only when it does not.
-  const bool block_local = ctx_->priority_block_local();
+  // Theorem 7.1 classifies the whole schema, so one algorithm serves
+  // every block; a cross-conflict priority edge between facts with
+  // conflicts put its endpoints in one block (conflicts/blocks.h).
+  const CcpSchemaClassification& ccp = ctx_->ccp_classification();
+  const std::string algorithm =
+      ccp.primary_key_assignment
+          ? "ccp primary-key algorithm (G_{J,I\\J})"
+      : ccp.constant_attr_assignment
+          ? "ccp constant-attribute algorithm (partition scan)"
+          : "exhaustive fallback";
   CheckOutcome outcome;
-  auto run_by_blocks = [&](const std::string& algorithm) {
-    outcome.route.push_back(
-        algorithm + " over " + std::to_string(ctx_->blocks().num_blocks()) +
-        " block(s)");
-    size_t failed = BlockDecomposition::kNoBlock;
-    outcome.result = CheckOptimalByBlocks(
-        *ctx_, j, RepairSemantics::kGlobal, PriorityMode::kCrossConflict,
-        &failed, &outcome.degradation);
-    if (failed != BlockDecomposition::kNoBlock) {
-      outcome.route.back() += "; failed at block " + std::to_string(failed);
-    }
-    if (outcome.degradation.Degraded()) {
-      outcome.route.back() +=
-          "; abandoned " +
-          std::to_string(outcome.degradation.blocks_abandoned) +
-          " block(s) (budget)";
-    }
-  };
-  // A cross-block priority leaves the whole instance as one unit of
-  // work: report it as one "block" spanning every fact, solved exactly
-  // or abandoned, with the governor's totals read as FoldBlocks reads
-  // them.
-  auto run_whole_instance = [&](const std::string& route, auto&& solve) {
-    outcome.route.push_back(route);
-    ResourceGovernor& governor = ctx_->governor();
-    const uint64_t nodes_before = governor.nodes_spent();
-    outcome.result = solve();
-    DegradationReport& report = outcome.degradation;
-    report.blocks_total = 1;
-    report.nodes_spent = governor.nodes_spent();
-    report.cause = governor.degraded() ? governor.CauseString() : std::string();
-    if (outcome.result.known()) {
-      report.blocks_exact = 1;
-      return;
-    }
-    outcome.route.back() += "; abandoned (budget)";
-    report.blocks_abandoned = 1;
-    report.abandoned.push_back(BlockDegradation{
-        0, cg.num_facts(), governor.nodes_spent() - nodes_before,
-        outcome.result.unknown_reason});
-  };
-  if (ctx_->ccp_classification().primary_key_assignment) {
-    if (block_local) {
-      run_by_blocks("ccp primary-key algorithm (G_{J,I\\J})");
-    } else {
-      run_whole_instance(
-          "ccp primary-key algorithm (G_{J,I\\J}) (cross-block priority; "
-          "whole instance)",
-          [&] {
-            CheckResult result = CheckGlobalOptimalCcpPrimaryKey(cg, pr, j);
-            audit::CheckGlobalVerdict(cg, pr, j, result,
-                                      "ccp primary-key algorithm");
-            return result;
-          });
-    }
-    return outcome;
+  outcome.route.push_back(algorithm + " over " +
+                          std::to_string(ctx_->blocks().num_blocks()) +
+                          " block(s)");
+  size_t failed = BlockDecomposition::kNoBlock;
+  outcome.result = CheckOptimalByBlocks(
+      *ctx_, j, RepairSemantics::kGlobal, PriorityMode::kCrossConflict,
+      &failed, &outcome.degradation);
+  if (failed != BlockDecomposition::kNoBlock) {
+    outcome.route.back() += "; failed at block " + std::to_string(failed);
   }
-  if (ctx_->ccp_classification().constant_attr_assignment) {
-    if (block_local) {
-      run_by_blocks("ccp constant-attribute algorithm (partition scan)");
-    } else {
-      run_whole_instance(
-          "ccp constant-attribute algorithm (partition enumeration)", [&] {
-            CheckResult result = CheckGlobalOptimalCcpConstantAttr(cg, pr, j);
-            audit::CheckGlobalVerdict(cg, pr, j, result,
-                                      "ccp constant-attribute algorithm");
-            return result;
-          });
-    }
-    return outcome;
-  }
-  if (block_local) {
-    run_by_blocks("exhaustive fallback");
-  } else {
-    run_whole_instance("exhaustive fallback (whole instance)", [&] {
-      return ExhaustiveCheckGlobalOptimal(cg, pr, j, ctx_->governor());
-    });
+  if (outcome.degradation.Degraded()) {
+    outcome.route.back() +=
+        "; abandoned " + std::to_string(outcome.degradation.blocks_abandoned) +
+        " block(s) (budget)";
   }
   return outcome;
 }
 
 CheckResult RepairChecker::CheckParetoOptimal(const DynamicBitset& j) const {
-  if (!ctx_->priority_block_local()) {
-    return prefrep::CheckParetoOptimal(ctx_->conflict_graph(),
-                                       ctx_->priority(), j);
-  }
   return CheckOptimalByBlocks(*ctx_, j, RepairSemantics::kPareto,
                               options_.mode);
 }

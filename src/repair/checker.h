@@ -5,16 +5,17 @@
 // check to the matching polynomial algorithm, falling back to the exact
 // exponential baseline on the coNP-complete side.
 //
-// Ordinary mode additionally exploits Proposition 3.5 and block
-// locality: both conflicts and (conflict-bounded) priorities stay
-// inside one conflict block, so J is globally-optimal iff every
+// Both modes exploit Proposition 3.5 and block locality: conflicts,
+// and the priority edges between facts with conflicts, stay inside one
+// block (conflicts/blocks.h), so J is globally-optimal iff every
 // conflict-free fact is present and each block restriction J|b is
 // optimal — the checker therefore routes block by block through the
 // BlockSolver layer (repair/block_solver.h), and a schema that mixes
 // tractable and hard relations only pays 2^{|block|} on the hard
-// relations' blocks instead of 2^n.  Cross-conflict mode does the same
-// whenever the priority happens to be block-local, and falls back to
-// the whole-instance algorithms when it is not.
+// relations' blocks instead of 2^n.  Ordinary mode picks each block's
+// algorithm by its relation's Theorem 3.1 class; cross-conflict mode
+// picks one algorithm for every block by the schema's Theorem 7.1
+// class, and its priority edges may join blocks of two relations.
 
 #ifndef PREFREP_REPAIR_CHECKER_H_
 #define PREFREP_REPAIR_CHECKER_H_

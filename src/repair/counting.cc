@@ -1,6 +1,6 @@
-// Counting σ-optimal repairs (§8): with a block-local priority they
-// factor as {free facts} × ∏ per-block optimal sets, so the count is
-// the product of the sets' sizes.
+// Counting σ-optimal repairs (§8): they factor as {free facts} × ∏
+// per-block optimal sets, so the count is the product of the sets'
+// sizes.
 #include "repair/counting.h"
 
 #include <algorithm>
@@ -11,20 +11,6 @@ namespace prefrep {
 
 BoundedCount CountOptimalRepairsBounded(const ProblemContext& ctx,
                                         RepairSemantics semantics) {
-  if (!ctx.priority_block_local()) {
-    // Cross-block priority: the count does not factor, so the governed
-    // whole-instance enumeration is the only route.  When the budget
-    // fires the instance counts as one big unknown "block", and the
-    // lower bound falls back to the one optimal repair every instance
-    // has.
-    const std::vector<DynamicBitset> optimal =
-        AllOptimalRepairs(ctx, semantics);
-    if (optimal.empty()) {
-      return BoundedCount{1, /*exact=*/false, /*unknown_blocks=*/1,
-                          /*saturated=*/false};
-    }
-    return BoundedCount{optimal.size(), true, 0, false};
-  }
   BoundedCount out;
   // An incomplete set keeps the members it verified, floored at one
   // (every block has an optimal block-repair); the rerun of a worker's

@@ -37,11 +37,10 @@ struct BoundedCount {
   bool saturated = false;
 };
 
-/// Number of σ-optimal repairs.  With a block-local priority it is the
-/// saturating product of the sizes of the blocks' optimal sets
-/// (OptimalSetOf) through FoldBlocks (conflict-free facts contribute a
-/// factor of one), so k independent blocks cost Σ 2^{|block|} instead
-/// of ∏; otherwise the governed whole-instance enumeration.  Reports
+/// Number of σ-optimal repairs: the saturating product of the sizes of
+/// the blocks' optimal sets (OptimalSetOf) through FoldBlocks
+/// (conflict-free facts contribute a factor of one), so k independent
+/// blocks cost Σ 2^{|block|} instead of ∏.  Reports
 /// whether the count is exact, how many blocks the budget cut short
 /// (each still contributes its verified members, floored at one —
 /// every block has an optimal block-repair), and whether the product

@@ -137,23 +137,9 @@ CheckResult ExhaustiveCheckImpl(const ConflictGraph& cg,
 
 CheckResult ExhaustiveCheckGlobalOptimal(const ConflictGraph& cg,
                                          const PriorityRelation& pr,
-                                         const DynamicBitset& j) {
-  return ExhaustiveCheckImpl(cg, pr, j, ResourceGovernor::Unlimited(),
-                             /*pareto=*/false);
-}
-
-CheckResult ExhaustiveCheckGlobalOptimal(const ConflictGraph& cg,
-                                         const PriorityRelation& pr,
                                          const DynamicBitset& j,
                                          ResourceGovernor& governor) {
   return ExhaustiveCheckImpl(cg, pr, j, governor, /*pareto=*/false);
-}
-
-CheckResult ExhaustiveCheckParetoOptimal(const ConflictGraph& cg,
-                                         const PriorityRelation& pr,
-                                         const DynamicBitset& j) {
-  return ExhaustiveCheckImpl(cg, pr, j, ResourceGovernor::Unlimited(),
-                             /*pareto=*/true);
 }
 
 CheckResult ExhaustiveCheckParetoOptimal(const ConflictGraph& cg,
@@ -205,13 +191,6 @@ std::vector<DynamicBitset> FilterOptimal(
 }
 
 }  // namespace
-
-std::vector<DynamicBitset> OptimalRepairsWithin(
-    const ConflictGraph& cg, const PriorityRelation& pr,
-    const std::vector<FactId>& facts, RepairSemantics semantics) {
-  return FilterOptimal(cg, pr, AllRepairsWithin(cg, facts), semantics, facts,
-                       ResourceGovernor::Unlimited());
-}
 
 std::vector<DynamicBitset> OptimalRepairsWithin(
     const ConflictGraph& cg, const PriorityRelation& pr,

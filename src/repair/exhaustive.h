@@ -72,31 +72,24 @@ std::vector<DynamicBitset> AllRepairsWithin(const ConflictGraph& cg,
 /// Counts the repairs without materializing them.
 uint64_t CountRepairs(const ConflictGraph& cg);
 
-/// Exact globally-optimal repair checking by repair enumeration.
-/// Correct for every schema and for both priority modes.
-CheckResult ExhaustiveCheckGlobalOptimal(const ConflictGraph& cg,
-                                         const PriorityRelation& pr,
-                                         const DynamicBitset& j);
-
-/// Budget-governed variant.  A found improvement is definite (kNo) even
-/// if the budget later runs out; when the budget fires before the scan
-/// certifies optimality the verdict is kUnknown, never a false kYes.
-CheckResult ExhaustiveCheckGlobalOptimal(const ConflictGraph& cg,
-                                         const PriorityRelation& pr,
-                                         const DynamicBitset& j,
-                                         ResourceGovernor& governor);
+/// Exact globally-optimal repair checking by repair enumeration, one
+/// `governor.Checkpoint()` per search-tree node.  Correct for every
+/// schema and for both priority modes.  A found improvement is definite
+/// (kNo) even if the budget later runs out; when the budget fires
+/// before the scan certifies optimality the verdict is kUnknown, never
+/// a false kYes.
+CheckResult ExhaustiveCheckGlobalOptimal(
+    const ConflictGraph& cg, const PriorityRelation& pr,
+    const DynamicBitset& j,
+    ResourceGovernor& governor = ResourceGovernor::Unlimited());
 
 /// Exact Pareto-optimal repair checking by repair enumeration (used to
-/// cross-validate the polynomial Pareto check).
-CheckResult ExhaustiveCheckParetoOptimal(const ConflictGraph& cg,
-                                         const PriorityRelation& pr,
-                                         const DynamicBitset& j);
-
-/// Budget-governed variant (same contract as the global one).
-CheckResult ExhaustiveCheckParetoOptimal(const ConflictGraph& cg,
-                                         const PriorityRelation& pr,
-                                         const DynamicBitset& j,
-                                         ResourceGovernor& governor);
+/// cross-validate the polynomial Pareto check); same contract as the
+/// global one.
+CheckResult ExhaustiveCheckParetoOptimal(
+    const ConflictGraph& cg, const PriorityRelation& pr,
+    const DynamicBitset& j,
+    ResourceGovernor& governor = ResourceGovernor::Unlimited());
 
 /// The three preferred-repair semantics of [SCM] (§2.4).
 enum class RepairSemantics {
@@ -105,29 +98,24 @@ enum class RepairSemantics {
   kCompletion,
 };
 
-/// The block-repairs of `facts` (one conflict block's fact_list, or
+/// The block-repairs of `facts` (one block's fact_list, or
 /// AllFactIds(cg) for the whole instance) that are optimal *within the
 /// list* under the given semantics, as whole-instance bitsets.  Never
 /// empty for a non-empty block (a completion-optimal block-repair
-/// always exists).  Optimality within the block equals optimality of
-/// the whole repair restricted to the block whenever the priority is
-/// block-local.
-std::vector<DynamicBitset> OptimalRepairsWithin(
-    const ConflictGraph& cg, const PriorityRelation& pr,
-    const std::vector<FactId>& facts, RepairSemantics semantics);
-
-/// Budget-governed variant: the block-repair enumeration checkpoints
-/// once per search-tree node, and the quadratic optimality filter once
-/// per pair test (global, Pareto: one repair tested against another,
-/// each repair's scan stopping at its first improver) or once per
-/// repair (completion), so `max_nodes` bounds the filter too.  When
+/// always exists).  Optimality within a block equals optimality of the
+/// whole repair restricted to the block (docs/algorithms.md, "Why
+/// blocks are sound").  The block-repair enumeration checkpoints
+/// `governor` once per search-tree node, and the quadratic optimality
+/// filter once per pair test (global, Pareto: one repair tested against
+/// another, each repair's scan stopping at its first improver) or once
+/// per repair (completion), so `max_nodes` bounds the filter too.  When
 /// `governor.exhausted()` afterwards the returned vector is partial and
 /// MUST be discarded (a subset of the optimal block-repairs is not a
 /// usable under-approximation for cross-products).
 std::vector<DynamicBitset> OptimalRepairsWithin(
     const ConflictGraph& cg, const PriorityRelation& pr,
     const std::vector<FactId>& facts, RepairSemantics semantics,
-    ResourceGovernor& governor);
+    ResourceGovernor& governor = ResourceGovernor::Unlimited());
 
 }  // namespace prefrep
 

@@ -61,7 +61,7 @@ SessionContext::SessionContext(const PreferredRepairProblem& problem,
     // needs every initial fact in its buckets.
     conflict_index_.InsertAndCollect(f);
   }
-  const BlockDecomposition initial(*graph_);
+  const BlockDecomposition initial(*graph_, *priority_);
   free_ = initial.free_facts();
   for (const Block& b : initial.blocks()) {
     InstallBlock(b.fact_list);
@@ -119,17 +119,25 @@ Result<std::string> SessionContext::Insert(
     free_.set(f);
     return "ok " + std::string(verb) + " " + std::string(label) + " (free)";
   }
-  // Merge: f, its free neighbors, and every neighbor block become one
-  // block (they are all connected through f now).
-  std::set<FactId> touched_keys;
+  // Merge: f, its free neighbors, and every block one edge away from
+  // them become one block (they are all connected through f now).  The
+  // edges are those ForEachBlockLink follows: f's conflicts, and the
+  // priority edges of a formerly free neighbor, which count now that it
+  // has a conflict.
   std::vector<FactId> members{f};
   for (FactId g : neighbors) {
     if (free_.test(g)) {
       free_.reset(g);
       members.push_back(g);
-    } else {
-      touched_keys.insert(block_key_of_[g]);
     }
+  }
+  std::set<FactId> touched_keys;
+  for (FactId m : members) {
+    ForEachBlockLink(*graph_, *priority_, m, [&](FactId g) {
+      if (block_key_of_[g] != kInvalidFactId) {
+        touched_keys.insert(block_key_of_[g]);
+      }
+    });
   }
   for (FactId key : touched_keys) {
     auto it = block_members_.find(key);
@@ -172,9 +180,11 @@ Result<std::string> SessionContext::Delete(std::string_view label) {
   for (FactId m : members) {
     block_key_of_[m] = kInvalidFactId;
   }
-  // Re-split: connected components of the old block minus f.  Edges of
-  // the survivors still point only inside the old block, so a BFS over
-  // the live adjacency is confined to `members` automatically.
+  // Re-split: connected components of the old block minus f, along the
+  // edges ForEachBlockLink follows.  Edges of the survivors still point
+  // only inside the old block (or at free facts, which it skips), so a
+  // BFS over the live adjacency is confined to `members` automatically;
+  // a survivor left without conflicts links to nothing and turns free.
   std::unordered_set<FactId> visited{f};
   size_t split_blocks = 0;
   for (FactId seed : members) {
@@ -187,12 +197,12 @@ Result<std::string> SessionContext::Delete(std::string_view label) {
     while (!stack.empty()) {
       FactId u = stack.back();
       stack.pop_back();
-      for (FactId v : graph_->neighbors(u)) {
+      ForEachBlockLink(*graph_, *priority_, u, [&](FactId v) {
         if (visited.insert(v).second) {
           component.push_back(v);
           stack.push_back(v);
         }
-      }
+      });
     }
     if (component.size() == 1) {
       free_.set(seed);
@@ -302,14 +312,11 @@ void SessionContext::EnsureFresh() {
     blocks_view_ = std::make_unique<BlockDecomposition>(
         std::move(blocks), std::move(free_copy), std::move(block_of),
         facts_.schema().num_relations());
-    priority_block_local_value_ =
-        PriorityIsBlockLocal(*blocks_view_, *priority_);
     ProblemContext::ResidentArtifacts artifacts;
     artifacts.graph = graph_.get();
     artifacts.classification = &classification_;
     artifacts.ccp_classification = &ccp_classification_;
     artifacts.blocks = blocks_view_.get();
-    artifacts.priority_block_local = &priority_block_local_value_;
     ctx_ = std::make_unique<ProblemContext>(facts_.instance(), *priority_,
                                             artifacts);
     ctx_->set_parallelism(options_.threads);
@@ -331,7 +338,7 @@ void SessionContext::AuditAgainstRebuild() {
   Result<PreferredRepairProblem> rebuilt = ParseProblemText(SerializeLive());
   PREFREP_CHECK_MSG(rebuilt.ok(), "serialized live state must re-parse");
   const ConflictGraph rebuilt_graph(*rebuilt->instance);
-  const BlockDecomposition rebuilt_blocks(rebuilt_graph);
+  const BlockDecomposition rebuilt_blocks(rebuilt_graph, *rebuilt->priority);
   PREFREP_CHECK_MSG(rebuilt_graph.num_edges() == graph_->num_edges(),
                     "incremental conflict edges diverged from rebuild");
   PREFREP_CHECK_MSG(
@@ -369,19 +376,11 @@ void SessionContext::AuditAgainstRebuild() {
                 rebuilt->instance->label(their_edges[i].second),
         "incremental priority edge order diverged from rebuild");
   }
-  PREFREP_CHECK_MSG(
-      PriorityIsBlockLocal(rebuilt_blocks, *rebuilt->priority) ==
-          priority_block_local_value_,
-      "incremental block-locality flag diverged from rebuild");
 }
 #endif
 
 Result<std::string> SessionContext::RunCheck(AnswerSemantics semantics) {
   EnsureFresh();
-  if (!priority_block_local_value_) {
-    return Status::FailedPrecondition(
-        "session queries require a block-local priority");
-  }
   if (semantics == AnswerSemantics::kCompletion &&
       !priority_->IsConflictBounded()) {
     return Status::FailedPrecondition(
@@ -429,10 +428,6 @@ Result<std::string> SessionContext::RunCheck(AnswerSemantics semantics) {
 
 Result<std::string> SessionContext::RunCount(AnswerSemantics semantics) {
   EnsureFresh();
-  if (!priority_block_local_value_) {
-    return Status::FailedPrecondition(
-        "session queries require a block-local priority");
-  }
   if (semantics == AnswerSemantics::kCompletion &&
       !priority_->IsConflictBounded()) {
     return Status::FailedPrecondition(
@@ -481,11 +476,6 @@ Result<std::string> SessionContext::RunConstruct() {
 Result<std::string> SessionContext::RunCqa(AnswerSemantics semantics,
                                            const std::string& query_text) {
   EnsureFresh();
-  if (semantics != AnswerSemantics::kAllRepairs &&
-      !priority_block_local_value_) {
-    return Status::FailedPrecondition(
-        "session queries require a block-local priority");
-  }
   if (semantics == AnswerSemantics::kCompletion &&
       !priority_->IsConflictBounded()) {
     return Status::FailedPrecondition(

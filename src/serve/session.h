@@ -8,11 +8,14 @@
 //   insert f  — δ-conflict neighbors of f come from the persistent
 //               ConflictDeltaIndex buckets (O(|∆| · bucket), not
 //               O(instance)).  No neighbors: f is free.  Otherwise f's
-//               neighbor blocks and free neighbors merge into ONE block.
+//               neighbor blocks and free neighbors merge into ONE block,
+//               with every block a cross-conflict priority edge links
+//               to a formerly free neighbor (conflicts/blocks.h).
 //   delete f  — f is tombstoned (ids are stable), its incident conflict
 //               and priority edges drop, and its old block re-splits
-//               into the connected components of the remainder
-//               (singletons become free facts).
+//               into the connected components of the remainder, along
+//               conflict and priority edges (singletons become free
+//               facts).
 //   prefer    — a new edge between conflicting facts; the block is
 //               unchanged as a fact set.
 //
@@ -93,10 +96,9 @@ struct SessionStats {
 class SessionContext {
  public:
   /// Builds a session over a deep copy of `problem` (the argument is
-  /// not retained).  The priority must be acyclic; conflict-bounded
-  /// priorities get the full edit vocabulary, cross-conflict ones are
-  /// query-only (the prefer op enforces conflict-boundedness, and
-  /// non-block-local priorities reject session queries).
+  /// not retained).  The priority must be acyclic.  A cross-conflict
+  /// priority is answered like any other, but the prefer op only adds
+  /// edges between conflicting facts.
   static Result<std::unique_ptr<SessionContext>> Create(
       const PreferredRepairProblem& problem, SessionOptions options = {});
 
@@ -214,7 +216,6 @@ class SessionContext {
   bool view_dirty_ = true;
   std::unique_ptr<BlockDecomposition> blocks_view_;
   std::unique_ptr<ProblemContext> ctx_;
-  bool priority_block_local_value_ = true;
 
   // Schema-level classifications never change (the schema is fixed).
   SchemaClassification classification_;

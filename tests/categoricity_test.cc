@@ -264,20 +264,89 @@ TEST(CategoricityDecisionTest, NearMissBreaksExactlyTheLastBlock) {
   }
 }
 
-TEST(CategoricityDecisionTest, CrossBlockPriorityIsUnknownWithoutWork) {
+// A priority edge between two blocks joins them into one block, which
+// categoricity decides like any other, in agreement with the
+// whole-instance optimal repairs.
+TEST(CategoricityDecisionTest, CrossBlockPriorityJoinsBlocks) {
   ProblemSpec spec;
   spec.arity = 2;
   spec.fds = {"1 -> 2"};
-  // Two separate blocks; priority crosses them.
+  // Two conflict blocks; a1 > b1 crosses them.  Nothing dominates a2 or
+  // b2, so all four repairs are optimal.
   spec.facts = {"a1: k, v1", "a2: k, v2", "b1: m, w1", "b2: m, w2"};
   spec.priorities = {"a1 > b1"};
+  for (bool ordered : {false, true}) {
+    SCOPED_TRACE(ordered ? "ordered blocks" : "one cross edge");
+    if (ordered) {
+      // a1 > a2 and b1 > b2 leave {a1, b1} the one optimal repair.
+      spec.priorities = {"a1 > b1", "a1 > a2", "b1 > b2"};
+    }
+    PreferredRepairProblem p = testing_util::MakeProblem(spec);
+    ProblemContext ctx(*p.instance, *p.priority);
+    ASSERT_EQ(ctx.blocks().num_blocks(), 1u);
+    const ConflictGraph& cg = ctx.conflict_graph();
+    const std::vector<DynamicBitset> reference =
+        OptimalRepairsWithin(cg, *p.priority, AllFactIds(cg),
+                             RepairSemantics::kGlobal);
+    ASSERT_EQ(reference.size(), ordered ? 1u : 4u);
+    CategoricityResult result =
+        DecideCategoricity(ctx, RepairSemantics::kGlobal);
+    if (ordered) {
+      EXPECT_EQ(result.verdict, Categoricity::kCategorical);
+      EXPECT_EQ(result.repair, reference.front());
+      EXPECT_EQ(result.repair,
+                testing_util::Sub(*p.instance, {"a1", "b1"}));
+    } else {
+      EXPECT_EQ(result.verdict, Categoricity::kAmbiguous);
+      EXPECT_EQ(result.ambiguous_block, 0u);
+    }
+  }
+}
+
+// A cut-short optimal set that already holds two verified members
+// proves its block ambiguous.  The block is a four-fact clique of a
+// hard relation (FDs 1 -> 2 and 2 -> 3, so the exhaustive solver
+// decides it) with one priority edge, a > b: its optimal block-repairs
+// are {a}, {c} and {d}.  At max_nodes 9-13 the filter has verified one
+// member, at 14-17 two, and from 18 on all three.
+TEST(CategoricityDecisionTest, TwoVerifiedMembersAnswerAmbiguous) {
+  ProblemSpec spec;
+  spec.arity = 3;
+  spec.fds = {"1 -> 2", "2 -> 3"};
+  spec.facts = {"a: k, 1, x", "b: k, 2, x", "c: k, 3, x", "d: k, 4, x"};
+  spec.priorities = {"a > b"};
   PreferredRepairProblem p = testing_util::MakeProblem(spec);
+  for (uint64_t max_nodes = 9; max_nodes <= 18; ++max_nodes) {
+    SCOPED_TRACE("max_nodes=" + std::to_string(max_nodes));
+    ProblemContext ctx(*p.instance, *p.priority);
+    ASSERT_EQ(ctx.blocks().num_blocks(), 1u);
+    const Block& b = ctx.blocks().block(0);
+    ResourceBudget budget;
+    budget.max_nodes = max_nodes;
+    ResourceGovernor set_governor(budget);
+    ctx.set_governor(&set_governor);
+    const OptimalBlockSet set = OptimalSetOf(ctx, b, RepairSemantics::kGlobal);
+    EXPECT_EQ(set.complete, max_nodes >= 18);
+    EXPECT_EQ(set.size(), max_nodes >= 18 ? 3u : max_nodes >= 14 ? 2u : 1u);
+    ResourceGovernor governor(budget);
+    ctx.set_governor(&governor);
+    const BlockCategoricity c =
+        DecideBlockCategoricity(ctx, b, RepairSemantics::kGlobal);
+    EXPECT_EQ(c.unique,
+              max_nodes >= 14 ? Trilean::kFalse : Trilean::kUnknown);
+  }
+  // The whole-instance decision spends one node on its block checkpoint
+  // first, then answers ambiguous from the cut-short set.
   ProblemContext ctx(*p.instance, *p.priority);
-  ASSERT_FALSE(ctx.priority_block_local());
-  CategoricityResult result =
+  ResourceBudget budget;
+  budget.max_nodes = 16;
+  ResourceGovernor governor(budget);
+  ctx.set_governor(&governor);
+  const CategoricityResult result =
       DecideCategoricity(ctx, RepairSemantics::kGlobal);
-  EXPECT_EQ(result.verdict, Categoricity::kUnknown);
-  EXPECT_FALSE(result.unknown_reason.empty());
+  EXPECT_TRUE(governor.exhausted());
+  EXPECT_EQ(result.verdict, Categoricity::kAmbiguous);
+  EXPECT_EQ(result.ambiguous_block, 0u);
 }
 
 // (b) of the battery: the per-block decision agrees with the
@@ -327,10 +396,8 @@ TEST(CategoricityDefinitionalTest, AgreesWithExhaustiveEnumeration) {
         }
       }
     }
-    // Whole-instance verdict against full optimal-repair enumeration
-    // (block-local priorities only — the others are kUnknown by
-    // contract, which asserts nothing).
-    if (!ctx.priority_block_local() || p.instance->num_facts() > 14) {
+    // Whole-instance verdict against full optimal-repair enumeration.
+    if (p.instance->num_facts() > 14) {
       continue;
     }
     for (RepairSemantics sem : kSemantics) {

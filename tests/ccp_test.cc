@@ -193,13 +193,13 @@ TEST(CcpConstantAttrTest, RepairEnumerationIsProductOfPartitions) {
   inst.MustAddFact("S", {"x"});
   inst.MustAddFact("S", {"y"});
   inst.MustAddFact("S", {"z"});
+  ConflictGraph cg(inst);
   size_t count = 0;
-  ForEachConstantAttrRepair(inst, [&](const DynamicBitset&) {
+  ForEachConstantAttrRepair(inst, AllFactIds(cg), [&](const DynamicBitset&) {
     ++count;
     return true;
   });
   EXPECT_EQ(count, 6u);  // 2 × 3
-  ConflictGraph cg(inst);
   EXPECT_EQ(CountRepairs(cg), 6u);
 }
 

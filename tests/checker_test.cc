@@ -123,44 +123,57 @@ TEST(CheckerTest, CcpModeRejectsConflictOnlyViolations) {
       "invalid");
 }
 
-// A cross-block priority sends a ccp check to one of three
-// whole-instance branches.  Each reports the instance as one "block",
-// solved exactly or abandoned, and the governor's node count beside it.
-TEST(CheckerTest, WholeInstanceCheckReportsWhatItSpent) {
+// A cross-block priority edge joins the blocks it links, so a ccp
+// check folds the joined block like any other under each of the three
+// Theorem 7.1 routes: one route line over the blocks, the governor's
+// node count beside the report, and the whole-instance verdict.
+TEST(CheckerTest, CrossBlockCheckReportsWhatItSpent) {
   struct Case {
     const char* text;
     const char* route;
     uint64_t max_nodes;
     bool exact;
+    bool optimal;
   };
+  // Two key groups joined by f0c > f1b and f13 > f02; J is refuted.
   const char* const kPrimaryKey =
       "relation R 2\nfd R: 1 -> 2\n"
       "fact f01 R(0, 1)\nfact f02 R(0, 2)\nfact f0c R(0, c)\n"
       "fact f1a R(1, a)\nfact f1b R(1, b)\nfact f13 R(1, 3)\n"
       "prefer f0c > f1b\nprefer f13 > f02 > f01\nj f02 f1b\n";
+  // The R block and the S block, joined across relations by s1 > b1.
   const char* const kConstantAttr =
       "relation R 2\nfd R: {} -> 1\nrelation S 2\nfd S: {} -> 1\n"
       "fact a1 R(a, 1)\nfact a2 R(a, 2)\nfact b1 R(b, 1)\n"
       "fact s1 S(x, 1)\nfact s2 S(y, 1)\n"
       "prefer b1 > a1\nprefer b1 > a2\nprefer s1 > b1\nj b1 s1\n";
+  // Two conflict pairs joined by r3 > r1.
   const char* const kHard =
       "relation R 3\nfd R: 1 -> 2\nfd R: 2 -> 3\n"
       "fact r1 R(a, 1, x)\nfact r2 R(a, 2, x)\n"
       "fact r3 R(b, 3, y)\nfact r4 R(b, 4, y)\n"
       "prefer r3 > r1\nj r1 r3\n";
   const std::vector<Case> cases = {
-      {kPrimaryKey, "ccp primary-key algorithm", 1000, true},
-      {kConstantAttr, "ccp constant-attribute algorithm", 1000, true},
-      {kHard, "exhaustive fallback (whole instance)", 1000, true},
-      {kHard, "exhaustive fallback (whole instance); abandoned", 1, false},
+      {kPrimaryKey,
+       "ccp primary-key algorithm (G_{J,I\\J}) over 1 block(s); failed at "
+       "block 0",
+       1000, true, false},
+      {kConstantAttr,
+       "ccp constant-attribute algorithm (partition scan) over 1 block(s)",
+       1000, true, true},
+      {kHard, "exhaustive fallback over 1 block(s)", 1000, true, true},
+      {kHard,
+       "exhaustive fallback over 1 block(s); abandoned 1 block(s) (budget)",
+       1, false, false},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(std::string(c.route) +
                  ", max_nodes=" + std::to_string(c.max_nodes));
     Result<PreferredRepairProblem> problem = ParseProblemText(c.text);
     ASSERT_TRUE(problem.ok()) << problem.status().ToString();
+    ASSERT_FALSE(problem->priority->IsConflictBounded());
     ProblemContext ctx(*problem->instance, *problem->priority);
-    ASSERT_FALSE(ctx.priority_block_local());
+    ASSERT_EQ(ctx.blocks().num_blocks(), 1u);
     ResourceBudget budget;
     budget.max_nodes = c.max_nodes;
     ResourceGovernor governor(budget);
@@ -175,10 +188,21 @@ TEST(CheckerTest, WholeInstanceCheckReportsWhatItSpent) {
     const DegradationReport& report = outcome->degradation;
     EXPECT_EQ(report.nodes_spent, governor.nodes_spent());
     EXPECT_EQ(report.blocks_total, 1u);
-    EXPECT_EQ(report.blocks_exact, c.exact ? 1u : 0u);
+    // A refuting block stops the fold before it counts as exact.
+    EXPECT_EQ(report.blocks_exact, c.optimal ? 1u : 0u);
     EXPECT_EQ(report.blocks_abandoned, c.exact ? 0u : 1u);
     EXPECT_EQ(report.abandoned.size(), c.exact ? 0u : 1u);
-    EXPECT_EQ(outcome->result.known(), c.exact);
+    ASSERT_EQ(outcome->result.known(), c.exact);
+    if (c.exact) {
+      EXPECT_EQ(outcome->result.optimal, c.optimal);
+      const ConflictGraph& cg = ctx.conflict_graph();
+      const CheckResult reference = ExhaustiveCheckGlobalOptimal(
+          cg, *problem->priority, problem->j);
+      EXPECT_EQ(outcome->result.optimal, reference.optimal);
+      EXPECT_EQ(testing_util::VerifyWitness(cg, *problem->priority,
+                                            problem->j, outcome->result),
+                "");
+    }
   }
 }
 

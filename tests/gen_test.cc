@@ -277,7 +277,6 @@ TEST(CategoricalWorkloadTest, StructureAndPriorityShape) {
   EXPECT_TRUE(p.priority->IsConflictBounded());
   ProblemContext ctx(*p.instance, *p.priority);
   ASSERT_EQ(ctx.blocks().num_blocks(), opts.blocks);
-  EXPECT_TRUE(ctx.priority_block_local());
   // Total on conflicts: every conflict edge carries a priority edge,
   // lower id preferred.
   const ConflictGraph& cg = ctx.conflict_graph();

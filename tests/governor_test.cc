@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 
 #include "base/governor.h"
@@ -212,7 +213,6 @@ TEST(ClusteredWorkloadTest, IsOneBlockWithTheClosedFormRepairCount) {
   // (s-1)^(c-1) * (s-1+c) = 2^4 * 7 = 112.
   EXPECT_EQ(CountRepairs(ctx.conflict_graph()), 112u);
   EXPECT_TRUE(p.priority->Validate(PriorityMode::kConflictOnly).ok());
-  EXPECT_TRUE(ctx.priority_block_local());
   EXPECT_TRUE(IsRepair(ctx.conflict_graph(), p.j));
   // J (all member-1 facts) is globally optimal: nothing dominates them.
   EXPECT_TRUE(
@@ -398,8 +398,7 @@ TEST(GovernorTest, BoundedCountIsExactUngovernedAndALowerBoundGoverned) {
 
 // The globally-optimal repairs by Definition 2.4, in walk order: every
 // repair ExhaustiveCheckGlobalOptimal finds no improvement of.  The
-// reference for the whole-instance enumeration a cross-block priority
-// falls back to.
+// whole-instance reference for the per-block answers below.
 std::vector<DynamicBitset> DefinitionalOptimalRepairs(
     const ConflictGraph& cg, const PriorityRelation& pr) {
   std::vector<DynamicBitset> out;
@@ -411,10 +410,10 @@ std::vector<DynamicBitset> DefinitionalOptimalRepairs(
   return out;
 }
 
-TEST(GovernorTest, CrossBlockFallbacksSpendTheContextBudget) {
-  // One priority edge between two shards couples their blocks, so the
-  // enumeration falls back to the whole instance, and uniqueness is a
-  // one-repair enumeration: categoricity decides per block only.
+TEST(GovernorTest, CrossBlockPrioritySpendsTheContextBudget) {
+  // One priority edge between two shards joins their blocks into one,
+  // so enumeration and uniqueness fold that block like any other, and a
+  // budget cuts its solve short.
   PreferredRepairProblem p = MakeHardShardedWorkload(2, 3, 3);
   p.priority->MustAdd(p.instance->FindLabel("s0:q1:f1"),
                       p.instance->FindLabel("s1:q2:f2"));
@@ -424,10 +423,12 @@ TEST(GovernorTest, CrossBlockFallbacksSpendTheContextBudget) {
   ASSERT_EQ(expected.size(), 1u);
   {
     ProblemContext ctx(cg, *p.priority);
-    ASSERT_FALSE(ctx.priority_block_local());
+    ASSERT_EQ(ctx.blocks().num_blocks(), 1u);
     EXPECT_EQ(AllOptimalRepairs(ctx, RepairSemantics::kGlobal), expected);
-    EXPECT_EQ(DecideCategoricity(ctx, RepairSemantics::kGlobal).verdict,
-              Categoricity::kUnknown);
+    const CategoricityResult categoricity =
+        DecideCategoricity(ctx, RepairSemantics::kGlobal);
+    EXPECT_EQ(categoricity.verdict, Categoricity::kCategorical);
+    EXPECT_EQ(categoricity.repair, expected.front());
   }
   ResourceBudget budget;
   budget.max_nodes = 50;
@@ -438,14 +439,24 @@ TEST(GovernorTest, CrossBlockFallbacksSpendTheContextBudget) {
     EXPECT_TRUE(AllOptimalRepairs(ctx, RepairSemantics::kGlobal).empty());
     EXPECT_TRUE(g.exhausted());
   }
+  {
+    ProblemContext ctx(cg, *p.priority);
+    ResourceGovernor g(budget);
+    ctx.set_governor(&g);
+    const BoundedCount count =
+        CountOptimalRepairsBounded(ctx, RepairSemantics::kGlobal);
+    EXPECT_FALSE(count.exact);
+    EXPECT_EQ(count.unknown_blocks, 1u);
+    EXPECT_EQ(count.lower_bound, 1u);
+    EXPECT_TRUE(g.exhausted());
+  }
 }
 
-TEST(GovernorTest, CrossBlockFilterChargesEveryPairTest) {
+TEST(GovernorTest, WholeInstanceFilterChargesEveryPairTest) {
   // Six independent conflicting pairs and one priority edge between two
-  // of them: the edge is cross-block, so enumeration falls back to the
-  // whole-instance filter, and every one of the 2^6 repairs is optimal
-  // (a0 and a1 do not conflict, so nothing improves a repair).  The
-  // filter tests each repair against every repair: 64 × 64 pair tests.
+  // of them: every one of the 2^6 repairs is optimal (a0 and a1 do not
+  // conflict, so nothing improves a repair).  The whole-instance filter
+  // tests each repair against every repair: 64 × 64 pair tests.
   ProblemSpec spec;
   spec.arity = 2;
   spec.fds = {"1 -> 2"};
@@ -468,18 +479,16 @@ TEST(GovernorTest, CrossBlockFilterChargesEveryPairTest) {
   ForEachRepairWithin(cg, AllFactIds(cg), walk_governor,
                       [](const DynamicBitset&) { return true; });
   const uint64_t walk_nodes = walk_governor.nodes_spent();
-  const auto enumerate = [&](ResourceGovernor& g) {
-    ProblemContext ctx(cg, *p.priority);
-    EXPECT_FALSE(ctx.priority_block_local());
-    ctx.set_governor(&g);
-    return AllOptimalRepairs(ctx, RepairSemantics::kGlobal);
+  const auto filter = [&](ResourceGovernor& g) {
+    return OptimalRepairsWithin(cg, *p.priority, AllFactIds(cg),
+                                RepairSemantics::kGlobal, g);
   };
   {
     // The walk plus one node per repair no longer pays for the filter.
     ResourceBudget budget;
     budget.max_nodes = walk_nodes + 64;
     ResourceGovernor g(budget);
-    EXPECT_TRUE(enumerate(g).empty());
+    filter(g);
     EXPECT_TRUE(g.exhausted());
   }
   {
@@ -487,10 +496,23 @@ TEST(GovernorTest, CrossBlockFilterChargesEveryPairTest) {
     ResourceBudget budget;
     budget.max_nodes = walk_nodes + 64 * 64;
     ResourceGovernor g(budget);
-    EXPECT_EQ(enumerate(g), expected);
+    EXPECT_EQ(filter(g), expected);
     EXPECT_FALSE(g.exhausted());
     EXPECT_EQ(g.nodes_spent(), budget.max_nodes);
   }
+  // The per-block product lists the same repairs: the edge joins the
+  // a0 and a1 blocks, whose four block-repairs are all optimal.
+  ProblemContext ctx(cg, *p.priority);
+  ASSERT_EQ(ctx.blocks().num_blocks(), 5u);
+  std::vector<DynamicBitset> by_blocks =
+      AllOptimalRepairs(ctx, RepairSemantics::kGlobal);
+  std::vector<DynamicBitset> sorted_expected = expected;
+  const auto by_bits = [](const DynamicBitset& x, const DynamicBitset& y) {
+    return x.ToVector() < y.ToVector();
+  };
+  std::sort(by_blocks.begin(), by_blocks.end(), by_bits);
+  std::sort(sorted_expected.begin(), sorted_expected.end(), by_bits);
+  EXPECT_EQ(by_blocks, sorted_expected);
 }
 
 TEST(GovernorTest, CountProductSaturatesAtSixtyFourDoublingBlocks) {

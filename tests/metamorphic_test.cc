@@ -572,7 +572,8 @@ PairList MapPairs(const PairList& pairs, const std::vector<FactId>& map) {
 std::vector<std::vector<FactId>> CanonicalBlocks(
     const Instance& instance, const std::vector<FactId>& map) {
   ConflictGraph cg(instance);
-  BlockDecomposition blocks(cg);
+  const PriorityRelation no_priority(&instance);
+  BlockDecomposition blocks(cg, no_priority);
   std::vector<std::vector<FactId>> out;
   for (const Block& b : blocks.blocks()) {
     std::vector<FactId> facts;

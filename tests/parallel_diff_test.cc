@@ -270,9 +270,9 @@ TEST(ParallelDiffFaultTest, ExhaustionSweepIdentical) {
   }
 }
 
-// Cross-conflict mode: with a block-local ccp priority the checker
-// routes through the same per-block session; with cross-block edges it
-// stays whole-instance.  Both must be thread-count invariant.
+// Cross-conflict mode: the checker routes through the same per-block
+// session, whose blocks cross-block priority edges may have joined.
+// It must be thread-count invariant.
 TEST(ParallelDiffCcpTest, CrossConflictIdentical) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     Rng rng(seed * 40503 + 9);

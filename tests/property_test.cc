@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 #include <set>
 #include <string>
@@ -16,14 +17,19 @@
 
 #include "base/hash.h"
 #include "base/string_util.h"
+#include "cache/block_cache.h"
+#include "classify/categoricity.h"
 #include "conflicts/blocks.h"
 #include "gen/random_instance.h"
+#include "io/text_format.h"
+#include "query/consistent_answers.h"
 #include "repair/ccp_constant_attr.h"
 #include "repair/block_solver.h"
 #include "repair/ccp_primary_key.h"
 #include "repair/checker.h"
 #include "repair/completion.h"
 #include "repair/construct.h"
+#include "repair/counting.h"
 #include "repair/exhaustive.h"
 #include "repair/global_one_fd.h"
 #include "repair/global_two_keys.h"
@@ -596,7 +602,7 @@ TEST_P(ExhaustiveBlockProperty, MatchesDefinitionalScan) {
   PreferredRepairProblem problem = GenerateRandomProblem(schema, opts);
   ConflictGraph cg(*problem.instance);
   const PriorityRelation& pr = *problem.priority;
-  BlockDecomposition blocks(cg);
+  BlockDecomposition blocks(cg, pr);
   Rng rng(GetParam().seed * 104729 +
           static_cast<uint64_t>(GetParam().policy) * 7);
   std::vector<Block> cases;
@@ -1054,7 +1060,7 @@ TEST(RepairWalkWordBoundaryTest, ExhaustiveSolverOnAFullWordBlock) {
                               static_cast<FactId>(f - 3));
   }
   const ConflictGraph cg(*problem.instance);
-  const BlockDecomposition blocks(cg);
+  const BlockDecomposition blocks(cg, *problem.priority);
   ASSERT_EQ(blocks.num_blocks(), 3u);
   Block all;
   all.id = 0;
@@ -1119,6 +1125,221 @@ TEST_P(InclusionProperty, EveryInstanceHasACompletionOptimalRepair) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, InclusionProperty,
                          ::testing::ValuesIn(MakeSweep()), ParamName);
+
+// --- Priority-joined blocks vs the whole-instance references -----------------
+//
+// A cross-conflict priority edge between two facts with conflicts joins
+// their blocks, and an edge touching a free fact is ignored
+// (conflicts/blocks.h), so check, count, enumeration, categoricity and
+// CQA stay per-block folds under every priority.  The battery draws
+// random ccp instances of about 14 facts over two relations, with
+// priority edges within a relation, across the relations and touching
+// free facts, and compares every answer with a whole-instance reference
+// that knows nothing of blocks: the exhaustive global and Pareto checks,
+// the Theorem 7.1 algorithm where the schema has one, and the optimal
+// repairs OptimalRepairsWithin filters from every repair of the
+// instance.  Each answer must equal its reference at threads {1, 8} ×
+// block-solve cache {off, on}.
+
+enum class JoinedSchema { kPrimaryKey, kConstantAttr, kHard };
+
+Schema MakeJoinedSchema(JoinedSchema kind) {
+  Schema schema;
+  RelId r = schema.MustAddRelation("R", kind == JoinedSchema::kHard ? 3 : 2);
+  RelId s = schema.MustAddRelation("S", 2);
+  switch (kind) {
+    case JoinedSchema::kPrimaryKey:
+      schema.MustAddFd(r, FD(AttrSet{1}, AttrSet{1, 2}));
+      schema.MustAddFd(s, FD(AttrSet{1}, AttrSet{1, 2}));
+      break;
+    case JoinedSchema::kConstantAttr:
+      schema.MustAddFd(r, FD(AttrSet(), AttrSet{1}));
+      schema.MustAddFd(s, FD(AttrSet(), AttrSet{1}));
+      break;
+    case JoinedSchema::kHard:
+      schema.MustAddFd(r, FD(AttrSet{1}, AttrSet{2}));
+      schema.MustAddFd(r, FD(AttrSet{2}, AttrSet{3}));
+      schema.MustAddFd(s, FD(AttrSet{1}, AttrSet{1, 2}));
+      break;
+  }
+  return schema;
+}
+
+// What the battery's instances exercised.
+struct JoinedBatteryStats {
+  size_t edges_within = 0;  // between blocks of one relation
+  size_t edges_across = 0;  // between blocks of two relations
+  size_t edges_free = 0;    // touching a free fact
+  size_t two_relation_blocks = 0;
+};
+
+std::vector<DynamicBitset> SortedSets(std::vector<DynamicBitset> sets) {
+  std::sort(sets.begin(), sets.end(),
+            [](const DynamicBitset& x, const DynamicBitset& y) {
+              return x.ToVector() < y.ToVector();
+            });
+  return sets;
+}
+
+// The consistent answers of `query` over `repairs`, by definition.
+std::vector<ConjunctiveQuery::AnswerTuple> IntersectAnswers(
+    const Instance& instance, const ConjunctiveQuery& query,
+    const std::vector<DynamicBitset>& repairs) {
+  std::vector<ConjunctiveQuery::AnswerTuple> out =
+      query.Evaluate(instance, repairs.front());
+  for (const DynamicBitset& repair : repairs) {
+    std::vector<ConjunctiveQuery::AnswerTuple> next =
+        query.Evaluate(instance, repair);
+    std::vector<ConjunctiveQuery::AnswerTuple> merged;
+    std::set_intersection(out.begin(), out.end(), next.begin(), next.end(),
+                          std::back_inserter(merged));
+    out = std::move(merged);
+  }
+  return out;
+}
+
+void ExpectJoinedBlocksMatchReferences(JoinedSchema kind, uint64_t seed,
+                                       JoinedBatteryStats* stats) {
+  RandomProblemOptions opts;
+  opts.facts_per_relation = 7;
+  opts.domain_size = 3;
+  opts.priority_density = 0.5;
+  opts.cross_priority_density = 0.6;
+  opts.j_policy = static_cast<JPolicy>(seed % 4);
+  opts.seed = seed * 15485863 + static_cast<uint64_t>(kind);
+  const PreferredRepairProblem problem =
+      GenerateRandomProblem(MakeJoinedSchema(kind), opts);
+  const Instance& instance = *problem.instance;
+  const PriorityRelation& pr = *problem.priority;
+  const DynamicBitset& j = problem.j;
+  const ConflictGraph cg(instance);
+  SCOPED_TRACE(ProblemToText(instance, &pr, &j));
+  for (const auto& [higher, lower] : pr.edges()) {
+    if (FactsConflict(instance, higher, lower)) {
+      continue;
+    }
+    if (cg.neighbors(higher).empty() || cg.neighbors(lower).empty()) {
+      ++stats->edges_free;
+    } else if (instance.fact(higher).rel != instance.fact(lower).rel) {
+      ++stats->edges_across;
+    } else {
+      ++stats->edges_within;
+    }
+  }
+
+  // The whole-instance references.
+  const CheckResult global_reference = ExhaustiveCheckGlobalOptimal(cg, pr, j);
+  const CheckResult pareto_reference = ExhaustiveCheckParetoOptimal(cg, pr, j);
+  if (kind == JoinedSchema::kPrimaryKey) {
+    EXPECT_EQ(CheckGlobalOptimalCcpPrimaryKey(cg, pr, j).optimal,
+              global_reference.optimal);
+  } else if (kind == JoinedSchema::kConstantAttr) {
+    EXPECT_EQ(CheckGlobalOptimalCcpConstantAttr(cg, pr, j).optimal,
+              global_reference.optimal);
+  }
+  const RepairSemantics kSemantics[] = {RepairSemantics::kGlobal,
+                                        RepairSemantics::kPareto};
+  const AnswerSemantics kAnswers[] = {AnswerSemantics::kGlobal,
+                                      AnswerSemantics::kPareto};
+  std::vector<DynamicBitset> optimal_reference[2];
+  for (size_t k = 0; k < 2; ++k) {
+    optimal_reference[k] = SortedSets(
+        OptimalRepairsWithin(cg, pr, AllFactIds(cg), kSemantics[k]));
+    ASSERT_FALSE(optimal_reference[k].empty());
+  }
+  const std::string r_atom =
+      kind == JoinedSchema::kHard ? "R(x, y, z)" : "R(x, y)";
+  Result<ConjunctiveQuery> query_r =
+      ConjunctiveQuery::Parse("Q(x) :- " + r_atom);
+  Result<ConjunctiveQuery> query_s =
+      ConjunctiveQuery::Parse("Q(x, y) :- S(x, y)");
+  Result<ConjunctiveQuery> query_bool =
+      ConjunctiveQuery::Parse("Q() :- S(x, \"x0\")");
+  ASSERT_TRUE(query_r.ok() && query_s.ok() && query_bool.ok());
+
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    for (bool cached : {false, true}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " cache=" + std::to_string(cached));
+      BlockSolveCache cache(256);
+      ProblemContext ctx(instance, pr);
+      ctx.set_parallelism(threads);
+      ctx.set_block_cache(cached ? &cache : nullptr);
+      for (const Block& b : ctx.blocks().blocks()) {
+        const RelId rel = instance.fact(b.fact_list.back()).rel;
+        if (threads == 1 && !cached && rel != b.rel) {
+          ++stats->two_relation_blocks;
+        }
+      }
+      CheckerOptions ccp;
+      ccp.mode = PriorityMode::kCrossConflict;
+      const RepairChecker checker(ctx, ccp);
+      Result<CheckOutcome> outcome = checker.CheckGloballyOptimal(j);
+      ASSERT_TRUE(outcome.ok());
+      ASSERT_TRUE(outcome->result.known());
+      EXPECT_EQ(outcome->result.optimal, global_reference.optimal);
+      EXPECT_EQ(testing_util::VerifyWitness(cg, pr, j, outcome->result), "");
+      const CheckResult pareto = checker.CheckParetoOptimal(j);
+      ASSERT_TRUE(pareto.known());
+      EXPECT_EQ(pareto.optimal, pareto_reference.optimal);
+      if (pareto.witness.has_value()) {
+        EXPECT_TRUE(
+            IsParetoImprovement(cg, pr, j, pareto.witness->improvement));
+      }
+      for (size_t k = 0; k < 2; ++k) {
+        SCOPED_TRACE(k == 0 ? "global" : "pareto");
+        const std::vector<DynamicBitset>& reference = optimal_reference[k];
+        const BoundedCount count =
+            CountOptimalRepairsBounded(ctx, kSemantics[k]);
+        EXPECT_TRUE(count.exact);
+        EXPECT_EQ(count.lower_bound, reference.size());
+        EXPECT_EQ(SortedSets(AllOptimalRepairs(ctx, kSemantics[k])),
+                  reference);
+        const CategoricityResult categoricity =
+            DecideCategoricity(ctx, kSemantics[k]);
+        if (reference.size() == 1) {
+          EXPECT_EQ(categoricity.verdict, Categoricity::kCategorical);
+          EXPECT_EQ(categoricity.repair, reference.front());
+        } else {
+          EXPECT_EQ(categoricity.verdict, Categoricity::kAmbiguous);
+        }
+        for (const ConjunctiveQuery* query : {&*query_r, &*query_s}) {
+          Result<std::vector<ConjunctiveQuery::AnswerTuple>> answers =
+              ConsistentAnswersBounded(ctx, *query, kAnswers[k]);
+          ASSERT_TRUE(answers.ok());
+          EXPECT_EQ(*answers, IntersectAnswers(instance, *query, reference));
+        }
+        bool certain = true;
+        bool possible = false;
+        for (const DynamicBitset& repair : reference) {
+          const bool holds = query_bool->EvaluateBoolean(instance, repair);
+          certain = certain && holds;
+          possible = possible || holds;
+        }
+        EXPECT_EQ(CertainlyTrueBounded(ctx, *query_bool, kAnswers[k]),
+                  certain ? Trilean::kTrue : Trilean::kFalse);
+        EXPECT_EQ(PossiblyTrueBounded(ctx, *query_bool, kAnswers[k]),
+                  possible ? Trilean::kTrue : Trilean::kFalse);
+      }
+    }
+  }
+}
+
+TEST(JoinedBlockProperty, EveryAnswerMatchesTheWholeInstanceReferences) {
+  JoinedBatteryStats stats;
+  for (JoinedSchema kind : {JoinedSchema::kPrimaryKey,
+                            JoinedSchema::kConstantAttr, JoinedSchema::kHard}) {
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+      SCOPED_TRACE("schema " + std::to_string(static_cast<int>(kind)) +
+                   " seed " + std::to_string(seed));
+      ExpectJoinedBlocksMatchReferences(kind, seed, &stats);
+    }
+  }
+  EXPECT_GT(stats.edges_within, 0u);
+  EXPECT_GT(stats.edges_across, 0u);
+  EXPECT_GT(stats.edges_free, 0u);
+  EXPECT_GT(stats.two_relation_blocks, 0u);
+}
 
 }  // namespace
 }  // namespace prefrep

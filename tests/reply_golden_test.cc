@@ -9,11 +9,11 @@
 // Inputs: examples/hard_s1_bounded.txt (one 39-fact block on hard
 // schema S1), a small hard-sharded S1 workload with one non-optimal
 // shard, a 72-fact hard-sharded S1 workload whose one cross-shard
-// priority edge sends every question to the whole instance, and three
-// seeded MakeEditScriptWorkload scripts (one of twenty shards, so more
-// than 64 facts stay live) replayed through a resident session.  Node
-// budgets are chosen so some blocks degrade, and so the whole-instance
-// walks are cut short.
+// priority edge joins two shards into one block, and three seeded
+// MakeEditScriptWorkload scripts (one of twenty shards, so more than 64
+// facts stay live) replayed through a resident session.  Node budgets
+// are chosen so some blocks degrade, and so the whole-instance repair
+// walk is cut short.
 // Every transcript must match its golden file under threads {1, 8} ×
 // block-solve cache {off, on}.
 //
@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -31,7 +32,6 @@
 #include "base/string_util.h"
 #include "cache/block_cache.h"
 #include "classify/categoricity.h"
-#include "conflicts/blocks.h"
 #include "gen/edit_script.h"
 #include "gen/hard_workloads.h"
 #include "io/ops_format.h"
@@ -40,6 +40,8 @@
 #include "repair/construct.h"
 #include "repair/counting.h"
 #include "repair/exhaustive.h"
+#include "repair/improvement.h"
+#include "repair/pareto.h"
 #include "serve/session.h"
 
 #ifndef PREFREP_SOURCE_DIR
@@ -162,9 +164,6 @@ void AppendLibraryTranscript(const PreferredRepairProblem& problem,
                              std::ostream* out) {
   const Instance& instance = *problem.instance;
   const bool conflict_bounded = problem.priority->IsConflictBounded();
-  // A cross-block priority sends every question to the whole instance.
-  const bool block_local = PriorityIsBlockLocal(
-      BlockDecomposition(ConflictGraph(instance)), *problem.priority);
   auto with_context = [&](const std::string& title, auto&& body) {
     *out << title << " [" << BudgetName(budget) << "]\n";
     ResourceGovernor governor(budget);
@@ -235,9 +234,6 @@ void AppendLibraryTranscript(const PreferredRepairProblem& problem,
                         << " unknown_blocks=" << count.unknown_blocks
                         << " saturated=" << count.saturated << "\n";
                  });
-    if (!block_local) {
-      continue;  // governor_test covers the whole-instance enumeration
-    }
     with_context(std::string("enumerate ") + SemanticsName(semantics),
                  [&](const ProblemContext& ctx) {
                    const std::vector<DynamicBitset> all =
@@ -249,7 +245,7 @@ void AppendLibraryTranscript(const PreferredRepairProblem& problem,
                    }
                  });
   }
-  if (!block_local) {
+  if (!conflict_bounded) {
     // The governed whole-instance repair walk (the one `cqa repairs`
     // streams): how far the budget let it get, and where.
     with_context("enumerate repairs", [&](const ProblemContext& ctx) {
@@ -270,7 +266,6 @@ void AppendLibraryTranscript(const PreferredRepairProblem& problem,
         *out << "  last: " << instance.SubinstanceToString(last) << "\n";
       }
     });
-    return;
   }
   with_context("categoricity global", [&](const ProblemContext& ctx) {
     const CategoricityResult result =
@@ -436,18 +431,17 @@ TEST(ReplyGoldenTest, HardSharded) {
 
 // Eight shards of nine facts (72 facts, so a repair walk over the whole
 // instance spans two words) and one priority edge between shards 0 and
-// 7, which makes the priority cross blocks: checking, counting and
-// repair enumeration all walk the whole instance until a node budget
-// cuts them short.  J takes the spine fact of clique 0 in place of its
-// member-1 fact in every shard but shard 6 — the walk's first choice
-// in each shard — so the first improving repair (shard 7 back to its
-// member-1 facts) turns up a few hundred nodes into the walk.  Library
-// only: a session with a block cache cannot hold a cross-block
-// priority.
-TEST(ReplyGoldenTest, CrossShardWholeInstance) {
+// 7, which joins their blocks into one 18-fact block: every question
+// folds seven blocks, and only the `enumerate repairs` walk spans the
+// whole instance until a node budget cuts it short.  J takes the spine
+// fact of clique 0 in place of its member-1 fact in every shard but
+// shard 6 — the walk's first choice in each shard — so the walk's first
+// improving repair (shard 7 back to its member-1 facts) turns up a few
+// hundred nodes into it.
+PreferredRepairProblem CrossShardProblem() {
   PreferredRepairProblem problem = MakeHardShardedWorkload(8, 3, 3);
   const Instance& instance = *problem.instance;
-  ASSERT_TRUE(problem.priority->AddByLabels("s0:q1:f1", "s7:q2:f2").ok());
+  EXPECT_TRUE(problem.priority->AddByLabels("s0:q1:f1", "s7:q2:f2").ok());
   for (size_t s = 0; s < 8; ++s) {
     if (s == 6) {
       continue;
@@ -455,11 +449,232 @@ TEST(ReplyGoldenTest, CrossShardWholeInstance) {
     problem.j.reset(instance.FindLabel(StrFormat("s%zu:q0:f1", s)));
     problem.j.set(instance.FindLabel(StrFormat("s%zu:q0:f0", s)));
   }
-  const std::vector<ResourceBudget> budgets = {
-      NodeBudget(150), NodeBudget(600), NodeBudget(20000)};
+  return problem;
+}
+
+std::vector<ResourceBudget> CrossShardBudgets() {
+  return {NodeBudget(150), NodeBudget(600), NodeBudget(20000)};
+}
+
+TEST(ReplyGoldenTest, CrossShardJoinedBlock) {
+  const PreferredRepairProblem problem = CrossShardProblem();
   for (const Config& config : kConfigs) {
-    ExpectMatchesGolden("cross_shard_library",
-                        LibraryTranscript(problem, budgets, config), config);
+    ExpectMatchesGolden(
+        "cross_shard_library",
+        LibraryTranscript(problem, CrossShardBudgets(), config), config);
+  }
+}
+
+// `problem` restricted to the facts whose labels start with one of
+// `prefixes`: its text form keeps the schema, those facts, the priority
+// edges between them and J's share of them.
+PreferredRepairProblem RestrictByLabel(
+    const PreferredRepairProblem& problem,
+    const std::vector<std::string>& prefixes) {
+  const auto kept = [&](const std::string& label) {
+    return std::any_of(prefixes.begin(), prefixes.end(),
+                       [&](const std::string& prefix) {
+                         return label.compare(0, prefix.size(), prefix) == 0;
+                       });
+  };
+  std::istringstream in(
+      ProblemToText(*problem.instance, problem.priority.get(), &problem.j));
+  std::string text;
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream words(line);
+    std::vector<std::string> word;
+    for (std::string w; words >> w;) {
+      word.push_back(w);
+    }
+    if (word.empty()) {
+      continue;
+    }
+    if (word[0] == "fact" && !kept(word[1])) {
+      continue;
+    }
+    if (word[0] == "prefer" && (!kept(word[1]) || !kept(word[3]))) {
+      continue;
+    }
+    if (word[0] == "j") {
+      line = "j";
+      for (size_t i = 1; i < word.size(); ++i) {
+        if (kept(word[i])) {
+          line += " " + word[i];
+        }
+      }
+    }
+    text += line + "\n";
+  }
+  return MustParse(text);
+}
+
+// Each set as its sorted label list, and the lists sorted, so sets of
+// facts from different instances compare.
+std::vector<std::vector<std::string>> LabelSets(
+    const Instance& instance, const std::vector<DynamicBitset>& sets) {
+  std::vector<std::vector<std::string>> out;
+  for (const DynamicBitset& set : sets) {
+    std::vector<std::string> labels;
+    set.ForEach([&](size_t f) {
+      labels.push_back(instance.label(static_cast<FactId>(f)));
+    });
+    std::sort(labels.begin(), labels.end());
+    out.push_back(std::move(labels));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Each answer of the cross-shard transcript against a whole-instance
+// reference.  The verdicts are checked against the whole-instance
+// exhaustive checks and the whole-instance Pareto check, on all 72
+// facts: J is improvable, so the exhaustive scans stop early.  The
+// optimal repairs of all 72 facts number 20^8 repairs to filter, so
+// their reference is OptimalRepairsWithin over AllFactIds of each
+// independent shard group — shards 0 and 7, which the edge couples,
+// and every other shard alone — and the whole-instance optimal set is
+// the product of the groups' sets: no conflict and no priority edge
+// relates two groups, which the test checks first.
+TEST(ReplyGoldenTest, CrossShardAnswersMatchWholeInstanceReferences) {
+  const PreferredRepairProblem problem = CrossShardProblem();
+  const Instance& instance = *problem.instance;
+  const PriorityRelation& pr = *problem.priority;
+  const ConflictGraph cg(instance);
+  const std::vector<std::vector<std::string>> groups = {
+      {"s0:", "s7:"}, {"s1:"}, {"s2:"}, {"s3:"}, {"s4:"}, {"s5:"}, {"s6:"}};
+  const auto group_of = [&](FactId f) {
+    const std::string label = instance.label(f);
+    for (size_t g = 0; g < groups.size(); ++g) {
+      for (const std::string& prefix : groups[g]) {
+        if (label.compare(0, prefix.size(), prefix) == 0) {
+          return g;
+        }
+      }
+    }
+    return groups.size();
+  };
+  for (FactId f = 0; f < cg.num_facts(); ++f) {
+    ASSERT_LT(group_of(f), groups.size());
+    for (FactId g : cg.neighbors(f)) {
+      ASSERT_EQ(group_of(f), group_of(g));
+    }
+  }
+  for (const auto& [higher, lower] : pr.edges()) {
+    ASSERT_EQ(group_of(higher), group_of(lower));
+  }
+  // The whole-instance optimal repairs per semantics, as label sets.
+  std::vector<std::vector<std::vector<std::string>>> reference;
+  for (RepairSemantics semantics :
+       {RepairSemantics::kGlobal, RepairSemantics::kPareto}) {
+    std::vector<std::vector<std::string>> product{{}};
+    for (const std::vector<std::string>& prefixes : groups) {
+      const PreferredRepairProblem part = RestrictByLabel(problem, prefixes);
+      const ConflictGraph part_cg(*part.instance);
+      const std::vector<std::vector<std::string>> optimal = LabelSets(
+          *part.instance,
+          OptimalRepairsWithin(part_cg, *part.priority,
+                               AllFactIds(part_cg), semantics));
+      std::vector<std::vector<std::string>> next;
+      for (const std::vector<std::string>& prefix : product) {
+        for (const std::vector<std::string>& choice : optimal) {
+          std::vector<std::string> merged = prefix;
+          merged.insert(merged.end(), choice.begin(), choice.end());
+          std::sort(merged.begin(), merged.end());
+          next.push_back(std::move(merged));
+        }
+      }
+      product = std::move(next);
+    }
+    std::sort(product.begin(), product.end());
+    reference.push_back(std::move(product));
+  }
+  const CheckResult global_reference =
+      ExhaustiveCheckGlobalOptimal(cg, pr, problem.j);
+  ASSERT_TRUE(global_reference.known());
+  const CheckResult pareto_reference = CheckParetoOptimal(cg, pr, problem.j);
+  ResourceBudget walk_budget;
+  walk_budget.max_nodes = 1000000;
+  ResourceGovernor walk_governor(walk_budget);
+  const CheckResult pareto_exhaustive =
+      ExhaustiveCheckParetoOptimal(cg, pr, problem.j, walk_governor);
+  ASSERT_TRUE(pareto_exhaustive.known());
+  ASSERT_EQ(pareto_exhaustive.optimal, pareto_reference.optimal);
+
+  std::vector<ResourceBudget> budgets = CrossShardBudgets();
+  budgets.push_back(ResourceBudget{});
+  for (const Config& config : kConfigs) {
+    for (const ResourceBudget& budget : budgets) {
+      SCOPED_TRACE(ConfigName(config) + " " + BudgetName(budget));
+      BlockSolveCache cache(kCacheCapacity);
+      auto run = [&](auto&& body) {
+        ResourceGovernor governor(budget);
+        ProblemContext ctx(instance, pr);
+        ctx.set_parallelism(config.threads);
+        ctx.set_block_cache(config.cache ? &cache : nullptr);
+        if (!budget.Unlimited()) {
+          ctx.set_governor(&governor);
+        }
+        body(ctx);
+      };
+      run([&](const ProblemContext& ctx) {
+        ASSERT_EQ(ctx.blocks().num_blocks(), 7u);
+        CheckerOptions options;
+        options.mode = PriorityMode::kCrossConflict;
+        const RepairChecker checker(ctx, options);
+        Result<CheckOutcome> outcome = checker.CheckGloballyOptimal(problem.j);
+        ASSERT_TRUE(outcome.ok());
+        if (outcome->result.known()) {
+          EXPECT_EQ(outcome->result.optimal, global_reference.optimal);
+        }
+        if (outcome->result.witness.has_value()) {
+          EXPECT_TRUE(IsGlobalImprovement(
+              cg, pr, problem.j, outcome->result.witness->improvement));
+        }
+        const CheckResult pareto = checker.CheckParetoOptimal(problem.j);
+        ASSERT_TRUE(pareto.known());
+        EXPECT_EQ(pareto.optimal, pareto_reference.optimal);
+      });
+      for (size_t k = 0; k < 2; ++k) {
+        const RepairSemantics semantics =
+            k == 0 ? RepairSemantics::kGlobal : RepairSemantics::kPareto;
+        const std::vector<std::vector<std::string>>& expected = reference[k];
+        run([&](const ProblemContext& ctx) {
+          const BoundedCount count =
+              CountOptimalRepairsBounded(ctx, semantics);
+          EXPECT_LE(count.lower_bound, expected.size());
+          if (count.exact) {
+            EXPECT_EQ(count.lower_bound, expected.size());
+          }
+          EXPECT_TRUE(count.exact || !budget.Unlimited());
+        });
+        run([&](const ProblemContext& ctx) {
+          const std::vector<DynamicBitset> all =
+              AllOptimalRepairs(ctx, semantics);
+          if (!all.empty()) {
+            EXPECT_EQ(LabelSets(instance, all), expected);
+          }
+          EXPECT_TRUE(!all.empty() || !budget.Unlimited());
+        });
+      }
+      run([&](const ProblemContext& ctx) {
+        const CategoricityResult result =
+            DecideCategoricity(ctx, RepairSemantics::kGlobal);
+        const std::vector<std::vector<std::string>>& expected = reference[0];
+        switch (result.verdict) {
+          case Categoricity::kCategorical:
+            ASSERT_EQ(expected.size(), 1u);
+            EXPECT_EQ(LabelSets(instance, {result.repair}), expected);
+            break;
+          case Categoricity::kAmbiguous:
+            EXPECT_GE(expected.size(), 2u);
+            break;
+          case Categoricity::kUnknown:
+            EXPECT_FALSE(budget.Unlimited());
+            break;
+        }
+      });
+    }
   }
 }
 

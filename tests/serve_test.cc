@@ -372,11 +372,25 @@ TEST(ServeSessionTest, CqaAfterBlockEditsMatchesRebuild) {
   }
 }
 
+// The queries a session answers under a cross-conflict priority
+// (completion semantics and construct need a conflict-bounded one).
+std::vector<std::string> CcpQueries() {
+  return {
+      "check global",
+      "check pareto",
+      "count global",
+      "count pareto",
+      "cqa global Q(x) :- R(x, y)",
+      "cqa pareto Q(x, y) :- R(x, y)",
+      "cqa global Q() :- R(x, \"y1\")",
+      "cqa repairs Q(y) :- R(x, y)",
+  };
+}
+
 // A session with a block cache and a priority edge between blocks: the
-// cache is bypassed while the edge crosses (a fingerprint canonicalizes
-// block-local edges only), and a delete that makes the priority
-// block-local again brings it back.  Every reply, refusals included,
-// equals the cache-off session's.
+// edge joins the two blocks, so every query is answered (no refusal)
+// through the cache exactly as the cache-off session answers it, before
+// and after the edits that move the edge's blocks around.
 TEST(ServeSessionTest, CrossBlockPriorityWithCacheMatchesCacheOff) {
   ProblemSpec spec;
   spec.arity = 2;
@@ -413,10 +427,75 @@ TEST(ServeSessionTest, CrossBlockPriorityWithCacheMatchesCacheOff) {
       "cqa repairs Q(x, y) :- R(x, y)",
   };
   for (const std::string& line : script) {
-    EXPECT_EQ(reply(*with_cache, line), reply(*without_cache, line)) << line;
+    const std::string answer = reply(*with_cache, line);
+    EXPECT_EQ(answer, reply(*without_cache, line)) << line;
+    EXPECT_EQ(answer.find("error:"), std::string::npos) << line << ": "
+                                                         << answer;
   }
-  EXPECT_NE(reply(*with_cache, "check global").find("check global: "),
-            std::string::npos);
+  EXPECT_GT(with_cache->cache()->stats().hits +
+                with_cache->cache()->stats().misses,
+            0u);
+}
+
+// An insert that gives a free fact its first conflict, where the free
+// fact carries a priority edge into another block: the new block and
+// that block join.  Every answer equals a rebuild's, cache off and on.
+TEST(ServeSessionTest, CcpInsertJoinsBlocksThroughFreeFact) {
+  ProblemSpec spec;
+  spec.arity = 2;
+  spec.fds = {"1 -> 2"};
+  spec.facts = {"a1: ka, x1", "a2: ka, x2", "b1: kb, y1", "b2: kb, y2",
+                "c1: kc, z1"};
+  // c1 is free, so its edge into the b-block joins nothing yet.
+  spec.priorities = {"a1 > a2", "c1 > b1"};
+  PreferredRepairProblem p = testing_util::MakeProblem(spec);
+  p.j = testing_util::Sub(*p.instance, {"a2", "b1", "c1"});
+  for (size_t capacity : {size_t{0}, size_t{64}}) {
+    const std::string note = "cache=" + std::to_string(capacity);
+    SessionOptions options;
+    options.cache_capacity = capacity;
+    std::unique_ptr<SessionContext> s = MustCreate(p, options);
+    EXPECT_EQ(s->context().blocks().num_blocks(), 2u) << note;
+    ExpectMatchesRebuild(*s, options, note + " before the insert",
+                         CcpQueries());
+    const std::string reply = MustExecute(*s, "insert c2 R(kc, z2)");
+    EXPECT_NE(reply.find("block of 4"), std::string::npos)
+        << note << ": " << reply;
+    EXPECT_EQ(s->context().blocks().num_blocks(), 2u) << note;
+    ExpectMatchesRebuild(*s, options, note + " after the insert",
+                         CcpQueries());
+  }
+}
+
+// A delete that splits a block two priority edges joined: removing the
+// a-block's bridge fact leaves the rest of the a-block and the b-block
+// apart.  Every answer equals a rebuild's, cache off and on.
+TEST(ServeSessionTest, CcpDeleteSplitsJoinedBlock) {
+  ProblemSpec spec;
+  spec.arity = 2;
+  spec.fds = {"1 -> 2"};
+  spec.facts = {"a1: ka, x1", "a2: ka, x2", "a3: ka, x3", "b1: kb, y1",
+                "b2: kb, y2", "c1: kc, z1"};
+  spec.priorities = {"a1 > b1", "b2 > a1", "a2 > a3", "c1 > a3"};
+  PreferredRepairProblem p = testing_util::MakeProblem(spec);
+  p.j = testing_util::Sub(*p.instance, {"a1", "b2", "c1"});
+  for (size_t capacity : {size_t{0}, size_t{64}}) {
+    const std::string note = "cache=" + std::to_string(capacity);
+    SessionOptions options;
+    options.cache_capacity = capacity;
+    std::unique_ptr<SessionContext> s = MustCreate(p, options);
+    EXPECT_EQ(s->context().blocks().num_blocks(), 1u) << note;
+    ExpectMatchesRebuild(*s, options, note + " before the delete",
+                         CcpQueries());
+    const std::string reply = MustExecute(*s, "delete a1");
+    EXPECT_NE(reply.find("2 block(s) remain"), std::string::npos)
+        << note << ": " << reply;
+    ExpectMatchesRebuild(*s, options, note + " after the delete",
+                         CcpQueries());
+    MustExecute(*s, "insert a1 R(ka, x1)");
+    ExpectMatchesRebuild(*s, options, note + " after the revival",
+                         CcpQueries());
+  }
 }
 
 TEST(ServeSessionTest, PreferRejectsCycles) {
